@@ -7,7 +7,7 @@ smallest singular triplets; helper modules cover low-rank color-image
 reconstruction, file formats and a CLI.
 """
 
-from .bidiag import BidiagFactorization, lanczos_bidiag, lanczos_extend
+from .bidiag import KrylovState, lanczos_bidiag, lanczos_extend
 from .lowrank import (
     ApproxReport,
     RgbImage,
@@ -34,7 +34,6 @@ from .quatlin import (
 )
 from .restart import (
     ConvergenceTrace,
-    CycleState,
     SolverOptions,
     TripletSet,
     check_convergence,
@@ -48,11 +47,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReport",
-    "BidiagFactorization",
     "CompactBasis",
     "CompactVector",
     "ConvergenceTrace",
-    "CycleState",
+    "KrylovState",
     "QuatMatrix",
     "Quaternion",
     "RgbImage",

@@ -11,9 +11,10 @@ residual vector orthogonal to P_k.  Exact breakdowns deflate: the
 recurrence continues with a fresh random unit vector orthogonalized
 against the current basis, and the zero coefficient is kept in B_k.
 
-The same stepping routine also extends restarted factorizations whose
-leading projected block is an arrow or triangular matrix; only the trailing
-rows/columns it appends are bidiagonal.
+:class:`KrylovState` is the one factorization state of the package.  The
+restart drivers in :mod:`quatsvd.restart` shrink it to an arrow or
+triangular leading block and hand it back to :func:`lanczos_extend`, which
+only appends bidiagonal trailing rows/columns.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quatlin import (
-    DEFAULT_TOL,
     CompactBasis,
     CompactVector,
     QuatMatrix,
-    Tolerances,
     orthogonalize_against_basis,
     random_unit_vector,
     structured_matvec,
     vec_norm,
 )
+
+# A computed alpha or beta at or below this fraction of the largest entry
+# of B is an exact breakdown.
+BREAKDOWN_TOL = 1e-14
 
 
 @dataclass
@@ -41,6 +44,9 @@ class KrylovState:
 
     ``B`` is the dense projected matrix (upper triangular throughout this
     package), ``f`` the continuation residual with ``beta_last = ||f||``.
+    ``matvecs`` counts products with M and M*, ``deflations`` lists the
+    ``(step, "alpha" | "beta")`` breakdowns, and ``sigma_max`` is the
+    restart driver's running estimate of the largest singular value.
     """
 
     P: CompactBasis
@@ -51,49 +57,11 @@ class KrylovState:
     rng: np.random.Generator
     matvecs: int = 0
     deflations: list = field(default_factory=list)
-    tol: Tolerances = DEFAULT_TOL
+    sigma_max: float = 0.0
 
     @property
     def steps(self) -> int:
         return len(self.P)
-
-    def scale(self) -> float:
-        """Magnitude reference for breakdown tests."""
-        if self.B.size == 0:
-            return 0.0
-        return float(np.abs(self.B).max())
-
-
-@dataclass
-class BidiagFactorization:
-    """Result of :func:`lanczos_bidiag`.
-
-    ``betas`` holds the k-1 superdiagonal entries followed by the trailing
-    beta_k = ||residual||.
-    """
-
-    P: CompactBasis
-    Q: CompactBasis
-    alphas: np.ndarray
-    betas: np.ndarray
-    residual: CompactVector
-    steps: int
-    deflations: list
-
-    @property
-    def B(self) -> np.ndarray:
-        k = self.steps
-        B = np.zeros((k, k))
-        np.fill_diagonal(B, self.alphas)
-        for j in range(k - 1):
-            B[j, j + 1] = self.betas[j]
-        return B
-
-
-def _matvec(M: QuatMatrix, x: CompactVector, state: KrylovState,
-            adjoint: bool = False) -> CompactVector:
-    state.matvecs += 1
-    return structured_matvec(M, x, adjoint=adjoint)
 
 
 def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> CompactVector:
@@ -119,16 +87,16 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
 
     The leading block of ``B`` (arrow or triangular after a restart) is
     left untouched; new coefficients land on the diagonal and first
-    superdiagonal.  Breakdowns deflate as in :func:`lanczos_bidiag`.
+    superdiagonal.  Breakdowns deflate as described in the module
+    docstring.
     """
     if to_step > min(M.rows, M.cols):
         raise ValueError("cannot extend past min(m, n)")
-    tol = state.tol
     while state.steps < to_step:
         s = state.steps
-        scale = state.scale()
+        scale = float(np.abs(state.B).max(initial=0.0))
         beta = vec_norm(state.f)
-        if beta <= tol.breakdown * scale or beta == 0.0:
+        if beta <= BREAKDOWN_TOL * scale or beta == 0.0:
             beta = 0.0
             p_new = _fresh_direction(M.cols, state.P, state.rng) if s else \
                 random_unit_vector(M.cols, state.rng)
@@ -136,14 +104,15 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
         else:
             p_new = state.f.scaled(1.0 / beta)
 
-        w = _matvec(M, p_new, state)
+        w = structured_matvec(M, p_new)
+        state.matvecs += 1
         if s and beta > 0.0:
             w = w - state.Q.vector(s - 1).scaled(beta)
         if s:
             w = orthogonalize_against_basis(w, state.Q)
         alpha = vec_norm(w)
         scale = max(scale, alpha)
-        if alpha <= tol.breakdown * scale or alpha == 0.0:
+        if alpha <= BREAKDOWN_TOL * scale or alpha == 0.0:
             alpha = 0.0
             q_new = _fresh_direction(M.rows, state.Q, state.rng) if s else \
                 random_unit_vector(M.rows, state.rng)
@@ -158,14 +127,15 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
         state.P.append(p_new)
         state.Q.append(q_new)
 
-        f = _matvec(M, q_new, state, adjoint=True) - p_new.scaled(alpha)
+        f = structured_matvec(M, q_new, adjoint=True) - p_new.scaled(alpha)
+        state.matvecs += 1
         state.f = orthogonalize_against_basis(f, state.P)
         state.beta_last = vec_norm(state.f)
     return state
 
 
-def start_state(M: QuatMatrix, p1: CompactVector, rng: np.random.Generator,
-                tol: Tolerances = DEFAULT_TOL) -> KrylovState:
+def start_state(M: QuatMatrix, p1: CompactVector,
+                rng: np.random.Generator) -> KrylovState:
     """Empty factorization seeded with the start vector ``p1``."""
     if p1.n != M.cols:
         raise ValueError(f"start vector length {p1.n} != cols {M.cols}")
@@ -178,31 +148,19 @@ def start_state(M: QuatMatrix, p1: CompactVector, rng: np.random.Generator,
         f=p1.copy(),
         beta_last=1.0,
         rng=rng,
-        tol=tol,
     )
 
 
 def lanczos_bidiag(M: QuatMatrix, p1: CompactVector, k: int,
-                   rng: np.random.Generator,
-                   tol: Tolerances = DEFAULT_TOL) -> BidiagFactorization:
-    """Run k steps of structure-preserving Lanczos bidiagonalization."""
+                   rng: np.random.Generator) -> KrylovState:
+    """Run k steps of structure-preserving Lanczos bidiagonalization.
+
+    The returned state holds the alphas on ``np.diag(B)``, the betas on
+    ``np.diag(B, 1)`` and the trailing beta_k = ||f|| in ``beta_last``.
+    """
     if not 1 <= k <= min(M.rows, M.cols):
         raise ValueError(f"k={k} out of range 1..{min(M.rows, M.cols)}")
-    state = start_state(M, p1, rng, tol)
-    lanczos_extend(M, state, k)
-    alphas = np.diag(state.B).copy()
-    betas = np.empty(k)
-    betas[:k - 1] = np.diag(state.B, 1) if k > 1 else []
-    betas[k - 1] = state.beta_last
-    return BidiagFactorization(
-        P=state.P,
-        Q=state.Q,
-        alphas=alphas,
-        betas=betas,
-        residual=state.f,
-        steps=k,
-        deflations=list(state.deflations),
-    )
+    return lanczos_extend(M, start_state(M, p1, rng), k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ environment variable QSVD_SEED overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -63,14 +64,15 @@ def _add_solver_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _options(args, k=None) -> SolverOptions:
-    seed = args.seed
+def _seed(args) -> int:
+    """``--seed``, overridden by the QSVD_SEED environment variable."""
     env = os.environ.get("QSVD_SEED")
-    if env is not None:
-        seed = int(env)
-    return SolverOptions(k=k if k is not None else args.k, which=args.which,
-                         m_b=args.mb, maxit=args.maxit, delta=args.delta,
-                         seed=seed)
+    return int(env) if env is not None else args.seed
+
+
+def _options(args) -> SolverOptions:
+    return SolverOptions(k=args.k, which=args.which, m_b=args.mb,
+                         maxit=args.maxit, delta=args.delta, seed=_seed(args))
 
 
 def _load_matrix(spec: str, n: int | None) -> QuatMatrix:
@@ -108,9 +110,7 @@ def _reconstruction_report(M: QuatMatrix, k: int, opts: SolverOptions):
     """
     full = min(M.rows, M.cols)
     k_solve = min(k + 1, full)
-    triplets, trace = solve_partial_svd(
-        M, SolverOptions(k=k_solve, which=opts.which, m_b=opts.m_b,
-                         maxit=opts.maxit, delta=opts.delta, seed=opts.seed))
+    triplets, trace = solve_partial_svd(M, dataclasses.replace(opts, k=k_solve))
     Ak = low_rank_approx(triplets, k)
     sigma1 = float(triplets.sigmas[0]) if len(triplets) else 0.0
     rel2 = float(triplets.sigmas[k]) / sigma1 if k < full else 0.0
@@ -165,10 +165,7 @@ def _cmd_video(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed
-    env = os.environ.get("QSVD_SEED")
-    if env is not None:
-        seed = int(env)
+    seed = _seed(args)
     if args.kind == "dense":
         rng = np.random.default_rng(seed)
         blocks = [rng.standard_normal((args.m, args.n)) for _ in range(4)]
@@ -188,11 +185,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     M = _load_matrix(args.input, args.n)
-    seed = args.seed
-    env = os.environ.get("QSVD_SEED")
-    if env is not None:
-        seed = int(env)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(args))
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:
@@ -220,8 +213,9 @@ def _cmd_verify(args) -> int:
 
     k = min(20, M.rows, M.cols)
     F = lanczos_bidiag(M, random_unit_vector(M.cols, rng), k, rng)
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.residual)
-    scale = max(float(np.abs(F.alphas).max()), 1e-300)
+    alphas, betas = np.diag(F.B), np.diag(F.B, 1)
+    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
+    scale = max(float(np.abs(alphas).max()), 1e-300)
     report("Lanczos basis orthogonality <= 1e-12",
            max(errs["P_orth"], errs["Q_orth"]) <= 1e-12,
            f"err={max(errs['P_orth'], errs['Q_orth']):.2e}")
@@ -232,9 +226,9 @@ def _cmd_verify(args) -> int:
     T = B.T @ B
     Tref = np.zeros_like(T)
     for j in range(k):
-        Tref[j, j] = F.alphas[j] ** 2 + (F.betas[j - 1] ** 2 if j else 0.0)
+        Tref[j, j] = alphas[j] ** 2 + (betas[j - 1] ** 2 if j else 0.0)
         if j < k - 1:
-            Tref[j, j + 1] = Tref[j + 1, j] = F.alphas[j] * F.betas[j]
+            Tref[j, j + 1] = Tref[j + 1, j] = alphas[j] * betas[j]
     terr = float(np.abs(T - Tref).max())
     report("B'B matches the tridiagonal recurrence to 1e-14 * scale",
            terr <= 1e-14 * max(float(np.abs(T).max()), 1e-300),

@@ -220,8 +220,10 @@ def read_image_ppm(path) -> RgbImage:
         raise MalformedFileError(path, pos + len(payload),
                                  f"truncated payload, need {need} bytes")
     pix = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    arr = pix.astype(np.float64)
-    return RgbImage(R=arr[:, :, 0], G=arr[:, :, 1], B=arr[:, :, 2])
+    # Channel-major copy: each channel is C-contiguous, so the dense
+    # matvecs on the blocks built from it run as BLAS calls.
+    arr = np.ascontiguousarray(pix.transpose(2, 0, 1), dtype=np.float64)
+    return RgbImage(R=arr[0], G=arr[1], B=arr[2])
 
 
 def write_image_ppm(img: RgbImage, path) -> None:

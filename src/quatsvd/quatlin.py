@@ -19,7 +19,7 @@ validated in the test suite against the fully expanded real counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,19 +31,6 @@ STORAGE_ORDER = (0, 2, 1, 3)
 
 # Density threshold below which sparse blocks keep a sparse matvec path.
 SPARSE_DENSITY_LIMIT = 0.25
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Machine-epsilon-scaled zero thresholds used across the solver stack."""
-
-    breakdown: float = 1e-14     # beta/alpha treated as zero, relative to max alpha
-    orthogonality: float = 1e-13 # residual inner products after reorthogonalization
-    rank: float = 1e-14          # QR rank-deficiency, relative to the matrix norm
-    near_singular: float = 1e-12 # projected-matrix diagonal guard, relative to sigma_max
-
-
-DEFAULT_TOL = Tolerances()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +92,9 @@ class QuatMatrix:
     Blocks may be dense ndarrays or ``scipy.sparse`` matrices; sparse blocks
     are kept sparse when the overall density is below
     ``SPARSE_DENSITY_LIMIT``, otherwise they are densified up front.
-    Instances are immutable by convention: no method mutates the blocks.
+    NaN or infinite entries are rejected with a ``ValueError`` naming the
+    block.  Instances are immutable by convention: no method mutates the
+    blocks.
     """
 
     __slots__ = ("rows", "cols", "blocks")
@@ -116,6 +105,9 @@ class QuatMatrix:
             raise ValueError("blocks must be 2-d")
         rows, cols = first.shape
         blocks = [first] + [_as_block(b, rows, cols) for b in (M1, M2, M3)]
+        for i, b in enumerate(blocks):
+            if not np.isfinite(b.data if sp.issparse(b) else b).all():
+                raise ValueError(f"block M{i} has NaN or infinite entries")
         if any(sp.issparse(b) for b in blocks):
             nnz = sum(b.nnz if sp.issparse(b) else np.count_nonzero(b)
                       for b in blocks)
@@ -234,15 +226,6 @@ class CompactVector:
 
     def __add__(self, other: "CompactVector") -> "CompactVector":
         return CompactVector(self.data + other.data)
-
-    def right_mul(self, q: Quaternion) -> "CompactVector":
-        """Entrywise right product v*q for a quaternion scalar q."""
-        c0, c1, c2, c3 = self.components()
-        r0 = c0 * q.w - c1 * q.x - c2 * q.y - c3 * q.z
-        r1 = c0 * q.x + c1 * q.w + c2 * q.z - c3 * q.y
-        r2 = c0 * q.y + c2 * q.w + c3 * q.x - c1 * q.z
-        r3 = c0 * q.z + c3 * q.w + c1 * q.y - c2 * q.x
-        return CompactVector.from_components(r0, r1, r2, r3)
 
 
 def expand_vector(x: CompactVector) -> np.ndarray:
@@ -409,13 +392,6 @@ class CompactBasis:
         out = CompactBasis(self.n, capacity=max(stacked.shape[0], 1))
         out._buf[:stacked.shape[0]] = stacked
         out._size = stacked.shape[0]
-        return out
-
-    def select(self, indices) -> "CompactBasis":
-        picked = self.data[np.asarray(indices, dtype=int)]
-        out = CompactBasis(self.n, capacity=max(picked.shape[0], 1))
-        out._buf[:picked.shape[0]] = picked
-        out._size = picked.shape[0]
         return out
 
 

@@ -21,20 +21,32 @@ sigma_max is a running estimate of the largest singular value.  In
 harmonic mode the test uses the row-extended projected matrix; reported
 triplets are always extracted from the square projected matrix, for which
 ``M v = u sigma`` holds to roundoff.
+
+Each cycle computes one dense SVD: :func:`check_convergence` takes it of
+the matrix it tests (square in largest mode, row-extended in harmonic
+mode) and returns it, and the augmentation of the same cycle retains its
+vectors.  The loop state is a :class:`quatsvd.bidiag.KrylovState`, which
+each restart replaces and re-expands to the size it entered with.  Only
+harmonic mode computes one more SVD, of the square matrix, to extract the
+reported triplets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import smalldense
-from .bidiag import KrylovState, lanczos_extend, start_state, _fresh_direction
+from .bidiag import (
+    BREAKDOWN_TOL,
+    KrylovState,
+    _fresh_direction,
+    lanczos_extend,
+    start_state,
+)
 from .quatlin import (
-    DEFAULT_TOL,
     CompactBasis,
-    CompactVector,
     QuatMatrix,
     orthogonalize_against_basis,
     orthogonalize_with_coeffs,
@@ -50,6 +62,10 @@ WHICH_SMALLEST = "smallest"
 # consecutive aborted harmonic cycles before the matrix is declared singular.
 RETAIN_BUFFER = 5
 MAX_SINGULAR_RESTARTS = 5
+
+# Harmonic restarts abort when a diagonal entry of the projected matrix
+# falls to this fraction of sigma_max.
+NEAR_SINGULAR_TOL = 1e-12
 
 
 class RestartBreakdown(RuntimeError):
@@ -101,16 +117,6 @@ class ConvergenceTrace:
 
 
 @dataclass
-class CycleState(KrylovState):
-    """Restart-loop state: a Krylov factorization plus loop bookkeeping."""
-
-    m_b: int = 0
-    cycle: int = 0
-    sigma_max: float = 0.0
-    trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
-
-
-@dataclass
 class TripletSet:
     """Approximate singular triplets with their residual bounds.
 
@@ -135,10 +141,14 @@ class TripletSet:
 
 @dataclass(frozen=True)
 class ConvergenceCheck:
+    """Outcome of :func:`check_convergence`; ``svd`` is the SVD of the
+    tested matrix, which the restart of the same cycle reuses."""
+
     flags: np.ndarray
     bounds: np.ndarray
     sigmas: np.ndarray
     sigma_max: float
+    svd: smalldense.SvdResult
 
 
 def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
@@ -157,7 +167,8 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     bounds = abs(beta_k) * np.abs(res.U[-1, order])
     flags = bounds <= delta * sigma_max
     return ConvergenceCheck(flags=flags, bounds=bounds,
-                            sigmas=res.sigmas[order], sigma_max=sigma_max)
+                            sigmas=res.sigmas[order], sigma_max=sigma_max,
+                            svd=res)
 
 
 def _target_order(sigmas: np.ndarray, which: str) -> np.ndarray:
@@ -174,25 +185,16 @@ def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
     return np.hstack([B, col])
 
 
-def _clone_loop_state(old: CycleState, P, Q, B, f) -> CycleState:
-    state = CycleState(
-        P=P, Q=Q, B=B, f=f, beta_last=vec_norm(f),
-        rng=old.rng, matvecs=old.matvecs,
-        deflations=old.deflations, tol=old.tol,
-        m_b=old.m_b, cycle=old.cycle + 1,
-        sigma_max=old.sigma_max, trace=old.trace,
-    )
-    return state
-
-
 # ---------------------------------------------------------------------------
 # Ritz augmentation (largest triplets)
 # ---------------------------------------------------------------------------
 
-def ritz_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleState:
-    """One Ritz-augmented restart, re-expanded to ``state.m_b`` steps.
+def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
+                       res: smalldense.SvdResult) -> KrylovState:
+    """One Ritz-augmented restart, re-expanded to ``state.steps`` steps.
 
-    Retains the t largest Ritz pairs of the projected matrix, appends the
+    ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``).  Retains
+    the t largest Ritz pairs of the projected matrix, appends the
     normalized residual direction, forms the arrow projected matrix and
     extends with plain Lanczos steps.  Raises :class:`RestartBreakdown`
     when the orthogonalized image of the augmentation vector vanishes.
@@ -200,14 +202,13 @@ def ritz_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleState:
     k = state.steps
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
-    res = smalldense.dense_svd(state.B)
     sig = res.sigmas[:t]
     V_new = state.P.combine_matrix(res.V[:, :t])
     U_new = state.Q.combine_matrix(res.U[:, :t])
 
     beta_k = state.beta_last
     scale = max(state.sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
-    if beta_k <= state.tol.breakdown * scale:
+    if beta_k <= BREAKDOWN_TOL * scale:
         # Exact invariant subspace: restart in the orthogonal complement.
         p_aug = _fresh_direction(M.cols, state.P, state.rng)
         rho = np.zeros(t)
@@ -222,7 +223,7 @@ def ritz_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleState:
         w, extra = orthogonalize_with_coeffs(w, U_new)
         rho = rho + extra[:, 0]
     alpha_new = vec_norm(w)
-    if alpha_new <= state.tol.breakdown * scale:
+    if alpha_new <= BREAKDOWN_TOL * scale:
         raise RestartBreakdown("augmentation residual vanished")
     q_new = w.scaled(1.0 / alpha_new)
 
@@ -241,54 +242,40 @@ def ritz_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleState:
     state.matvecs += 1
     f = orthogonalize_against_basis(f, P_new)
 
-    out = _clone_loop_state(state, P_new, Q_basis, B_new, f)
-    return lanczos_extend(M, out, out.m_b)
+    out = replace(state, P=P_new, Q=Q_basis, B=B_new, f=f,
+                  beta_last=vec_norm(f))
+    return lanczos_extend(M, out, k)
 
 
 # ---------------------------------------------------------------------------
 # harmonic augmentation (smallest triplets)
 # ---------------------------------------------------------------------------
 
-def _is_bidiagonal(B: np.ndarray) -> bool:
-    mask = np.triu(np.ones_like(B, dtype=bool), 2)
-    return not np.any(B[mask])
-
-
-def _solve_projected(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """B^{-1} rhs via back substitution (bidiagonal fast path)."""
-    if _is_bidiagonal(B):
-        alphas = np.diag(B)
-        betas = np.diag(B, 1)
-        if rhs.ndim == 1:
-            return smalldense.bidiag_solve(alphas, betas, rhs)
-        return np.column_stack(
-            [smalldense.bidiag_solve(alphas, betas, rhs[:, j])
-             for j in range(rhs.shape[1])])
-    return smalldense.solve_upper(B, rhs)
-
-
-def _harmonic_projection(B: np.ndarray, beta_k: float, t: int):
+def _harmonic_projection(B: np.ndarray, res: smalldense.SvdResult, t: int):
     """Projected-level quantities of a harmonic restart.
 
+    ``res`` is the SVD of the row-extended matrix [B, beta*e_last].
     Returns ascending sigmas, the retained left vectors U_t of the
     row-extended matrix, the solved coefficients W = B^{-1} U_t and
     z = B^{-1} e_last.
     """
     k = B.shape[0]
-    res = smalldense.dense_svd(_augmented_projection(B, beta_k))
     asc = np.arange(res.sigmas.size)[::-1][:t]
     sig = res.sigmas[asc]
     U_t = res.U[:, asc]
-    W = _solve_projected(B, U_t)
-    z = _solve_projected(B, np.eye(k)[:, -1])
+    W = smalldense.solve_upper(B, U_t)
+    z = smalldense.solve_upper(B, np.eye(k)[:, -1])
     return sig, U_t, W, z
 
 
-def harmonic_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleState:
-    """One harmonic-Ritz restart, re-expanded to ``state.m_b`` steps.
+def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
+                           res: smalldense.SvdResult) -> KrylovState:
+    """One harmonic-Ritz restart, re-expanded to ``state.steps`` steps.
 
-    Retains the t smallest harmonic pairs.  Requires the projected matrix
-    to be safely nonsingular and ``beta_last > 0``; raises
+    ``res`` is the SVD of the row-extended matrix [B, beta*e_last]
+    (``ConvergenceCheck.svd`` in harmonic mode).  Retains the t smallest
+    harmonic pairs.  Requires the projected matrix to be safely
+    nonsingular and ``beta_last > 0``; raises
     :class:`NearSingularProjection` otherwise so the driver can restart
     from a perturbed seed vector.
     """
@@ -298,13 +285,13 @@ def harmonic_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleSta
     beta_k = state.beta_last
     scale = max(state.sigma_max, float(np.abs(state.B).max()))
     diag = np.abs(np.diag(state.B))
-    if diag.min() <= state.tol.near_singular * scale:
+    if diag.min() <= NEAR_SINGULAR_TOL * scale:
         raise NearSingularProjection("projected matrix nearly singular")
-    if beta_k <= state.tol.breakdown * scale:
+    if beta_k <= BREAKDOWN_TOL * scale:
         raise NearSingularProjection("zero residual: invariant subspace found")
 
     try:
-        sig, U_t, W, z = _harmonic_projection(state.B, beta_k, t)
+        sig, U_t, W, z = _harmonic_projection(state.B, res, t)
         C = np.zeros((k + 1, t + 1))
         C[:k, :t] = W * sig[None, :]
         C[:k, t] = -beta_k * z
@@ -324,7 +311,7 @@ def harmonic_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleSta
     w, coeffs = orthogonalize_with_coeffs(w, Q_t)
     c_hat = coeffs[:, 0]
     alpha_new = vec_norm(w)
-    if alpha_new <= state.tol.breakdown * scale:
+    if alpha_new <= BREAKDOWN_TOL * scale:
         q_new = _fresh_direction(M.rows, Q_t, state.rng)
         alpha_new = 0.0
     else:
@@ -346,8 +333,9 @@ def harmonic_augment_cycle(M: QuatMatrix, state: CycleState, t: int) -> CycleSta
     state.matvecs += 1
     f = orthogonalize_against_basis(f, P_new)
 
-    out = _clone_loop_state(state, P_new, Q_new, B_new, f)
-    return lanczos_extend(M, out, out.m_b)
+    out = replace(state, P=P_new, Q=Q_new, B=B_new, f=f,
+                  beta_last=vec_norm(f))
+    return lanczos_extend(M, out, k)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +351,10 @@ def _retained_count(k: int, m_b: int) -> int:
     return max(1, min(t, m_b - 3, m_b - 1))
 
 
-def _extract_triplets(state: CycleState, k: int, which: str,
-                      flags: np.ndarray) -> TripletSet:
-    res = smalldense.dense_svd(state.B)
+def _extract_triplets(state: KrylovState, k: int, which: str,
+                      flags: np.ndarray,
+                      res: smalldense.SvdResult) -> TripletSet:
+    """Reported triplets from ``res``, the SVD of the square ``state.B``."""
     order = _target_order(res.sigmas, which)[:k]
     sigmas = res.sigmas[order].copy()
     # Reported bounds cannot certify below the roundoff of the
@@ -377,11 +366,8 @@ def _extract_triplets(state: CycleState, k: int, which: str,
     perm = np.lexsort((np.arange(k), bounds,
                        -sigmas if which == WHICH_LARGEST else sigmas))
     if np.any(np.abs(np.diff(sigmas)) <= tie):
-        order = order[perm]
-        sigmas = res.sigmas[order].copy()
-        bounds = np.maximum(abs(state.beta_last) * np.abs(res.U[-1, order]),
-                            floor)
-        flags = flags[perm]
+        order, sigmas, bounds, flags = \
+            order[perm], sigmas[perm], bounds[perm], flags[perm]
     U = state.Q.combine_matrix(res.U[:, order])
     V = state.P.combine_matrix(res.V[:, order])
     return TripletSet(sigmas=sigmas, U=U, V=V, bounds=bounds,
@@ -416,7 +402,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
 
     rng = np.random.default_rng(opts.seed)
     trace = ConvergenceTrace()
-    state = _initial_state(M, rng, m_b, trace)
+    state = _initial_state(M, rng, m_b)
     harmonic = opts.which == WHICH_SMALLEST
     singular_restarts = 0
     chk = None
@@ -433,9 +419,9 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         t = _retained_count(opts.k, m_b)
         try:
             if harmonic:
-                state = harmonic_augment_cycle(M, state, t)
+                state = harmonic_augment_cycle(M, state, t, chk.svd)
             else:
-                state = ritz_augment_cycle(M, state, t)
+                state = ritz_augment_cycle(M, state, t, chk.svd)
         except RestartBreakdown:
             trace.events.append(f"cycle {cycle}: augmentation residual "
                                 "vanished, iteration terminated")
@@ -448,22 +434,20 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
                 raise SingularMatrixError(
                     "harmonic mode kept hitting a singular projection; "
                     "matrix appears to be singular") from exc
-            fresh = _initial_state(M, rng, m_b, trace)
-            fresh.matvecs += state.matvecs
-            fresh.sigma_max = state.sigma_max
-            fresh.cycle = state.cycle + 1
-            state = fresh
+            state = _initial_state(M, rng, m_b, state.matvecs,
+                                   state.sigma_max)
 
-    return _extract_triplets(state, opts.k, opts.which, chk.flags), trace
+    res = smalldense.dense_svd(state.B) if harmonic else chk.svd
+    return _extract_triplets(state, opts.k, opts.which, chk.flags, res), trace
 
 
 def _initial_state(M: QuatMatrix, rng: np.random.Generator, m_b: int,
-                   trace: ConvergenceTrace) -> CycleState:
-    p1 = random_unit_vector(M.cols, rng)
-    base = start_state(M, p1, rng)
-    state = CycleState(P=base.P, Q=base.Q, B=base.B, f=base.f,
-                       beta_last=base.beta_last, rng=rng, tol=base.tol,
-                       m_b=m_b, trace=trace)
+                   matvecs: int = 0, sigma_max: float = 0.0) -> KrylovState:
+    """Factorization of ``m_b`` steps from a random start vector; a fresh
+    restart carries the matvec count and sigma_max of the state it drops."""
+    state = start_state(M, random_unit_vector(M.cols, rng), rng)
+    state.matvecs = matvecs
+    state.sigma_max = sigma_max
     return lanczos_extend(M, state, m_b)
 
 

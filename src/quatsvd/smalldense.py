@@ -86,7 +86,9 @@ def bidiag_solve(alphas: np.ndarray, betas: np.ndarray, b: np.ndarray) -> np.nda
 
     ``alphas`` is the diagonal (length k), ``betas`` the superdiagonal
     (length k-1).  Raises :class:`NearSingularError` when any diagonal
-    entry is below 1e-14 of the largest one.
+    entry is below 1e-14 of the largest one.  The solver itself uses
+    :func:`solve_upper`; this loop stays only while ``perfbench/layers.py``
+    traces it by name.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)

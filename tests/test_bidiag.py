@@ -25,8 +25,8 @@ def test_scalar_full_quaternion():
     M = QuatMatrix.from_scalar(Quaternion(1, 1, 1, 1))
     p1 = CompactVector.from_quaternion(Quaternion(1, 0, 0, 0))
     F = lanczos_bidiag(M, p1, 1, np.random.default_rng(0))
-    assert F.alphas[0] == pytest.approx(2.0, abs=1e-15)
-    assert vec_norm(F.residual) <= 1e-15
+    assert F.B[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert vec_norm(F.f) <= 1e-15
 
 
 def test_real_diagonal_breaks_down_and_deflates():
@@ -35,8 +35,8 @@ def test_real_diagonal_breaks_down_and_deflates():
     p1 = CompactVector.from_components([1, 0, 0], [0, 0, 0], [0, 0, 0],
                                        [0, 0, 0])
     F = lanczos_bidiag(M, p1, 3, np.random.default_rng(0))
-    assert F.alphas[0] == pytest.approx(3.0, abs=1e-15)
-    assert F.betas[0] == 0.0
+    assert F.B[0, 0] == pytest.approx(3.0, abs=1e-15)
+    assert F.B[0, 1] == 0.0
     assert any(step == 1 and kind == "beta" for step, kind in F.deflations)
     # The deflated run still recovers the whole spectrum.
     got = np.sort(np.linalg.svd(F.B, compute_uv=False))
@@ -46,15 +46,15 @@ def test_real_diagonal_breaks_down_and_deflates():
 def test_random_factorization_identities(rng):
     M = rand_qmat(rng, 30, 20)
     F = lanczos_bidiag(M, random_unit_vector(20, rng), 10, rng)
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.residual)
-    scale = float(np.abs(F.alphas).max())
+    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
+    scale = float(np.abs(np.diag(F.B)).max())
     assert errs["P_orth"] <= 1e-12
     assert errs["Q_orth"] <= 1e-12
     assert errs["direct"] <= 1e-12 * scale
     assert errs["adjoint"] <= 1e-12 * scale
     assert errs["f_orth"] <= 1e-12
-    assert np.all(F.alphas > 0.0)
-    assert np.all(F.betas >= 0.0)
+    assert np.all(np.diag(F.B) > 0.0)
+    assert np.all(np.diag(F.B, 1) >= 0.0) and F.beta_last >= 0.0
 
 
 def test_extend_matches_single_run(rng):
@@ -74,7 +74,7 @@ def test_extend_zero_residual_deflates(rng):
     M = matrix_from_triplets_expansion(T)
     F = lanczos_bidiag(M, random_unit_vector(5, rng), 4, rng)
     assert F.deflations, "expected a deflation on a rank-2 matrix"
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.residual)
+    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
     assert errs["direct"] <= 1e-12 * 3.0
     assert errs["adjoint"] <= 1e-12 * 3.0
     got = np.sort(np.linalg.svd(F.B, compute_uv=False))[::-1]
@@ -92,12 +92,13 @@ def test_extend_past_min_dimension_rejected(rng):
 def test_btb_matches_tridiagonal_recurrence(rng):
     M = rand_qmat(rng, 25, 25)
     F = lanczos_bidiag(M, random_unit_vector(25, rng), 12, rng)
+    alphas, betas = np.diag(F.B), np.diag(F.B, 1)
     T = F.B.T @ F.B
     Tref = np.zeros_like(T)
     for j in range(12):
-        Tref[j, j] = F.alphas[j] ** 2 + (F.betas[j - 1] ** 2 if j else 0.0)
+        Tref[j, j] = alphas[j] ** 2 + (betas[j - 1] ** 2 if j else 0.0)
         if j < 11:
-            Tref[j, j + 1] = Tref[j + 1, j] = F.alphas[j] * F.betas[j]
+            Tref[j, j + 1] = Tref[j + 1, j] = alphas[j] * betas[j]
     assert np.abs(T - Tref).max() <= 1e-14 * np.abs(T).max()
 
 
@@ -106,7 +107,7 @@ def test_projected_values_within_residual_bounds(rng):
     # singular value of the counterpart (Weyl perturbation).
     M = rand_qmat(rng, 40, 30)
     F = lanczos_bidiag(M, random_unit_vector(30, rng), 12, rng)
-    beta_k = F.betas[-1]
+    beta_k = F.beta_last
     U, s, _ = np.linalg.svd(F.B)
     true_vals, spread = dedup_singular_values(M)
     assert spread.max() <= 1e-10 * true_vals[0]

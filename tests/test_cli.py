@@ -70,16 +70,27 @@ def test_determinism_byte_identical(tmp_path, dense_qmx):
 
 def test_env_seed_override(tmp_path, dense_qmx, monkeypatch):
     a, b, c = (tmp_path / f"{x}.csv" for x in "abc")
+    ga, gb, gc = (tmp_path / f"{x}.qmx" for x in "abc")
+
+    def gen(seed, out):
+        return run(["gen", "--kind", "dense", "--m", "6", "--n", "5",
+                    "--seed", seed, "--out", out])
+
     assert run(["svd", "--input", dense_qmx, "--k", "3", "--seed", "1",
                 "--out", a]) == EXIT_OK
+    assert gen(1, ga) == EXIT_OK
     monkeypatch.setenv("QSVD_SEED", "1")
     assert run(["svd", "--input", dense_qmx, "--k", "3", "--seed", "999",
                 "--out", b]) == EXIT_OK
+    assert gen(999, gb) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    assert ga.read_bytes() == gb.read_bytes()
     monkeypatch.delenv("QSVD_SEED")
     assert run(["svd", "--input", dense_qmx, "--k", "3", "--seed", "999",
                 "--out", c]) == EXIT_OK
+    assert gen(999, gc) == EXIT_OK
     assert a.read_bytes() != c.read_bytes()
+    assert ga.read_bytes() != gc.read_bytes()
 
 
 def test_nonconvergence_exit_code_and_outputs(tmp_path, dense_qmx):

@@ -149,6 +149,15 @@ class TestPpm:
         qio.write_image_ppm(qio.read_image_ppm(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_channels_are_c_contiguous(self, tmp_path, rng):
+        # Strided channel views would turn every dense matvec on the image
+        # blocks into a slow non-BLAS loop.
+        img = RgbImage(*(rng.uniform(0, 255, (5, 7)) for _ in range(3)))
+        path = tmp_path / "c.ppm"
+        qio.write_image_ppm(img, path)
+        back = qio.read_image_ppm(path)
+        assert all(c.flags.c_contiguous for c in back.channels())
+
     def test_quantization_rounds_half_away_from_zero(self, tmp_path):
         img = RgbImage(R=np.array([[0.5, 1.49, -3.0, 300.0]]),
                        G=np.zeros((1, 4)), B=np.zeros((1, 4)))

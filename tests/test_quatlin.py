@@ -151,6 +151,17 @@ class TestMatvec:
                          for _ in range(4)])
         assert not M.is_sparse
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_entries_rejected(self, sparse, bad):
+        import scipy.sparse as sp
+        blocks = [np.eye(20) for _ in range(4)]
+        blocks[2][3, 4] = bad
+        if sparse:
+            blocks = [sp.csr_matrix(b) for b in blocks]
+        with pytest.raises(ValueError, match="block M2"):
+            QuatMatrix(*blocks)
+
 
 class TestQuatDot:
     def test_self_dot_is_unit(self, rng):
