@@ -108,7 +108,39 @@ class TestAssemble:
             qio.assemble_jrs_blocks(small, small, small, small, n=3)
 
 
+def _reference_sparse_block(n, seed, band=2, offband_density=2e-3,
+                            diagonal_shift=0.0):
+    """The generator's recipe, summed entry by entry in a dict."""
+    rng = np.random.default_rng(seed)
+    acc = {}
+    for d in range(-band, band + 1):
+        vals = rng.uniform(-1.0, 1.0, size=n - abs(d))
+        for i, v in enumerate(vals):
+            key = (i, i + d) if d >= 0 else (i - d, i)
+            acc[key] = acc.get(key, 0.0) + float(v)
+    n_off = int(offband_density * n * n)
+    rows = rng.integers(0, n, size=n_off)
+    cols = rng.integers(0, n, size=n_off)
+    vals = rng.uniform(-1.0, 1.0, size=n_off)
+    for r, c, v in zip(rows, cols, vals):
+        key = (int(r), int(c))
+        acc[key] = acc.get(key, 0.0) + float(v)
+    if diagonal_shift:
+        for i in range(n):
+            acc[(i, i)] = acc.get((i, i), 0.0) + diagonal_shift
+    return sorted((r, c, v) for (r, c), v in acc.items())
+
+
 class TestSparseGen:
+    @pytest.mark.parametrize("n,seed,shift", [(200, 1, 0.0), (1000, 3, 3.0),
+                                              (317, 5, 3.0)])
+    def test_matches_entrywise_reference(self, n, seed, shift):
+        got = qio.gen_sparse_block(n, seed=seed, diagonal_shift=shift)
+        want = _reference_sparse_block(n, seed, diagonal_shift=shift)
+        assert got.triplets == want
+        assert all(type(r) is int and type(c) is int and type(v) is float
+                   for r, c, v in got.triplets)
+
     def test_deterministic(self):
         a = qio.gen_sparse_block(50, seed=7)
         b = qio.gen_sparse_block(50, seed=7)

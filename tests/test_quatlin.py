@@ -247,6 +247,26 @@ class TestCompactBasis:
             want = basis.combine_real(C[:, j])
             assert np.allclose(out.vector(j).data, want.data, atol=1e-15)
 
+    def test_dot_all_matches_quat_dot_loop(self, rng):
+        basis = CompactBasis.from_vectors(
+            [CompactVector(rng.standard_normal((9, 4))) for _ in range(5)])
+        r = CompactVector(rng.standard_normal((9, 4)))
+        got = basis.dot_all(r)
+        assert got.shape == (5, 4)
+        for i, v in enumerate(basis):
+            assert np.abs(got[i] - qtuple(quat_dot(v, r))).max() <= 1e-13
+
+    def test_combine_quat_matches_expanded_sum(self, rng):
+        basis = CompactBasis.from_vectors(
+            [CompactVector(rng.standard_normal((7, 4))) for _ in range(4)])
+        coeffs = rng.standard_normal((4, 4))
+        got = basis.combine_quat(coeffs)
+        # Counterpart of sum_i v_i q_i: sum_i expand(v_i) @ expand(q_i).
+        want = sum(expand_vector(v) @ expand_vector(
+                       CompactVector.from_quaternion(Quaternion(*q)))
+                   for v, q in zip(basis, coeffs))
+        assert np.abs(expand_vector(got) - want).max() <= 1e-13
+
     def test_append_length_check(self, rng):
         basis = orthonormal_basis(rng, 8, 2)
         with pytest.raises(ValueError):
