@@ -150,23 +150,23 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     available offline; the density matches their order of magnitude.
     """
     rng = np.random.default_rng(seed)
-    acc = {}
+    parts = []                                  # (rows, cols, values)
     for d in range(-band, band + 1):
-        length = n - abs(d)
-        vals = rng.uniform(-1.0, 1.0, size=length)
-        for i in range(length):
-            r, c = (i, i + d) if d >= 0 else (i - d, i)
-            acc[(r, c)] = acc.get((r, c), 0.0) + float(vals[i])
+        vals = rng.uniform(-1.0, 1.0, size=n - abs(d))
+        i = np.arange(vals.size)
+        parts.append((i + max(-d, 0), i + max(d, 0), vals))
     n_off = int(offband_density * n * n)
-    rows = rng.integers(0, n, size=n_off)
-    cols = rng.integers(0, n, size=n_off)
-    vals = rng.uniform(-1.0, 1.0, size=n_off)
-    for r, c, v in zip(rows, cols, vals):
-        acc[(int(r), int(c))] = acc.get((int(r), int(c)), 0.0) + float(v)
+    parts.append((rng.integers(0, n, size=n_off), rng.integers(0, n, size=n_off),
+                  rng.uniform(-1.0, 1.0, size=n_off)))
     if diagonal_shift:
-        for i in range(n):
-            acc[(i, i)] = acc.get((i, i), 0.0) + diagonal_shift
-    triplets = sorted((r, c, v) for (r, c), v in acc.items())
+        parts.append((np.arange(n), np.arange(n), np.full(n, float(diagonal_shift))))
+    # Sum duplicates in the order the entries were drawn (np.add.at is
+    # sequential), so every value is bit-identical to an entrywise sum.
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    acc = np.zeros(keys.size)
+    np.add.at(acc, slot, vals)
+    triplets = list(zip((keys // n).tolist(), (keys % n).tolist(), acc.tolist()))
     return SparseBlock(rows=n, cols=n, triplets=triplets)
 
 

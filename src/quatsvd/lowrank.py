@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quatlin import QuatMatrix
+from .quatlin import QuatMatrix, weighted_outer
 from .restart import TripletSet
 
 SSIM_C1 = (0.01 * 255.0) ** 2
@@ -83,19 +83,7 @@ def low_rank_approx(T: TripletSet, k: int) -> QuatMatrix:
     """Rank-k reconstruction U_k diag(sigma_1..k) V_k* from triplets."""
     if k > len(T):
         raise ValueError(f"k={k} exceeds the {len(T)} available triplets")
-    sig = T.sigmas[:k]
-    # Component matrices of the truncated bases: (k, m) and (k, n) each.
-    ud = T.U.data[:k]
-    vd = T.V.data[:k]
-    u0, u1, u2, u3 = ud[:, :, 0], ud[:, :, 2], ud[:, :, 1], ud[:, :, 3]
-    v0, v1, v2, v3 = vd[:, :, 0], vd[:, :, 2], vd[:, :, 1], vd[:, :, 3]
-    w = sig[:, None]
-    # Entrywise u * conj(v) expanded over the k triplets.
-    m0 = u0.T @ (w * v0) + u1.T @ (w * v1) + u2.T @ (w * v2) + u3.T @ (w * v3)
-    m1 = -u0.T @ (w * v1) + u1.T @ (w * v0) - u2.T @ (w * v3) + u3.T @ (w * v2)
-    m2 = -u0.T @ (w * v2) + u2.T @ (w * v0) - u3.T @ (w * v1) + u1.T @ (w * v3)
-    m3 = -u0.T @ (w * v3) + u3.T @ (w * v0) - u1.T @ (w * v2) + u2.T @ (w * v1)
-    return QuatMatrix(m0, m1, m2, m3)
+    return weighted_outer(T.U.data[:k], T.V.data[:k], T.sigmas[:k])
 
 
 def psnr(F: RgbImage, Fk: RgbImage) -> float:

@@ -11,9 +11,13 @@ real blocks.  Its real counterpart is the 4m-by-4n block matrix
 which is invariant under conjugation by the three structure matrices J, R
 and S (see :func:`structure_matrices`).  Only the first block row is ever
 materialized; a quaternion column vector is likewise kept as an n-by-4
-array whose columns follow the same component order (0, 2, 1, 3).  All
-products and inner products below operate on this compact storage and are
-validated in the test suite against the fully expanded real counterpart.
+array whose columns follow the same component order (0, 2, 1, 3).
+
+The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
+conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
+calls on the storage, mixed by that table.  The oracles (:func:`quat_mul`,
+:func:`quat_dot`, :func:`expand_real_counterpart`, :func:`expand_vector`,
+:func:`structure_matrices`) are written out by hand and never read it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,25 @@ import scipy.sparse as sp
 # Component 0 is the real part, 1/2/3 are the i/j/k parts.  The order matches
 # the first block row [M0, M2, M1, M3] of the real counterpart.
 STORAGE_ORDER = (0, 2, 1, 3)
+
+
+def _hamilton_table() -> np.ndarray:
+    """e_a * e_b = sum_c T[a, b, c] e_c, units indexed by storage column."""
+    # Over the units (1, i, j, k): e_a * e_b = sign[a, b] * e_(a xor b).
+    sign = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]])
+    a, b = np.indices((4, 4))
+    t = np.zeros((4, 4, 4))
+    t[a, b, a ^ b] = sign
+    return t[np.ix_(STORAGE_ORDER, STORAGE_ORDER, STORAGE_ORDER)]
+
+
+# The Hamilton product table and the conjugation signs in storage
+# coordinates.  For a compact array x, ``x @ QUAT_TABLE[a]`` is e_a * x and
+# ``x @ QUAT_TABLE[:, b]`` is x * e_b: signed column permutations.
+QUAT_TABLE = _hamilton_table()
+QUAT_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# conj(e_a) * e_b, for adjoint products and conjugate-linear inner products.
+_CONJ_TABLE = QUAT_CONJ[:, None, None] * QUAT_TABLE
 
 # Density threshold below which sparse blocks keep a sparse matvec path.
 SPARSE_DENSITY_LIMIT = 0.25
@@ -224,9 +247,6 @@ class CompactVector:
     def __sub__(self, other: "CompactVector") -> "CompactVector":
         return CompactVector(self.data - other.data)
 
-    def __add__(self, other: "CompactVector") -> "CompactVector":
-        return CompactVector(self.data + other.data)
-
 
 def expand_vector(x: CompactVector) -> np.ndarray:
     """The 4n-by-4 real counterpart of a compact quaternion vector."""
@@ -261,28 +281,21 @@ def quat_dot(a: CompactVector, b: CompactVector) -> Quaternion:
 def structured_matvec(M: QuatMatrix, x: CompactVector, adjoint: bool = False) -> CompactVector:
     """Compact product M.x, or M*.x when ``adjoint`` is set.
 
-    Sixteen real block-matrix-vector products; the 4m-by-4n counterpart is
-    never materialized.  ``adjoint=True`` corresponds to multiplying by the
-    transpose of the real counterpart.
+    Four real block products on the whole (n, 4) array, mixed by the
+    product table; the 4m-by-4n counterpart is never materialized.
+    ``adjoint=True`` corresponds to multiplying by the transpose of the
+    real counterpart.
     """
-    b0, b1, b2, b3 = M.blocks
-    x0, x1, x2, x3 = x.components()
-    if not adjoint:
-        if x.n != M.cols:
-            raise ValueError(f"vector length {x.n} != matrix cols {M.cols}")
-        y0 = b0 @ x0 - b1 @ x1 - b2 @ x2 - b3 @ x3
-        y1 = b0 @ x1 + b1 @ x0 + b2 @ x3 - b3 @ x2
-        y2 = b0 @ x2 + b2 @ x0 + b3 @ x1 - b1 @ x3
-        y3 = b0 @ x3 + b3 @ x0 + b1 @ x2 - b2 @ x1
+    size, name = (M.rows, "rows") if adjoint else (M.cols, "cols")
+    if x.n != size:
+        raise ValueError(f"vector length {x.n} != matrix {name} {size}")
+    X = x.data
+    blocks = [M.blocks[s] for s in STORAGE_ORDER]
+    if adjoint:
+        prods, table = [(X.T @ b).T for b in blocks], _CONJ_TABLE
     else:
-        if x.n != M.rows:
-            raise ValueError(f"vector length {x.n} != matrix rows {M.rows}")
-        t0, t1, t2, t3 = (b.T for b in (b0, b1, b2, b3))
-        y0 = t0 @ x0 + t1 @ x1 + t2 @ x2 + t3 @ x3
-        y1 = t0 @ x1 - t1 @ x0 - t2 @ x3 + t3 @ x2
-        y2 = t0 @ x2 - t2 @ x0 - t3 @ x1 + t1 @ x3
-        y3 = t0 @ x3 - t3 @ x0 - t1 @ x2 + t2 @ x1
-    return CompactVector.from_components(y0, y1, y2, y3)
+        prods, table = [b @ X for b in blocks], QUAT_TABLE
+    return CompactVector(sum(p @ t for p, t in zip(prods, table)))
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> CompactVector:
@@ -345,54 +358,55 @@ class CompactBasis:
         self._buf[self._size] = v.data
         self._size += 1
 
-    def copy(self) -> "CompactBasis":
-        out = CompactBasis(self.n, capacity=max(self._size, 1))
-        out._buf[:self._size] = self.data
-        out._size = self._size
-        return out
-
-    def _component_views(self):
-        d = self.data
-        return d[:, :, 0], d[:, :, 2], d[:, :, 1], d[:, :, 3]
+    def _flat(self) -> np.ndarray:
+        """The basis as a contiguous (k, 4n) view, one vector per row."""
+        return self.data.reshape(self._size, 4 * self.n)
 
     def dot_all(self, r: CompactVector) -> np.ndarray:
         """Quaternion inner products quat_dot(v_i, r), as a (k, 4) array
         of (w, x, y, z) components."""
         if r.n != self.n:
             raise ValueError("length mismatch")
-        a0, a1, a2, a3 = self._component_views()
-        r0, r1, r2, r3 = r.components()
-        out = np.empty((self._size, 4))
-        out[:, 0] = a0 @ r0 + a1 @ r1 + a2 @ r2 + a3 @ r3
-        out[:, 1] = a0 @ r1 - a1 @ r0 - a2 @ r3 + a3 @ r2
-        out[:, 2] = a0 @ r2 - a2 @ r0 - a3 @ r1 + a1 @ r3
-        out[:, 3] = a0 @ r3 - a3 @ r0 - a1 @ r2 + a2 @ r1
-        return out
+        # rot[t, a] = conj(e_a) * r_t, so row i of the product sums
+        # conj(v_i[t]) * r_t over t.  STORAGE_ORDER is its own inverse, so
+        # it also maps storage columns back to (w, x, y, z).
+        rot = np.tensordot(r.data, _CONJ_TABLE, axes=(1, 1))
+        return (self._flat() @ rot.reshape(4 * self.n, 4))[:, STORAGE_ORDER]
 
     def combine_quat(self, coeffs: np.ndarray) -> CompactVector:
         """Right-linear combination sum_i v_i * q_i for quaternion
         coefficients given as a (k, 4) component array."""
-        v0, v1, v2, v3 = self._component_views()
-        q0, q1, q2, q3 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
-        s0 = q0 @ v0 - q1 @ v1 - q2 @ v2 - q3 @ v3
-        s1 = q1 @ v0 + q0 @ v1 + q3 @ v2 - q2 @ v3
-        s2 = q2 @ v0 + q0 @ v2 + q1 @ v3 - q3 @ v1
-        s3 = q3 @ v0 + q0 @ v3 + q2 @ v1 - q1 @ v2
-        return CompactVector.from_components(s0, s1, s2, s3)
+        # parts[b] = sum_i q_i[b] v_i; the sum is sum_b parts[b] * e_b.
+        parts = (coeffs[:, STORAGE_ORDER].T @ self._flat()).reshape(4, self.n, 4)
+        return CompactVector(np.tensordot(parts, QUAT_TABLE, axes=((0, 2), (1, 0))))
 
     def combine_real(self, coeffs: np.ndarray) -> CompactVector:
         """Real linear combination sum_i coeffs[i] * v_i."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        return CompactVector(np.einsum("k,knc->nc", coeffs, self.data))
+        return CompactVector((coeffs @ self._flat()).reshape(self.n, 4))
 
     def combine_matrix(self, C: np.ndarray) -> "CompactBasis":
         """New basis whose j-th vector is sum_i C[i, j] * v_i."""
         C = np.asarray(C, dtype=np.float64)
-        stacked = np.einsum("knc,kt->tnc", self.data, C)
-        out = CompactBasis(self.n, capacity=max(stacked.shape[0], 1))
-        out._buf[:stacked.shape[0]] = stacked
-        out._size = stacked.shape[0]
+        t = C.shape[1]
+        out = CompactBasis(self.n, capacity=max(t, 1))
+        out._buf[:t] = (C.T @ self._flat()).reshape(t, self.n, 4)
+        out._size = t
         return out
+
+
+def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
+    """The quaternion matrix sum_j u_j w_j v_j* of compact vectors stacked
+    as (k, m, 4) and (k, n, 4) arrays, with real weights w."""
+    k, m = U.shape[:2]
+    # left[t, (a, j)] = u_j[t, a].  right[c, (a, j)] = sum_b w_j v_j[:, b]
+    # times the e_c part of e_a conj(e_b), so left @ right[c] sums all
+    # sixteen block products of u_j conj(v_j) landing on e_c.
+    left = np.ascontiguousarray(U.transpose(1, 2, 0)).reshape(m, 4 * k)
+    mix = (QUAT_TABLE * QUAT_CONJ[None, :, None]).transpose(2, 0, 1)
+    right = np.tensordot(mix, V * w[:, None, None], axes=(2, 2))
+    out = left @ right.reshape(4, 4 * k, V.shape[1])
+    return QuatMatrix(*(out[s] for s in STORAGE_ORDER))
 
 
 def orthogonalize_against_basis(r: CompactVector, B: CompactBasis) -> CompactVector:
@@ -410,8 +424,6 @@ def orthogonalize_with_coeffs(r: CompactVector, B: CompactBasis, passes: int = 2
     removed coefficients as a (k, 4) quaternion component array."""
     out = r.copy()
     total = np.zeros((len(B), 4))
-    if len(B) == 0:
-        return out, total
     for _ in range(passes):
         coeffs = B.dot_all(out)
         total += coeffs

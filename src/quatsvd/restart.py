@@ -257,15 +257,14 @@ def _harmonic_projection(B: np.ndarray, res: smalldense.SvdResult, t: int):
     ``res`` is the SVD of the row-extended matrix [B, beta*e_last].
     Returns ascending sigmas, the retained left vectors U_t of the
     row-extended matrix, the solved coefficients W = B^{-1} U_t and
-    z = B^{-1} e_last.
+    z = B^{-1} e_last, from one solve with the stacked [U_t, e_last].
     """
     k = B.shape[0]
     asc = np.arange(res.sigmas.size)[::-1][:t]
     sig = res.sigmas[asc]
     U_t = res.U[:, asc]
-    W = smalldense.solve_upper(B, U_t)
-    z = smalldense.solve_upper(B, np.eye(k)[:, -1])
-    return sig, U_t, W, z
+    Wz = smalldense.solve_upper(B, np.column_stack([U_t, np.eye(k)[:, -1]]))
+    return sig, U_t, Wz[:, :t], Wz[:, t]
 
 
 def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
@@ -277,7 +276,9 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     harmonic pairs.  Requires the projected matrix to be safely
     nonsingular and ``beta_last > 0``; raises
     :class:`NearSingularProjection` otherwise so the driver can restart
-    from a perturbed seed vector.
+    from a perturbed seed vector.  The input state is consumed: once the
+    projection succeeds, the augmentation vector is appended to
+    ``state.P`` in place.
     """
     k = state.steps
     if not 1 <= t < k:
@@ -301,9 +302,8 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
         raise NearSingularProjection(str(exc)) from exc
 
     p_aug = state.f.scaled(1.0 / beta_k)
-    P_k1 = state.P.copy()
-    P_k1.append(p_aug)
-    P_new = P_k1.combine_matrix(Qc)
+    state.P.append(p_aug)
+    P_new = state.P.combine_matrix(Qc)
     Q_t = state.Q.combine_matrix(U_t)
 
     w = structured_matvec(M, p_aug) - state.Q.vector(k - 1).scaled(beta_k)
@@ -326,14 +326,13 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     except smalldense.NearSingularError as exc:
         raise NearSingularProjection(str(exc)) from exc
 
-    Q_new = Q_t
-    Q_new.append(q_new)
+    Q_t.append(q_new)
     f = structured_matvec(M, q_new, adjoint=True) - \
         P_new.vector(t).scaled(float(B_new[t, t]))
     state.matvecs += 1
     f = orthogonalize_against_basis(f, P_new)
 
-    out = replace(state, P=P_new, Q=Q_new, B=B_new, f=f,
+    out = replace(state, P=P_new, Q=Q_t, B=B_new, f=f,
                   beta_last=vec_norm(f))
     return lanczos_extend(M, out, k)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from quatsvd.quatlin import (
+    QUAT_CONJ,
+    QUAT_TABLE,
     CompactBasis,
     CompactVector,
     QuatMatrix,
@@ -50,6 +52,15 @@ class TestQuatMul:
         q = Quaternion(1, 1, 1, 1)
         got = quat_mul(q, q.conjugate())
         assert qtuple(got) == (4, 0, 0, 0)
+
+    def test_product_table_matches_quat_mul(self):
+        units = [ONE, I, J, K]
+        store = lambda q: CompactVector.from_quaternion(q).data[0]
+        for a in units:
+            for b in units:
+                got = np.einsum("a,b,abc->c", store(a), store(b), QUAT_TABLE)
+                assert np.array_equal(got, store(quat_mul(a, b)))
+            assert np.array_equal(QUAT_CONJ * store(a), store(a.conjugate()))
 
     def test_associativity_and_norm(self, rng):
         for _ in range(50):
