@@ -1,9 +1,10 @@
 """Structure-preserving partial SVD of quaternion matrices.
 
 Quaternion matrices are kept as four real blocks (the compact form of
-their JRS-symmetric real counterparts).  Partial Lanczos bidiagonalization
-with Ritz- or harmonic-Ritz augmented restarting computes the k largest or
-smallest singular triplets; helper modules cover low-rank color-image
+their JRS-symmetric real counterparts), and a quaternion column vector is
+an (n, 4) float64 array.  Partial Lanczos bidiagonalization with Ritz- or
+harmonic-Ritz augmented restarting computes the k largest or smallest
+singular triplets; helper modules cover low-rank color-image
 reconstruction, file formats and a CLI.
 """
 
@@ -22,7 +23,6 @@ from .lowrank import (
 )
 from .quatlin import (
     CompactBasis,
-    CompactVector,
     QuatMatrix,
     Quaternion,
     expand_real_counterpart,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxReport",
     "CompactBasis",
-    "CompactVector",
     "ConvergenceTrace",
     "KrylovState",
     "QuatMatrix",

@@ -25,8 +25,8 @@ import numpy as np
 
 from .quatlin import (
     CompactBasis,
-    CompactVector,
     QuatMatrix,
+    check_compact,
     orthogonalize_against_basis,
     random_unit_vector,
     structured_matvec,
@@ -52,7 +52,7 @@ class KrylovState:
     P: CompactBasis
     Q: CompactBasis
     B: np.ndarray
-    f: CompactVector
+    f: np.ndarray
     beta_last: float
     rng: np.random.Generator
     matvecs: int = 0
@@ -64,14 +64,14 @@ class KrylovState:
         return len(self.P)
 
 
-def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> CompactVector:
+def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> np.ndarray:
     """Random unit vector orthogonal to ``basis`` (deflation restart)."""
     for _ in range(8):
         v = random_unit_vector(n, rng)
         v = orthogonalize_against_basis(v, basis)
         nv = vec_norm(v)
         if nv > 1e-6:
-            return v.scaled(1.0 / nv)
+            return v * (1.0 / nv)
     raise RuntimeError("could not draw a direction orthogonal to the basis")
 
 
@@ -102,12 +102,12 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
                 random_unit_vector(M.cols, state.rng)
             state.deflations.append((s, "beta"))
         else:
-            p_new = state.f.scaled(1.0 / beta)
+            p_new = state.f * (1.0 / beta)
 
         w = structured_matvec(M, p_new)
         state.matvecs += 1
         if s and beta > 0.0:
-            w = w - state.Q.vector(s - 1).scaled(beta)
+            w = w - state.Q.data[s - 1] * beta
         if s:
             w = orthogonalize_against_basis(w, state.Q)
         alpha = vec_norm(w)
@@ -118,7 +118,7 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
                 random_unit_vector(M.rows, state.rng)
             state.deflations.append((s, "alpha"))
         else:
-            q_new = w.scaled(1.0 / alpha)
+            q_new = w * (1.0 / alpha)
 
         state.B = _grow(state.B)
         if s:
@@ -127,31 +127,30 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
         state.P.append(p_new)
         state.Q.append(q_new)
 
-        f = structured_matvec(M, q_new, adjoint=True) - p_new.scaled(alpha)
+        f = structured_matvec(M, q_new, adjoint=True) - p_new * alpha
         state.matvecs += 1
         state.f = orthogonalize_against_basis(f, state.P)
         state.beta_last = vec_norm(state.f)
     return state
 
 
-def start_state(M: QuatMatrix, p1: CompactVector,
+def start_state(M: QuatMatrix, p1: np.ndarray,
                 rng: np.random.Generator) -> KrylovState:
-    """Empty factorization seeded with the start vector ``p1``."""
-    if p1.n != M.cols:
-        raise ValueError(f"start vector length {p1.n} != cols {M.cols}")
+    """Empty factorization seeded with a copy of the start vector ``p1``."""
+    check_compact(p1, M.cols, "start vector")
     if abs(vec_norm(p1) - 1.0) > 1e-14:
         raise ValueError("start vector must have unit norm")
     return KrylovState(
         P=CompactBasis(M.cols),
         Q=CompactBasis(M.rows),
         B=np.zeros((0, 0)),
-        f=p1.copy(),
+        f=np.array(p1, dtype=np.float64),
         beta_last=1.0,
         rng=rng,
     )
 
 
-def lanczos_bidiag(M: QuatMatrix, p1: CompactVector, k: int,
+def lanczos_bidiag(M: QuatMatrix, p1: np.ndarray, k: int,
                    rng: np.random.Generator) -> KrylovState:
     """Run k steps of structure-preserving Lanczos bidiagonalization.
 
@@ -171,14 +170,14 @@ def basis_orthogonality_error(basis: CompactBasis) -> float:
     """max_ij |quat_dot(b_i, b_j) - delta_ij| over all quaternion components."""
     worst = 0.0
     for i in range(len(basis)):
-        dots = basis.dot_all(basis.vector(i))
+        dots = basis.dot_all(basis.data[i])
         dots[i, 0] -= 1.0
         worst = max(worst, float(np.abs(dots).max()))
     return worst
 
 
 def factorization_errors(M: QuatMatrix, P: CompactBasis, Q: CompactBasis,
-                         B: np.ndarray, f: CompactVector) -> dict:
+                         B: np.ndarray, f: np.ndarray) -> dict:
     """Frobenius residuals of the two factorization identities.
 
     Returns ``direct`` = ||M P - Q B||_F, ``adjoint`` =
@@ -189,9 +188,9 @@ def factorization_errors(M: QuatMatrix, P: CompactBasis, Q: CompactBasis,
     direct = 0.0
     adjoint = 0.0
     for i in range(s):
-        e1 = structured_matvec(M, P.vector(i)) - Q.combine_real(B[:, i])
+        e1 = structured_matvec(M, P.data[i]) - Q.combine_real(B[:, i])
         direct += vec_norm(e1) ** 2
-        e2 = structured_matvec(M, Q.vector(i), adjoint=True) - P.combine_real(B[i, :])
+        e2 = structured_matvec(M, Q.data[i], adjoint=True) - P.combine_real(B[i, :])
         if i == s - 1:
             e2 = e2 - f
         adjoint += vec_norm(e2) ** 2

@@ -10,8 +10,9 @@ real blocks.  Its real counterpart is the 4m-by-4n block matrix
 
 which is invariant under conjugation by the three structure matrices J, R
 and S (see :func:`structure_matrices`).  Only the first block row is ever
-materialized; a quaternion column vector is likewise kept as an n-by-4
-array whose columns follow the same component order (0, 2, 1, 3).
+materialized.  A quaternion column vector is an (n, 4) float64 array, the
+first block row of its counterpart (:func:`expand_vector`), with columns in
+the same component order (0, 2, 1, 3); :class:`CompactBasis` stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
 conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
@@ -202,55 +203,15 @@ def structure_matrices(n: int) -> tuple:
 # compact vectors
 # ---------------------------------------------------------------------------
 
-class CompactVector:
-    """One quaternion column vector stored as an (n, 4) real array.
-
-    Storage columns follow the component order (0, 2, 1, 3), matching the
-    first block row of the real counterpart.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != 4:
-            raise ValueError(f"expected (n, 4) array, got shape {data.shape}")
-        self.data = data
-
-    @classmethod
-    def zeros(cls, n: int) -> "CompactVector":
-        return cls(np.zeros((n, 4)))
-
-    @classmethod
-    def from_components(cls, c0, c1, c2, c3) -> "CompactVector":
-        return cls(np.column_stack([c0, c2, c1, c3]))
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "CompactVector":
-        return cls.from_components([q.w], [q.x], [q.y], [q.z])
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def components(self) -> tuple:
-        """Views (c0, c1, c2, c3) of the real/i/j/k parts."""
-        d = self.data
-        return d[:, 0], d[:, 2], d[:, 1], d[:, 3]
-
-    def copy(self) -> "CompactVector":
-        return CompactVector(self.data.copy())
-
-    def scaled(self, s: float) -> "CompactVector":
-        return CompactVector(self.data * s)
-
-    def __sub__(self, other: "CompactVector") -> "CompactVector":
-        return CompactVector(self.data - other.data)
+def check_compact(x, n: int, what: str) -> None:
+    """Reject anything but an (n, 4) array: a compact length-n vector."""
+    if np.shape(x) != (n, 4):
+        raise ValueError(f"{what}: expected shape ({n}, 4), got {np.shape(x)}")
 
 
-def expand_vector(x: CompactVector) -> np.ndarray:
+def expand_vector(x: np.ndarray) -> np.ndarray:
     """The 4n-by-4 real counterpart of a compact quaternion vector."""
-    c0, c1, c2, c3 = (c.reshape(-1, 1) for c in x.components())
+    c0, c1, c2, c3 = (x[:, i].reshape(-1, 1) for i in (0, 2, 1, 3))
     return np.block([
         [c0, c2, c1, c3],
         [-c2, c0, c3, -c1],
@@ -259,17 +220,17 @@ def expand_vector(x: CompactVector) -> np.ndarray:
     ])
 
 
-def vec_norm(x: CompactVector) -> float:
+def vec_norm(x: np.ndarray) -> float:
     """Frobenius norm of the (n, 4) array == quaternion 2-norm of x."""
-    return float(np.linalg.norm(x.data))
+    return float(np.linalg.norm(x))
 
 
-def quat_dot(a: CompactVector, b: CompactVector) -> Quaternion:
+def quat_dot(a: np.ndarray, b: np.ndarray) -> Quaternion:
     """Quaternion inner product a* . b (conjugate on the first argument)."""
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    a0, a1, a2, a3 = a.components()
-    b0, b1, b2, b3 = b.components()
+    check_compact(a, len(a), "left vector")
+    check_compact(b, len(a), "right vector")
+    a0, a1, a2, a3 = a[:, 0], a[:, 2], a[:, 1], a[:, 3]
+    b0, b1, b2, b3 = b[:, 0], b[:, 2], b[:, 1], b[:, 3]
     return Quaternion(
         float(a0 @ b0 + a1 @ b1 + a2 @ b2 + a3 @ b3),
         float(a0 @ b1 - a1 @ b0 - a2 @ b3 + a3 @ b2),
@@ -278,7 +239,7 @@ def quat_dot(a: CompactVector, b: CompactVector) -> Quaternion:
     )
 
 
-def structured_matvec(M: QuatMatrix, x: CompactVector, adjoint: bool = False) -> CompactVector:
+def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Compact product M.x, or M*.x when ``adjoint`` is set.
 
     Four real block products on the whole (n, 4) array, mixed by the
@@ -286,22 +247,19 @@ def structured_matvec(M: QuatMatrix, x: CompactVector, adjoint: bool = False) ->
     ``adjoint=True`` corresponds to multiplying by the transpose of the
     real counterpart.
     """
-    size, name = (M.rows, "rows") if adjoint else (M.cols, "cols")
-    if x.n != size:
-        raise ValueError(f"vector length {x.n} != matrix {name} {size}")
-    X = x.data
+    check_compact(x, M.rows if adjoint else M.cols, "matvec operand")
     blocks = [M.blocks[s] for s in STORAGE_ORDER]
     if adjoint:
-        prods, table = [(X.T @ b).T for b in blocks], _CONJ_TABLE
+        prods, table = [(x.T @ b).T for b in blocks], _CONJ_TABLE
     else:
-        prods, table = [b @ X for b in blocks], QUAT_TABLE
-    return CompactVector(sum(p @ t for p, t in zip(prods, table)))
+        prods, table = [b @ x for b in blocks], QUAT_TABLE
+    return sum(p @ t for p, t in zip(prods, table))
 
 
-def random_unit_vector(n: int, rng: np.random.Generator) -> CompactVector:
+def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random compact vector of unit Frobenius norm."""
     data = rng.standard_normal((n, 4))
-    return CompactVector(data / np.linalg.norm(data))
+    return data / np.linalg.norm(data)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +269,9 @@ def random_unit_vector(n: int, rng: np.random.Generator) -> CompactVector:
 class CompactBasis:
     """Ordered list of equal-length compact vectors, stored as (k, n, 4).
 
-    Built by the Lanczos and restart machinery, in which case the vectors
-    are orthonormal in the quaternion inner product.
+    ``data[i]`` is the i-th vector, a view into the basis.  Built by the
+    Lanczos and restart machinery, in which case the vectors are
+    orthonormal in the quaternion inner product.
     """
 
     __slots__ = ("n", "_buf", "_size")
@@ -322,16 +281,6 @@ class CompactBasis:
         self._buf = np.zeros((max(capacity, 1), self.n, 4))
         self._size = 0
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "CompactBasis":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("empty vector list")
-        basis = cls(vectors[0].n, capacity=len(vectors))
-        for v in vectors:
-            basis.append(v)
-        return basis
-
     def __len__(self) -> int:
         return self._size
 
@@ -339,51 +288,40 @@ class CompactBasis:
     def data(self) -> np.ndarray:
         return self._buf[:self._size]
 
-    def vector(self, i: int) -> CompactVector:
-        if not -self._size <= i < self._size:
-            raise IndexError(i)
-        return CompactVector(self.data[i].copy())
-
-    def __iter__(self):
-        for i in range(self._size):
-            yield self.vector(i)
-
-    def append(self, v: CompactVector) -> None:
-        if v.n != self.n:
-            raise ValueError(f"vector length {v.n} != basis length {self.n}")
+    def append(self, v: np.ndarray) -> None:
+        check_compact(v, self.n, "appended vector")
         if self._size == self._buf.shape[0]:
             grown = np.zeros((2 * self._buf.shape[0], self.n, 4))
             grown[:self._size] = self._buf
             self._buf = grown
-        self._buf[self._size] = v.data
+        self._buf[self._size] = v
         self._size += 1
 
     def _flat(self) -> np.ndarray:
         """The basis as a contiguous (k, 4n) view, one vector per row."""
         return self.data.reshape(self._size, 4 * self.n)
 
-    def dot_all(self, r: CompactVector) -> np.ndarray:
+    def dot_all(self, r: np.ndarray) -> np.ndarray:
         """Quaternion inner products quat_dot(v_i, r), as a (k, 4) array
         of (w, x, y, z) components."""
-        if r.n != self.n:
-            raise ValueError("length mismatch")
+        check_compact(r, self.n, "dot_all operand")
         # rot[t, a] = conj(e_a) * r_t, so row i of the product sums
         # conj(v_i[t]) * r_t over t.  STORAGE_ORDER is its own inverse, so
         # it also maps storage columns back to (w, x, y, z).
-        rot = np.tensordot(r.data, _CONJ_TABLE, axes=(1, 1))
+        rot = np.tensordot(r, _CONJ_TABLE, axes=(1, 1))
         return (self._flat() @ rot.reshape(4 * self.n, 4))[:, STORAGE_ORDER]
 
-    def combine_quat(self, coeffs: np.ndarray) -> CompactVector:
+    def combine_quat(self, coeffs: np.ndarray) -> np.ndarray:
         """Right-linear combination sum_i v_i * q_i for quaternion
         coefficients given as a (k, 4) component array."""
         # parts[b] = sum_i q_i[b] v_i; the sum is sum_b parts[b] * e_b.
         parts = (coeffs[:, STORAGE_ORDER].T @ self._flat()).reshape(4, self.n, 4)
-        return CompactVector(np.tensordot(parts, QUAT_TABLE, axes=((0, 2), (1, 0))))
+        return np.tensordot(parts, QUAT_TABLE, axes=((0, 2), (1, 0)))
 
-    def combine_real(self, coeffs: np.ndarray) -> CompactVector:
+    def combine_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Real linear combination sum_i coeffs[i] * v_i."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        return CompactVector((coeffs @ self._flat()).reshape(self.n, 4))
+        return (coeffs @ self._flat()).reshape(self.n, 4)
 
     def combine_matrix(self, C: np.ndarray) -> "CompactBasis":
         """New basis whose j-th vector is sum_i C[i, j] * v_i."""
@@ -409,7 +347,7 @@ def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
     return QuatMatrix(*(out[s] for s in STORAGE_ORDER))
 
 
-def orthogonalize_against_basis(r: CompactVector, B: CompactBasis) -> CompactVector:
+def orthogonalize_against_basis(r: np.ndarray, B: CompactBasis) -> np.ndarray:
     """Project r onto the orthogonal complement of the span of B.
 
     Two passes of classical Gram-Schmidt with quaternion right
@@ -419,12 +357,13 @@ def orthogonalize_against_basis(r: CompactVector, B: CompactBasis) -> CompactVec
     return out
 
 
-def orthogonalize_with_coeffs(r: CompactVector, B: CompactBasis, passes: int = 2):
+def orthogonalize_with_coeffs(r: np.ndarray, B: CompactBasis):
     """Like :func:`orthogonalize_against_basis` but also returns the total
-    removed coefficients as a (k, 4) quaternion component array."""
-    out = r.copy()
+    removed coefficients as a (k, 4) quaternion component array.  ``r``
+    is not modified."""
+    out = r
     total = np.zeros((len(B), 4))
-    for _ in range(passes):
+    for _ in range(2):
         coeffs = B.dot_all(out)
         total += coeffs
         out = out - B.combine_quat(coeffs)

@@ -213,7 +213,7 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
         p_aug = _fresh_direction(M.cols, state.P, state.rng)
         rho = np.zeros(t)
     else:
-        p_aug = state.f.scaled(1.0 / beta_k)
+        p_aug = state.f * (1.0 / beta_k)
         rho = beta_k * res.U[-1, :t]
 
     w = structured_matvec(M, p_aug)
@@ -225,7 +225,7 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     alpha_new = vec_norm(w)
     if alpha_new <= BREAKDOWN_TOL * scale:
         raise RestartBreakdown("augmentation residual vanished")
-    q_new = w.scaled(1.0 / alpha_new)
+    q_new = w * (1.0 / alpha_new)
 
     B_new = np.zeros((t + 1, t + 1))
     if t:
@@ -238,7 +238,7 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     Q_basis = U_new
     Q_basis.append(q_new)
 
-    f = structured_matvec(M, q_new, adjoint=True) - p_aug.scaled(alpha_new)
+    f = structured_matvec(M, q_new, adjoint=True) - p_aug * alpha_new
     state.matvecs += 1
     f = orthogonalize_against_basis(f, P_new)
 
@@ -301,12 +301,12 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     except (smalldense.NearSingularError, smalldense.RankDeficientError) as exc:
         raise NearSingularProjection(str(exc)) from exc
 
-    p_aug = state.f.scaled(1.0 / beta_k)
+    p_aug = state.f * (1.0 / beta_k)
     state.P.append(p_aug)
     P_new = state.P.combine_matrix(Qc)
     Q_t = state.Q.combine_matrix(U_t)
 
-    w = structured_matvec(M, p_aug) - state.Q.vector(k - 1).scaled(beta_k)
+    w = structured_matvec(M, p_aug) - state.Q.data[k - 1] * beta_k
     state.matvecs += 1
     w, coeffs = orthogonalize_with_coeffs(w, Q_t)
     c_hat = coeffs[:, 0]
@@ -315,7 +315,7 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
         q_new = _fresh_direction(M.rows, Q_t, state.rng)
         alpha_new = 0.0
     else:
-        q_new = w.scaled(1.0 / alpha_new)
+        q_new = w * (1.0 / alpha_new)
 
     D = np.zeros((t + 1, t + 1))
     np.fill_diagonal(D[:t, :t], sig)
@@ -328,7 +328,7 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
 
     Q_t.append(q_new)
     f = structured_matvec(M, q_new, adjoint=True) - \
-        P_new.vector(t).scaled(float(B_new[t, t]))
+        P_new.data[t] * float(B_new[t, t])
     state.matvecs += 1
     f = orthogonalize_against_basis(f, P_new)
 
@@ -454,7 +454,7 @@ def verify_residual(M: QuatMatrix, T: TripletSet) -> float:
     """||M V - U Sigma||_F over the triplet set, in compact arithmetic."""
     total = 0.0
     for j in range(len(T)):
-        err = structured_matvec(M, T.V.vector(j)) - \
-            T.U.vector(j).scaled(float(T.sigmas[j]))
+        err = structured_matvec(M, T.V.data[j]) - \
+            T.U.data[j] * float(T.sigmas[j])
         total += vec_norm(err) ** 2
     return float(np.sqrt(total))

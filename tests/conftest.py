@@ -10,7 +10,6 @@ import pytest
 
 from quatsvd.quatlin import (
     CompactBasis,
-    CompactVector,
     QuatMatrix,
     expand_real_counterpart,
     expand_vector,
@@ -19,6 +18,26 @@ from quatsvd.quatlin import (
     vec_norm,
 )
 from quatsvd.restart import TripletSet
+
+
+def from_components(c0, c1, c2, c3):
+    """Compact (n, 4) vector from its real, i, j and k parts; storage
+    columns hold the components in the order (0, 2, 1, 3)."""
+    return np.column_stack([c0, c2, c1, c3]).astype(np.float64)
+
+
+def from_quaternion(q):
+    """Length-1 compact vector holding the quaternion q."""
+    return from_components([q.w], [q.x], [q.y], [q.z])
+
+
+def basis_of(vectors):
+    """CompactBasis holding the given compact vectors in order."""
+    vectors = list(vectors)
+    basis = CompactBasis(len(vectors[0]), capacity=len(vectors))
+    for v in vectors:
+        basis.append(v)
+    return basis
 
 
 def rand_qmat(rng, m, n, scale=1.0):
@@ -43,9 +62,9 @@ def orthonormal_basis(rng, n, k):
         nv = vec_norm(v)
         if nv < 1e-8:
             continue
-        v = v.scaled(1.0 / nv)
+        v = v * (1.0 / nv)
         if basis is None:
-            basis = CompactBasis.from_vectors([v])
+            basis = basis_of([v])
         else:
             basis.append(v)
     return basis
@@ -67,8 +86,8 @@ def matrix_from_triplets_expansion(T):
     m, n = T.U.n, T.V.n
     E = np.zeros((4 * m, 4 * n))
     for j in range(len(T)):
-        Eu = expand_vector(T.U.vector(j))
-        Ev = expand_vector(T.V.vector(j))
+        Eu = expand_vector(T.U.data[j])
+        Ev = expand_vector(T.V.data[j])
         E += float(T.sigmas[j]) * (Eu @ Ev.T)
     b0 = E[:m, :n]
     b2 = E[:m, n:2 * n]

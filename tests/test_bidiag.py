@@ -11,19 +11,23 @@ from quatsvd.bidiag import (
     start_state,
 )
 from quatsvd.quatlin import (
-    CompactVector,
     QuatMatrix,
     Quaternion,
     random_unit_vector,
     vec_norm,
 )
 
-from conftest import dedup_singular_values, rand_qmat
+from conftest import (
+    dedup_singular_values,
+    from_components,
+    from_quaternion,
+    rand_qmat,
+)
 
 
 def test_scalar_full_quaternion():
     M = QuatMatrix.from_scalar(Quaternion(1, 1, 1, 1))
-    p1 = CompactVector.from_quaternion(Quaternion(1, 0, 0, 0))
+    p1 = from_quaternion(Quaternion(1, 0, 0, 0))
     F = lanczos_bidiag(M, p1, 1, np.random.default_rng(0))
     assert F.B[0, 0] == pytest.approx(2.0, abs=1e-15)
     assert vec_norm(F.f) <= 1e-15
@@ -32,8 +36,7 @@ def test_scalar_full_quaternion():
 def test_real_diagonal_breaks_down_and_deflates():
     Z = np.zeros((3, 3))
     M = QuatMatrix(np.diag([3.0, 2.0, 1.0]), Z, Z, Z)
-    p1 = CompactVector.from_components([1, 0, 0], [0, 0, 0], [0, 0, 0],
-                                       [0, 0, 0])
+    p1 = from_components([1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
     F = lanczos_bidiag(M, p1, 3, np.random.default_rng(0))
     assert F.B[0, 0] == pytest.approx(3.0, abs=1e-15)
     assert F.B[0, 1] == 0.0
@@ -123,9 +126,14 @@ def test_invalid_inputs(rng):
     with pytest.raises(ValueError):
         lanczos_bidiag(M, random_unit_vector(4, rng), 5, rng)
     with pytest.raises(ValueError):
-        lanczos_bidiag(M, random_unit_vector(4, rng).scaled(0.9), 2, rng)
+        lanczos_bidiag(M, random_unit_vector(4, rng) * 0.9, 2, rng)
     with pytest.raises(ValueError):
         lanczos_bidiag(M, random_unit_vector(6, rng), 2, rng)
+    # Unit-norm start vectors of the wrong shape: (n,) and (n, 3).
+    for shape in ((4,), (4, 3)):
+        p1 = rng.standard_normal(shape)
+        with pytest.raises(ValueError):
+            lanczos_bidiag(M, p1 / np.linalg.norm(p1), 2, rng)
 
 
 def test_orthogonality_after_many_steps(rng):

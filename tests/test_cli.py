@@ -167,9 +167,12 @@ def test_verify_passes_on_generated_matrix(tmp_path, dense_qmx, capsys):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "m.qmx"
+    # The child process imports the same quatsvd sources as this test.
+    src = os.path.dirname(os.path.dirname(qio.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "quatsvd.cli", "gen", "--kind", "dense",
          "--m", "6", "--n", "5", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert out.exists()

@@ -6,8 +6,6 @@ import pytest
 from quatsvd.quatlin import (
     QUAT_CONJ,
     QUAT_TABLE,
-    CompactBasis,
-    CompactVector,
     QuatMatrix,
     Quaternion,
     expand_real_counterpart,
@@ -21,7 +19,13 @@ from quatsvd.quatlin import (
     vec_norm,
 )
 
-from conftest import orthonormal_basis, rand_qmat
+from conftest import (
+    basis_of,
+    from_components,
+    from_quaternion,
+    orthonormal_basis,
+    rand_qmat,
+)
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -55,7 +59,7 @@ class TestQuatMul:
 
     def test_product_table_matches_quat_mul(self):
         units = [ONE, I, J, K]
-        store = lambda q: CompactVector.from_quaternion(q).data[0]
+        store = lambda q: from_quaternion(q)[0]
         for a in units:
             for b in units:
                 got = np.einsum("a,b,abc->c", store(a), store(b), QUAT_TABLE)
@@ -104,15 +108,14 @@ class TestExpansion:
 class TestMatvec:
     def test_unit_i_times_j(self):
         M = QuatMatrix.from_scalar(I)
-        x = CompactVector.from_quaternion(J)
+        x = from_quaternion(J)
         y = structured_matvec(M, x)
-        assert np.allclose(y.data, CompactVector.from_quaternion(K).data,
-                           atol=1e-15)
+        assert np.allclose(y, from_quaternion(K), atol=1e-15)
 
     def test_zero_matrix(self, rng):
         M = QuatMatrix.zeros(4, 3)
         y = structured_matvec(M, random_unit_vector(3, rng))
-        assert np.all(y.data == 0.0)
+        assert np.all(y == 0.0)
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_expanded_counterpart(self, rng, adjoint):
@@ -142,11 +145,11 @@ class TestMatvec:
         Md = QuatMatrix(*dense)
         assert Ms.is_sparse
         x = random_unit_vector(15, rng)
-        assert np.allclose(structured_matvec(Ms, x).data,
-                           structured_matvec(Md, x).data, atol=1e-14)
+        assert np.allclose(structured_matvec(Ms, x),
+                           structured_matvec(Md, x), atol=1e-14)
         xa = random_unit_vector(20, rng)
-        assert np.allclose(structured_matvec(Ms, xa, adjoint=True).data,
-                           structured_matvec(Md, xa, adjoint=True).data,
+        assert np.allclose(structured_matvec(Ms, xa, adjoint=True),
+                           structured_matvec(Md, xa, adjoint=True),
                            atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
@@ -155,6 +158,11 @@ class TestMatvec:
             structured_matvec(M, random_unit_vector(4, rng))
         with pytest.raises(ValueError):
             structured_matvec(M, random_unit_vector(3, rng), adjoint=True)
+        # Right length, wrong shape: (n,) and (n, 3).
+        for adjoint, n in ((False, 3), (True, 4)):
+            for shape in ((n,), (n, 3)):
+                with pytest.raises(ValueError):
+                    structured_matvec(M, np.ones(shape), adjoint=adjoint)
 
     def test_dense_promotion_above_density_limit(self, rng):
         import scipy.sparse as sp
@@ -182,33 +190,38 @@ class TestQuatDot:
         assert abs(d.x) + abs(d.y) + abs(d.z) <= 1e-14
 
     def test_disjoint_supports(self):
-        a = CompactVector.from_components([1, 0], [0, 0], [2, 0], [0, 0])
-        b = CompactVector.from_components([0, 3], [0, 1], [0, 0], [0, 2])
+        a = from_components([1, 0], [0, 0], [2, 0], [0, 0])
+        b = from_components([0, 3], [0, 1], [0, 0], [0, 2])
         d = quat_dot(a, b)
         assert qtuple(d) == (0, 0, 0, 0)
 
     def test_matches_expansion_gram(self, rng):
         a, b = random_unit_vector(6, rng), random_unit_vector(6, rng)
         D = expand_vector(a).T @ expand_vector(b)
-        want = expand_vector(CompactVector.from_quaternion(quat_dot(a, b)))
+        want = expand_vector(from_quaternion(quat_dot(a, b)))
         assert np.abs(D - want).max() <= 1e-13
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             quat_dot(random_unit_vector(3, rng), random_unit_vector(4, rng))
+        for shape in ((3,), (3, 3)):
+            with pytest.raises(ValueError):
+                quat_dot(np.ones(shape), random_unit_vector(3, rng))
+            with pytest.raises(ValueError):
+                quat_dot(random_unit_vector(3, rng), np.ones(shape))
 
 
 class TestVecNorm:
     def test_zero(self):
-        assert vec_norm(CompactVector.zeros(5)) == 0.0
+        assert vec_norm(np.zeros((5, 4))) == 0.0
 
     def test_full_quaternion_entry(self):
-        v = CompactVector.from_quaternion(Quaternion(1, 1, 1, 1))
+        v = from_quaternion(Quaternion(1, 1, 1, 1))
         assert vec_norm(v) == 2.0
 
     def test_matches_flat_norm(self, rng):
-        v = CompactVector(rng.standard_normal((9, 4)))
-        assert vec_norm(v) == pytest.approx(np.linalg.norm(v.data.ravel()),
+        v = rng.standard_normal((9, 4))
+        assert vec_norm(v) == pytest.approx(np.linalg.norm(v.ravel()),
                                             rel=1e-15)
 
 
@@ -217,18 +230,18 @@ class TestOrthogonalize:
         basis = orthonormal_basis(rng, 12, 4)
         r = random_unit_vector(12, rng)
         r = orthogonalize_against_basis(r, basis)
-        r = r.scaled(1.0 / vec_norm(r))
+        r = r * (1.0 / vec_norm(r))
         again = orthogonalize_against_basis(r, basis)
-        assert np.abs(again.data - r.data).max() <= 1e-14
+        assert np.abs(again - r).max() <= 1e-14
 
     def test_basis_member_maps_to_zero(self, rng):
         basis = orthonormal_basis(rng, 10, 3)
-        out = orthogonalize_against_basis(basis.vector(0), basis)
+        out = orthogonalize_against_basis(basis.data[0], basis)
         assert vec_norm(out) <= 1e-14
 
     def test_residual_inner_products(self, rng):
         basis = orthonormal_basis(rng, 30, 6)
-        r = random_unit_vector(30, rng).scaled(3.7)
+        r = random_unit_vector(30, rng) * 3.7
         out = orthogonalize_against_basis(r, basis)
         assert np.abs(basis.dot_all(out)).max() <= 1e-13 * 3.7
 
@@ -237,7 +250,7 @@ class TestOrthogonalize:
         r = random_unit_vector(20, rng)
         once = orthogonalize_against_basis(r, basis)
         twice = orthogonalize_against_basis(once, basis)
-        assert np.abs(twice.data - once.data).max() <= 1e-13
+        assert np.abs(twice - once).max() <= 1e-13
 
 
 class TestCompactBasis:
@@ -247,8 +260,8 @@ class TestCompactBasis:
         got = basis.combine_real(coeffs)
         want = np.zeros((8, 4))
         for i in range(4):
-            want += coeffs[i] * basis.vector(i).data
-        assert np.allclose(got.data, want, atol=1e-15)
+            want += coeffs[i] * basis.data[i]
+        assert np.allclose(got, want, atol=1e-15)
 
     def test_combine_matrix_columns(self, rng):
         basis = orthonormal_basis(rng, 8, 4)
@@ -256,29 +269,38 @@ class TestCompactBasis:
         out = basis.combine_matrix(C)
         for j in range(2):
             want = basis.combine_real(C[:, j])
-            assert np.allclose(out.vector(j).data, want.data, atol=1e-15)
+            assert np.allclose(out.data[j], want, atol=1e-15)
 
     def test_dot_all_matches_quat_dot_loop(self, rng):
-        basis = CompactBasis.from_vectors(
-            [CompactVector(rng.standard_normal((9, 4))) for _ in range(5)])
-        r = CompactVector(rng.standard_normal((9, 4)))
+        basis = basis_of(rng.standard_normal((9, 4)) for _ in range(5))
+        r = rng.standard_normal((9, 4))
         got = basis.dot_all(r)
         assert got.shape == (5, 4)
-        for i, v in enumerate(basis):
+        for i, v in enumerate(basis.data):
             assert np.abs(got[i] - qtuple(quat_dot(v, r))).max() <= 1e-13
 
     def test_combine_quat_matches_expanded_sum(self, rng):
-        basis = CompactBasis.from_vectors(
-            [CompactVector(rng.standard_normal((7, 4))) for _ in range(4)])
+        basis = basis_of(rng.standard_normal((7, 4)) for _ in range(4))
         coeffs = rng.standard_normal((4, 4))
         got = basis.combine_quat(coeffs)
         # Counterpart of sum_i v_i q_i: sum_i expand(v_i) @ expand(q_i).
         want = sum(expand_vector(v) @ expand_vector(
-                       CompactVector.from_quaternion(Quaternion(*q)))
-                   for v, q in zip(basis, coeffs))
+                       from_quaternion(Quaternion(*q)))
+                   for v, q in zip(basis.data, coeffs))
         assert np.abs(expand_vector(got) - want).max() <= 1e-13
 
     def test_append_length_check(self, rng):
         basis = orthonormal_basis(rng, 8, 2)
         with pytest.raises(ValueError):
             basis.append(random_unit_vector(9, rng))
+        # (8, 1) would otherwise broadcast into the (8, 4) slot.
+        for shape in ((8,), (8, 3), (8, 1)):
+            with pytest.raises(ValueError):
+                basis.append(np.ones(shape))
+        assert len(basis) == 2
+
+    def test_dot_all_shape_check(self, rng):
+        basis = orthonormal_basis(rng, 8, 2)
+        for shape in ((9, 4), (8,), (8, 3)):
+            with pytest.raises(ValueError):
+                basis.dot_all(np.ones(shape))

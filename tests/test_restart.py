@@ -57,13 +57,13 @@ def harmonic_cycle(M, state, t):
 
 
 def _padded_basis(sub, total, offset):
-    from quatsvd.quatlin import CompactBasis, CompactVector
+    from quatsvd.quatlin import CompactBasis
 
     out = CompactBasis(total, capacity=len(sub))
-    for v in sub:
+    for v in sub.data:
         data = np.zeros((total, 4))
-        data[offset:offset + v.n] = v.data
-        out.append(CompactVector(data))
+        data[offset:offset + len(v)] = v
+        out.append(data)
     return out
 
 
@@ -120,7 +120,7 @@ class TestCheckConvergence:
         for j in range(9):
             u_t = F.Q.combine_real(U[:, j])
             v_t = F.P.combine_real(Vt[j, :])
-            r = structured_matvec(M, u_t, adjoint=True) - v_t.scaled(s[j])
+            r = structured_matvec(M, u_t, adjoint=True) - v_t * s[j]
             assert vec_norm(r) == pytest.approx(chk.bounds[j],
                                                 abs=1e-12 * sigma1)
 
@@ -156,7 +156,7 @@ class TestRitzCycle:
 
         M, V1 = _block_structured_matrix(rng)
         p1 = V1.combine_real([0.6, 0.4, 0.3])
-        p1 = p1.scaled(1.0 / vec_norm(p1))
+        p1 = p1 * (1.0 / vec_norm(p1))
         state = start_state(M, p1, rng)
         lanczos_extend(M, state, 3)
         state.sigma_max = float(np.linalg.svd(state.B, compute_uv=False)[0])
@@ -377,8 +377,8 @@ class TestSolver:
         T, _ = solve_partial_svd(M, SolverOptions(k=3, seed=8))
         E = expand_real_counterpart(M)
         for j in range(3):
-            Eu = expand_vector(T.U.vector(j))
-            Ev = expand_vector(T.V.vector(j))
+            Eu = expand_vector(T.U.data[j])
+            Ev = expand_vector(T.V.data[j])
             assert np.abs(Eu.T @ Eu - np.eye(4)).max() <= 1e-12
             assert np.abs(Ev.T @ Ev - np.eye(4)).max() <= 1e-12
             resid = E @ Ev - T.sigmas[j] * Eu
@@ -423,7 +423,7 @@ class TestVerifyResidual:
         M = matrix_from_triplets_expansion(T)
         base = verify_residual(M, T)
         eps = 1e-6
-        bumped = T.U.vector(0).data.copy()
+        bumped = T.U.data[0].copy()
         bumped[0, 0] += eps
         T.U.data[0] = bumped
         grown = verify_residual(M, T)
