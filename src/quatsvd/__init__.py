@@ -10,7 +10,6 @@ reconstruction, file formats and a CLI.
 
 from .bidiag import KrylovState, lanczos_bidiag, lanczos_extend
 from .lowrank import (
-    ApproxReport,
     RgbImage,
     image_to_quat,
     low_rank_approx,
@@ -46,7 +45,6 @@ from .restart import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxReport",
     "CompactBasis",
     "ConvergenceTrace",
     "KrylovState",

@@ -85,7 +85,7 @@ def _load_matrix(spec: str, n: int | None) -> QuatMatrix:
                          ".mtx paths")
     blocks = [qio.read_matrix_market(p) for p in paths]
     if n is None:
-        n = min(min(b.rows, b.cols) for b in blocks)
+        n = min(min(b.shape) for b in blocks)
     return qio.assemble_jrs_blocks(*blocks, n=n)
 
 

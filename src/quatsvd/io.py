@@ -1,5 +1,9 @@
 """File formats: Matrix Market blocks, PPM images, qmx containers, CSV.
 
+A sparse block is a ``scipy.sparse.coo_matrix``, duplicates summed and
+entries sorted row-major when :func:`gen_sparse_block` or
+:func:`read_matrix_market` makes one.
+
 All readers are strict: malformed input raises :class:`MalformedFileError`
 with the byte offset of the offending token, and nothing is returned
 partially.  Writers are deterministic; floats are printed with 17
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,28 +36,6 @@ class MalformedFileError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class SparseBlock:
-    """Coordinate-format real sparse matrix; duplicates already summed."""
-
-    rows: int
-    cols: int
-    triplets: list  # (row, col, value), 0-based
-
-    def to_coo(self) -> sp.coo_matrix:
-        if not self.triplets:
-            return sp.coo_matrix((self.rows, self.cols))
-        r, c, v = zip(*self.triplets)
-        return sp.coo_matrix((v, (r, c)), shape=(self.rows, self.cols))
-
-    def principal_submatrix(self, n: int) -> "SparseBlock":
-        if n > min(self.rows, self.cols):
-            raise ValueError(f"block is {self.rows}x{self.cols}, "
-                             f"smaller than requested order {n}")
-        kept = [(r, c, v) for r, c, v in self.triplets if r < n and c < n]
-        return SparseBlock(rows=n, cols=n, triplets=kept)
-
-
 # ---------------------------------------------------------------------------
 # Matrix Market coordinate format
 # ---------------------------------------------------------------------------
@@ -64,16 +45,31 @@ _MM_HEADER = re.compile(
     rb"(general|symmetric)\s*$", re.IGNORECASE)
 
 
-def read_matrix_market(path) -> SparseBlock:
+def _summed_coo(rows, cols, vals, shape) -> sp.coo_matrix:
+    """COO matrix of the given entries, duplicates summed, sorted row-major.
+
+    Duplicates are added in input order (``np.add.at`` is sequential), so
+    each value is bit-identical to an entry-by-entry sum; coo
+    ``sum_duplicates`` would move some values by 1 ulp.
+    """
+    width = shape[1]
+    keys = np.asarray(rows, dtype=np.int64) * width + np.asarray(cols, dtype=np.int64)
+    keys, slot = np.unique(keys, return_inverse=True)
+    acc = np.zeros(keys.size)
+    np.add.at(acc, slot, np.asarray(vals, dtype=np.float64))
+    return sp.coo_matrix((acc, (keys // width, keys % width)), shape=shape)
+
+
+def read_matrix_market(path) -> sp.coo_matrix:
     """Read a real coordinate-format file (general or symmetric).
 
-    Symmetric storage is expanded; duplicate entries are summed; indices
-    are converted from 1-based to 0-based.
+    Symmetric storage is expanded; duplicate entries are summed in file
+    order; indices are converted from 1-based to 0-based.  The entries of
+    the returned COO matrix are sorted row-major.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     lines = raw.split(b"\n")
-    offset = 0
     match = _MM_HEADER.match(lines[0].rstrip(b"\r"))
     if match is None:
         raise MalformedFileError(path, 0, "bad MatrixMarket header")
@@ -81,7 +77,7 @@ def read_matrix_market(path) -> SparseBlock:
 
     size_seen = False
     rows = cols = nnz = 0
-    acc: dict = {}
+    rs, cs, vs = [], [], []
     count = 0
     offset = len(lines[0]) + 1
     for line in lines[1:]:
@@ -91,28 +87,30 @@ def read_matrix_market(path) -> SparseBlock:
             continue
         fields = stripped.split()
         if not size_seen:
-            if len(fields) != 3:
-                raise MalformedFileError(path, offset, "bad size line")
             try:
                 rows, cols, nnz = (int(f) for f in fields)
             except ValueError:
                 raise MalformedFileError(path, offset, "bad size line") from None
+            if min(rows, cols, nnz) < 0:
+                raise MalformedFileError(path, offset, "bad size line")
             size_seen = True
         else:
-            if len(fields) != 3:
-                raise MalformedFileError(path, offset, "bad entry line")
             try:
-                r, c = int(fields[0]), int(fields[1])
-                v = float(fields[2])
+                r, c, v = fields
+                r, c, v = int(r), int(c), float(v)
             except ValueError:
                 raise MalformedFileError(path, offset, "bad entry line") from None
             if not (1 <= r <= rows and 1 <= c <= cols):
                 raise MalformedFileError(
                     path, offset, f"index ({r}, {c}) out of range "
                     f"{rows}x{cols}")
-            acc[(r - 1, c - 1)] = acc.get((r - 1, c - 1), 0.0) + v
+            rs.append(r - 1)
+            cs.append(c - 1)
+            vs.append(v)
             if symmetric and r != c:
-                acc[(c - 1, r - 1)] = acc.get((c - 1, r - 1), 0.0) + v
+                rs.append(c - 1)
+                cs.append(r - 1)
+                vs.append(v)
             count += 1
         offset += len(line) + 1
     if not size_seen:
@@ -120,31 +118,43 @@ def read_matrix_market(path) -> SparseBlock:
     if count != nnz:
         raise MalformedFileError(path, len(raw),
                                  f"expected {nnz} entries, found {count}")
-    triplets = sorted((r, c, v) for (r, c), v in acc.items())
-    return SparseBlock(rows=rows, cols=cols, triplets=triplets)
+    return _summed_coo(rs, cs, vs, (rows, cols))
 
 
-def write_matrix_market(block: SparseBlock, path) -> None:
-    """Write a SparseBlock as a real general coordinate file."""
+def write_matrix_market(block: sp.coo_matrix, path) -> None:
+    """Write a COO matrix as a real general coordinate file, entries in
+    storage order."""
     with open(path, "w", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{block.rows} {block.cols} {len(block.triplets)}\n")
-        for r, c, v in block.triplets:
+        fh.write(f"{block.shape[0]} {block.shape[1]} {block.nnz}\n")
+        for r, c, v in zip(block.row.tolist(), block.col.tolist(),
+                           block.data.tolist()):
             fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
-def assemble_jrs_blocks(B0: SparseBlock, B1: SparseBlock, B2: SparseBlock,
-                        B3: SparseBlock, n: int) -> QuatMatrix:
-    """Quaternion matrix from the order-n principal submatrices of four
-    sparse blocks."""
-    subs = [b.principal_submatrix(n).to_coo() for b in (B0, B1, B2, B3)]
-    return QuatMatrix(*subs)
+def assemble_jrs_blocks(B0, B1, B2, B3, n: int) -> QuatMatrix:
+    """Quaternion matrix from the order-n principal submatrices (leading
+    n rows and columns) of four sparse blocks, as ``coo_matrix`` from
+    :func:`read_matrix_market` or :func:`gen_sparse_block`.
+
+    Raises ``ValueError`` when ``n < 1`` or a block has fewer than n rows
+    or columns.
+    """
+    blocks = (B0, B1, B2, B3)
+    if n < 1:
+        raise ValueError(f"order n={n} must be at least 1")
+    for b in blocks:
+        if n > min(b.shape):
+            raise ValueError(f"block is {b.shape[0]}x{b.shape[1]}, "
+                             f"smaller than requested order {n}")
+    return QuatMatrix(*(b.tocsr()[:n, :n] for b in blocks))
 
 
 def gen_sparse_block(n: int, seed: int, band: int = 2,
                      offband_density: float = 2e-3,
-                     diagonal_shift: float = 0.0) -> SparseBlock:
-    """Deterministic synthetic sparse block: banded plus random off-band.
+                     diagonal_shift: float = 0.0) -> sp.coo_matrix:
+    """Deterministic synthetic n-by-n sparse block: banded plus random
+    off-band entries, duplicates summed in draw order.
 
     A stand-in for the published sparse collections when they are not
     available offline; the density matches their order of magnitude.
@@ -160,14 +170,7 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
                   rng.uniform(-1.0, 1.0, size=n_off)))
     if diagonal_shift:
         parts.append((np.arange(n), np.arange(n), np.full(n, float(diagonal_shift))))
-    # Sum duplicates in the order the entries were drawn (np.add.at is
-    # sequential), so every value is bit-identical to an entrywise sum.
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    acc = np.zeros(keys.size)
-    np.add.at(acc, slot, vals)
-    triplets = list(zip((keys // n).tolist(), (keys % n).tolist(), acc.tolist()))
-    return SparseBlock(rows=n, cols=n, triplets=triplets)
+    return _summed_coo(*(np.concatenate(p) for p in zip(*parts)), (n, n))
 
 
 # ---------------------------------------------------------------------------

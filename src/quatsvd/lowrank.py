@@ -49,16 +49,6 @@ class RgbImage:
         return self.R, self.G, self.B
 
 
-@dataclass(frozen=True)
-class ApproxReport:
-    """Quality summary of a rank-k reconstruction."""
-
-    psnr: float
-    ssim: float
-    rel2: float
-    relF: float
-
-
 def image_to_quat(img: RgbImage) -> QuatMatrix:
     """Encode an image as a pure quaternion matrix R*i + G*j + B*k."""
     zero = np.zeros_like(np.asarray(img.R, dtype=np.float64))

@@ -135,7 +135,7 @@ class QuatMatrix:
         if any(sp.issparse(b) for b in blocks):
             nnz = sum(b.nnz if sp.issparse(b) else np.count_nonzero(b)
                       for b in blocks)
-            if nnz / (4.0 * rows * cols) >= SPARSE_DENSITY_LIMIT:
+            if nnz >= SPARSE_DENSITY_LIMIT * 4 * rows * cols:
                 blocks = [b.toarray() if sp.issparse(b) else b for b in blocks]
         self.rows = int(rows)
         self.cols = int(cols)

@@ -106,23 +106,23 @@ def bidiag_solve(alphas: np.ndarray, betas: np.ndarray, b: np.ndarray) -> np.nda
     return x
 
 
-def solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve R x = b for square upper-triangular R (b may be a matrix)."""
+def _guarded_upper_solve(R, b, trans: str) -> np.ndarray:
+    """Upper-triangular ``solve_triangular`` (``trans='T'`` solves with R.T),
+    refused when a diagonal entry is below 1e-14 of the largest one."""
     R = np.asarray(R, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag.min() <= 1e-14 * diag.max():
         raise NearSingularError("near-singular upper-triangular matrix")
-    return scipy.linalg.solve_triangular(R, b, lower=False)
+    return scipy.linalg.solve_triangular(R, np.asarray(b, dtype=np.float64),
+                                         trans=trans, lower=False)
+
+
+def solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R x = b for square upper-triangular R (b may be a matrix)."""
+    return _guarded_upper_solve(R, b, trans="N")
 
 
 def tri_solve_upper(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve X @ R = B for square upper-triangular R, without inverting R."""
-    R = np.asarray(R, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag.min() <= 1e-14 * diag.max():
-        raise NearSingularError("near-singular upper-triangular matrix")
-    # X R = B  <=>  R.T X.T = B.T, a lower-triangular solve.
-    Xt = scipy.linalg.solve_triangular(R.T, B.T, lower=True)
-    return Xt.T
+    # X R = B  <=>  R.T X.T = B.T
+    return _guarded_upper_solve(R, np.asarray(B).T, trans="T").T

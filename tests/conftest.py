@@ -40,6 +40,13 @@ def basis_of(vectors):
     return basis
 
 
+def triplets_of(block):
+    """(row, col, value) entries of a COO block in storage order, as
+    Python int, int and float."""
+    return [(int(r), int(c), float(v))
+            for r, c, v in zip(block.row, block.col, block.data)]
+
+
 def rand_qmat(rng, m, n, scale=1.0):
     return QuatMatrix(*[scale * rng.standard_normal((m, n)) for _ in range(4)])
 

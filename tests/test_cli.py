@@ -55,6 +55,10 @@ def test_svd_smallest_from_mtx_blocks(tmp_path):
     sig, _, conv = qio.read_triplets_csv(trip)
     assert conv.all()
     assert np.abs(sig - true_vals[::-1][:3]).max() <= 1e-6 * true_vals[0]
+    # Orders outside 1..60 are usage errors, not crashes.
+    for n in ("0", "-1", "61"):
+        assert run(["svd", "--input", paths, "--n", n, "--k", "1",
+                    "--out", trip]) == EXIT_ERROR
 
 
 def test_determinism_byte_identical(tmp_path, dense_qmx):

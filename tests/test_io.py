@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quatsvd import io as qio
 from quatsvd.lowrank import RgbImage
 from quatsvd.quatlin import expand_real_counterpart, structure_matrices
 from quatsvd.restart import ConvergenceTrace, SolverOptions, solve_partial_svd
 
-from conftest import rand_qmat
+from conftest import rand_qmat, triplets_of
 
 
 class TestMatrixMarket:
@@ -17,22 +18,22 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 2\n1 1 1.0\n2 2 1.0\n")
         block = qio.read_matrix_market(path)
-        assert (block.rows, block.cols) == (2, 2)
-        assert block.triplets == [(0, 0, 1.0), (1, 1, 1.0)]
+        assert block.shape == (2, 2)
+        assert triplets_of(block) == [(0, 0, 1.0), (1, 1, 1.0)]
 
     def test_symmetric_expansion(self, tmp_path):
         path = tmp_path / "sym.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                         "3 3 1\n3 1 2.5\n")
         block = qio.read_matrix_market(path)
-        assert block.triplets == [(0, 2, 2.5), (2, 0, 2.5)]
+        assert triplets_of(block) == [(0, 2, 2.5), (2, 0, 2.5)]
 
     def test_duplicates_summed(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 3\n1 1 1.0\n1 1 2.0\n2 1 -1.0\n")
         block = qio.read_matrix_market(path)
-        assert block.triplets == [(0, 0, 3.0), (1, 0, -1.0)]
+        assert triplets_of(block) == [(0, 0, 3.0), (1, 0, -1.0)]
 
     def test_write_read_lossless(self, tmp_path, rng):
         triplets = [(int(r), int(c), float(v)) for r, c, v in
@@ -41,13 +42,13 @@ class TestMatrixMarket:
         dedup = {}
         for r, c, v in triplets:
             dedup[(r, c)] = dedup.get((r, c), 0.0) + v
-        block = qio.SparseBlock(9, 7, sorted(
-            (r, c, v) for (r, c), v in dedup.items()))
+        r, c, v = zip(*sorted((r, c, v) for (r, c), v in dedup.items()))
+        block = sp.coo_matrix((v, (r, c)), shape=(9, 7))
         path = tmp_path / "rt.mtx"
         qio.write_matrix_market(block, path)
         back = qio.read_matrix_market(path)
-        assert back.rows == 9 and back.cols == 7
-        assert back.triplets == block.triplets  # bit-exact via 17 digits
+        assert back.shape == (9, 7)
+        assert triplets_of(back) == triplets_of(block)  # bit-exact via 17 digits
 
     def test_bad_header_names_offset(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -74,12 +75,39 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "% a comment\n\n1 1 1\n% inner\n1 1 4.0\n")
         block = qio.read_matrix_market(path)
-        assert block.triplets == [(0, 0, 4.0)]
+        assert triplets_of(block) == [(0, 0, 4.0)]
+
+    @pytest.mark.parametrize("size", ["-1 3 0", "3 -1 0", "2 2 -1", "2 2",
+                                      "2 2 1 1", "2 x 1"])
+    def test_bad_size_line_names_its_offset(self, tmp_path, size):
+        path = tmp_path / "sz.mtx"
+        header = "%%MatrixMarket matrix coordinate real general\n% c\n"
+        path.write_text(f"{header}{size}\n")
+        with pytest.raises(qio.MalformedFileError,
+                           match=f"byte {len(header)}: bad size line"):
+            qio.read_matrix_market(path)
+
+    @pytest.mark.parametrize("entry", ["1 1", "1 1 1.0 2.0", "1 x 1.0",
+                                       "1 1 y"])
+    def test_malformed_entry_line(self, tmp_path, entry):
+        path = tmp_path / "ent.mtx"
+        head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n"
+        path.write_text(f"{head}{entry}\n")
+        with pytest.raises(qio.MalformedFileError,
+                           match=f"byte {len(head)}: bad entry line"):
+            qio.read_matrix_market(path)
+
+    def test_empty_matrix(self, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "0 0 0\n")
+        block = qio.read_matrix_market(path)
+        assert block.shape == (0, 0) and block.nnz == 0
 
 
 class TestAssemble:
     def test_one_by_one(self, tmp_path):
-        blocks = [qio.SparseBlock(2, 2, [(0, 0, float(i + 1))])
+        blocks = [sp.coo_matrix(([float(i + 1)], ([0], [0])), shape=(2, 2))
                   for i in range(4)]
         M = qio.assemble_jrs_blocks(*blocks, n=1)
         assert (M.rows, M.cols) == (1, 1)
@@ -87,7 +115,7 @@ class TestAssemble:
         assert [b[0, 0] for b in dense] == [1.0, 2.0, 3.0, 4.0]
 
     def test_zero_blocks(self):
-        blocks = [qio.SparseBlock(3, 3, []) for _ in range(4)]
+        blocks = [sp.coo_matrix((3, 3)) for _ in range(4)]
         M = qio.assemble_jrs_blocks(*blocks, n=3)
         assert all(np.all(b == 0.0) for b in
                    (x.toarray() if hasattr(x, "toarray") else x
@@ -103,9 +131,28 @@ class TestAssemble:
         assert np.array_equal(S @ E @ S.T, E)
 
     def test_block_too_small(self):
-        small = qio.SparseBlock(2, 2, [])
+        small = sp.coo_matrix((2, 2))
         with pytest.raises(ValueError):
             qio.assemble_jrs_blocks(small, small, small, small, n=3)
+
+    def test_one_short_side_too_small(self):
+        blocks = [sp.coo_matrix((4, 4))] * 3 + [sp.coo_matrix((4, 2))]
+        with pytest.raises(ValueError, match="smaller than requested order 3"):
+            qio.assemble_jrs_blocks(*blocks, n=3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, n):
+        blocks = [qio.gen_sparse_block(4, seed=i) for i in range(4)]
+        with pytest.raises(ValueError, match="at least 1"):
+            qio.assemble_jrs_blocks(*blocks, n=n)
+
+    def test_leading_submatrix_kept(self):
+        blocks = [qio.gen_sparse_block(9, seed=i, offband_density=0.1)
+                  for i in range(4)]
+        M = qio.assemble_jrs_blocks(*blocks, n=5)
+        assert (M.rows, M.cols) == (5, 5)
+        for got, b in zip(M.dense_blocks(), blocks):
+            assert np.array_equal(got, b.toarray()[:5, :5])
 
 
 def _reference_sparse_block(n, seed, band=2, offband_density=2e-3,
@@ -137,23 +184,26 @@ class TestSparseGen:
     def test_matches_entrywise_reference(self, n, seed, shift):
         got = qio.gen_sparse_block(n, seed=seed, diagonal_shift=shift)
         want = _reference_sparse_block(n, seed, diagonal_shift=shift)
-        assert got.triplets == want
+        assert got.shape == (n, n)
+        assert triplets_of(got) == want
+        assert got.row.dtype.kind == got.col.dtype.kind == "i"
+        assert got.data.dtype == np.float64
         assert all(type(r) is int and type(c) is int and type(v) is float
-                   for r, c, v in got.triplets)
+                   for r, c, v in triplets_of(got))
 
     def test_deterministic(self):
         a = qio.gen_sparse_block(50, seed=7)
         b = qio.gen_sparse_block(50, seed=7)
-        assert a.triplets == b.triplets
+        assert triplets_of(a) == triplets_of(b)
 
     def test_density_order_of_magnitude(self):
         block = qio.gen_sparse_block(200, seed=1)
-        density = len(block.triplets) / (200 * 200)
+        density = block.nnz / (200 * 200)
         assert 5e-4 <= density <= 5e-2
 
     def test_band_structure_present(self):
         block = qio.gen_sparse_block(30, seed=2, offband_density=0.0)
-        assert all(abs(r - c) <= 2 for r, c, _ in block.triplets)
+        assert all(abs(r - c) <= 2 for r, c, _ in triplets_of(block))
 
 
 class TestPpm:

@@ -1,7 +1,9 @@
-"""Property checks of the compact kernels against the hand-written oracles.
+"""Property checks of the compact kernels and the Matrix Market reader
+against hand-written oracles.
 
 Examples are derandomized so the suite is deterministic; each draws a
-shape, a dense or sparse layout and a seed for the entries.
+shape, a dense or sparse layout and a seed for the entries, or the
+entries of a small coordinate file.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatsvd import io as qio
 from quatsvd.quatlin import (
     QuatMatrix,
     expand_real_counterpart,
@@ -17,7 +20,7 @@ from quatsvd.quatlin import (
     structured_matvec,
 )
 
-from conftest import basis_of
+from conftest import basis_of, triplets_of
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -65,3 +68,53 @@ def test_dot_all_matches_quat_dot_loop(n, k, seed):
         q = quat_dot(v, r)
         scale = np.abs(v).sum() * np.abs(r).max()
         assert np.abs(got[i] - (q.w, q.x, q.y, q.z)).max() <= 1e-13 * scale
+
+
+@st.composite
+def mtx_files(draw):
+    """Text of a general or symmetric coordinate file with repeated
+    positions, and its (symmetric, rows, cols, entries) in file order."""
+    symmetric = draw(st.booleans())
+    rows = draw(st.integers(1, 6))
+    cols = rows if symmetric else draw(st.integers(1, 6))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    # Few positions, many entries: most files repeat a position.
+    positions = draw(st.lists(st.tuples(st.integers(1, rows),
+                                        st.integers(1, cols)),
+                              min_size=1, max_size=4))
+    entries = draw(st.lists(st.tuples(st.sampled_from(positions), values),
+                            max_size=12))
+    entries = [(r, c, v) for (r, c), v in entries]
+    kind = "symmetric" if symmetric else "general"
+    lines = [f"%%MatrixMarket matrix coordinate real {kind}",
+             "% written by the property test", f"{rows} {cols} {len(entries)}"]
+    lines += [f"{r} {c} {v!r}" for r, c, v in entries]
+    return "\n".join(lines) + "\n", (symmetric, rows, cols, entries)
+
+
+@SETTINGS
+@given(mtx_files())
+def test_read_matrix_market_sums_in_file_order(tmp_path_factory, drawn):
+    text, (symmetric, rows, cols, entries) = drawn
+    path = tmp_path_factory.getbasetemp() / "prop.mtx"
+    path.write_text(text)
+    block = qio.read_matrix_market(path)
+    acc = {}
+    for r, c, v in entries:
+        acc[(r - 1, c - 1)] = acc.get((r - 1, c - 1), 0.0) + v
+        if symmetric and r != c:
+            acc[(c - 1, r - 1)] = acc.get((c - 1, r - 1), 0.0) + v
+    want = sorted((r, c, v) for (r, c), v in acc.items())
+    assert block.shape == (rows, cols)
+    got = triplets_of(block)
+    assert [(r, c) for r, c, _ in got] == [(r, c) for r, c, _ in want]
+    assert (np.array([v for *_, v in got]).tobytes()
+            == np.array([v for *_, v in want]).tobytes())
+
+    # Write -> read is bit-exact.
+    qio.write_matrix_market(block, path)
+    back = qio.read_matrix_market(path)
+    assert back.shape == block.shape
+    assert np.array_equal(back.row, block.row)
+    assert np.array_equal(back.col, block.col)
+    assert back.data.tobytes() == block.data.tobytes()

@@ -170,6 +170,24 @@ class TestMatvec:
                          for _ in range(4)])
         assert not M.is_sparse
 
+    @pytest.mark.parametrize("total,sparse", [(15, True), (16, False)])
+    def test_density_limit_boundary(self, total, sparse):
+        import scipy.sparse as sp
+        # 4x4 blocks: the limit 0.25 of 64 entries is 16 nonzeros.
+        blocks = [sp.lil_matrix((4, 4)) for _ in range(4)]
+        for e in range(total):
+            blocks[e % 4][e // 4, (e // 4 + e) % 4] = 1.0
+        assert sum(b.nnz for b in blocks) == total
+        assert QuatMatrix(*blocks).is_sparse == sparse
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_sparse_blocks(self, shape):
+        import scipy.sparse as sp
+        M = QuatMatrix(*[sp.csr_matrix(shape)] * 4)
+        dense = QuatMatrix(*[np.zeros(shape)] * 4)
+        assert (M.rows, M.cols) == (dense.rows, dense.cols) == shape
+        assert all(b.shape == shape for b in M.dense_blocks())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_non_finite_entries_rejected(self, sparse, bad):
