@@ -23,11 +23,8 @@ from .lowrank import (
 from .quatlin import (
     CompactBasis,
     QuatMatrix,
-    Quaternion,
     expand_real_counterpart,
     orthogonalize_against_basis,
-    quat_dot,
-    quat_mul,
     structured_matvec,
     vec_norm,
 )
@@ -36,8 +33,6 @@ from .restart import (
     SolverOptions,
     TripletSet,
     check_convergence,
-    harmonic_augment_cycle,
-    ritz_augment_cycle,
     solve_partial_svd,
     verify_residual,
 )
@@ -49,13 +44,11 @@ __all__ = [
     "ConvergenceTrace",
     "KrylovState",
     "QuatMatrix",
-    "Quaternion",
     "RgbImage",
     "SolverOptions",
     "TripletSet",
     "check_convergence",
     "expand_real_counterpart",
-    "harmonic_augment_cycle",
     "image_to_quat",
     "lanczos_bidiag",
     "lanczos_extend",
@@ -63,11 +56,8 @@ __all__ = [
     "mean_center_samples",
     "orthogonalize_against_basis",
     "psnr",
-    "quat_dot",
-    "quat_mul",
     "quat_to_image",
     "relative_distances",
-    "ritz_augment_cycle",
     "solve_partial_svd",
     "ssim",
     "stack_frames",

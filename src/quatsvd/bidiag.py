@@ -7,14 +7,16 @@ produced bases are orthonormal in the quaternion inner product and satisfy
     M P_k = Q_k B_k,      M* Q_k = P_k B_k' + f e_k'
 
 with B_k upper bidiagonal (alphas on the diagonal, betas above) and f the
-residual vector orthogonal to P_k.  Exact breakdowns deflate: the
-recurrence continues with a fresh random unit vector orthogonalized
-against the current basis, and the zero coefficient is kept in B_k.
+residual vector orthogonal to P_k.  Exact breakdowns deflate, in both
+restarts too: a fresh random unit vector orthogonalized against the
+current basis replaces the vanished one, and B_k keeps the zero.
 
-:class:`KrylovState` is the one factorization state of the package.  The
-restart drivers in :mod:`quatsvd.restart` shrink it to an arrow or
-triangular leading block and hand it back to :func:`lanczos_extend`, which
-only appends bidiagonal trailing rows/columns.
+:class:`KrylovState` is the one factorization state of the package and
+owns its bases, allocated once with ``steps + 1`` slots (the spare one
+holds a harmonic restart's augmentation vector).  The restart drivers in
+:mod:`quatsvd.restart` rewrite it in place to an arrow or triangular
+leading block and hand it back to :func:`lanczos_extend`, which only
+appends bidiagonal trailing rows/columns.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ BREAKDOWN_TOL = 1e-14
 class KrylovState:
     """Working state of a (possibly restarted) partial factorization.
 
-    ``B`` is the dense projected matrix (upper triangular throughout this
-    package), ``f`` the continuation residual with ``beta_last = ||f||``.
-    ``matvecs`` counts products with M and M*, ``deflations`` lists the
+    ``P`` and ``Q`` are fixed-capacity bases that restarts rewrite in
+    place.  ``B`` is the dense projected matrix (upper triangular), ``f``
+    the continuation residual with ``beta_last = ||f||``.  ``matvecs``
+    counts products with M and M*, ``deflations`` lists the
     ``(step, "alpha" | "beta")`` breakdowns, and ``sigma_max`` is the
     restart driver's running estimate of the largest singular value.
     """
@@ -88,10 +91,13 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
     The leading block of ``B`` (arrow or triangular after a restart) is
     left untouched; new coefficients land on the diagonal and first
     superdiagonal.  Breakdowns deflate as described in the module
-    docstring.
+    docstring.  Raises ``ValueError`` before any matvec when ``to_step``
+    exceeds min(m, n) or the capacity of the state's bases.
     """
     if to_step > min(M.rows, M.cols):
         raise ValueError("cannot extend past min(m, n)")
+    if to_step > state.P.capacity:
+        raise ValueError("cannot extend past the basis capacity")
     while state.steps < to_step:
         s = state.steps
         scale = float(np.abs(state.B).max(initial=0.0))
@@ -134,15 +140,16 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
     return state
 
 
-def start_state(M: QuatMatrix, p1: np.ndarray,
-                rng: np.random.Generator) -> KrylovState:
-    """Empty factorization seeded with a copy of the start vector ``p1``."""
+def start_state(M: QuatMatrix, p1: np.ndarray, rng: np.random.Generator,
+                steps: int) -> KrylovState:
+    """Empty factorization seeded with a copy of the start vector ``p1``,
+    with bases allocated for ``steps`` Lanczos steps plus one vector."""
     check_compact(p1, M.cols, "start vector")
     if abs(vec_norm(p1) - 1.0) > 1e-14:
         raise ValueError("start vector must have unit norm")
     return KrylovState(
-        P=CompactBasis(M.cols),
-        Q=CompactBasis(M.rows),
+        P=CompactBasis(M.cols, steps + 1),
+        Q=CompactBasis(M.rows, steps + 1),
         B=np.zeros((0, 0)),
         f=np.array(p1, dtype=np.float64),
         beta_last=1.0,
@@ -159,7 +166,7 @@ def lanczos_bidiag(M: QuatMatrix, p1: np.ndarray, k: int,
     """
     if not 1 <= k <= min(M.rows, M.cols):
         raise ValueError(f"k={k} out of range 1..{min(M.rows, M.cols)}")
-    return lanczos_extend(M, start_state(M, p1, rng), k)
+    return lanczos_extend(M, start_state(M, p1, rng, k), k)
 
 
 # ---------------------------------------------------------------------------

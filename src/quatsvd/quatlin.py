@@ -269,20 +269,26 @@ def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 class CompactBasis:
     """Ordered list of equal-length compact vectors, stored as (k, n, 4).
 
-    ``data[i]`` is the i-th vector, a view into the basis.  Built by the
+    ``data[i]`` is the i-th vector, a view into the basis.  The buffer
+    holds ``capacity`` vectors and never grows, so a Krylov solve
+    allocates its bases once and rewrites them in place.  Built by the
     Lanczos and restart machinery, in which case the vectors are
     orthonormal in the quaternion inner product.
     """
 
     __slots__ = ("n", "_buf", "_size")
 
-    def __init__(self, n: int, capacity: int = 8):
+    def __init__(self, n: int, capacity: int):
         self.n = int(n)
-        self._buf = np.zeros((max(capacity, 1), self.n, 4))
+        self._buf = np.zeros((capacity, self.n, 4))
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
+
+    @property
+    def capacity(self) -> int:
+        return self._buf.shape[0]
 
     @property
     def data(self) -> np.ndarray:
@@ -290,10 +296,8 @@ class CompactBasis:
 
     def append(self, v: np.ndarray) -> None:
         check_compact(v, self.n, "appended vector")
-        if self._size == self._buf.shape[0]:
-            grown = np.zeros((2 * self._buf.shape[0], self.n, 4))
-            grown[:self._size] = self._buf
-            self._buf = grown
+        if self._size == self.capacity:
+            raise ValueError(f"basis is full ({self.capacity} vectors)")
         self._buf[self._size] = v
         self._size += 1
 
@@ -324,13 +328,14 @@ class CompactBasis:
         return (coeffs @ self._flat()).reshape(self.n, 4)
 
     def combine_matrix(self, C: np.ndarray) -> "CompactBasis":
-        """New basis whose j-th vector is sum_i C[i, j] * v_i."""
+        """Overwrite the leading vectors in place: the j-th becomes
+        sum_i C[i, j] * v_i, and the size becomes the columns of C.
+        Returns this basis."""
         C = np.asarray(C, dtype=np.float64)
         t = C.shape[1]
-        out = CompactBasis(self.n, capacity=max(t, 1))
-        out._buf[:t] = (C.T @ self._flat()).reshape(t, self.n, 4)
-        out._size = t
-        return out
+        self._buf[:t] = (C.T @ self._flat()).reshape(t, self.n, 4)
+        self._size = t
+        return self
 
 
 def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:

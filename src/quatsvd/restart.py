@@ -25,15 +25,15 @@ triplets are always extracted from the square projected matrix, for which
 Each cycle computes one dense SVD: :func:`check_convergence` takes it of
 the matrix it tests (square in largest mode, row-extended in harmonic
 mode) and returns it, and the augmentation of the same cycle retains its
-vectors.  The loop state is a :class:`quatsvd.bidiag.KrylovState`, which
-each restart replaces and re-expands to the size it entered with.  Only
-harmonic mode computes one more SVD, of the square matrix, to extract the
-reported triplets.
+vectors.  The loop state is one :class:`quatsvd.bidiag.KrylovState` per
+solve, which each restart and the final extraction rewrite in place.
+Only harmonic mode computes one more SVD, of the square matrix, to
+extract the reported triplets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,6 @@ MAX_SINGULAR_RESTARTS = 5
 # Harmonic restarts abort when a diagonal entry of the projected matrix
 # falls to this fraction of sigma_max.
 NEAR_SINGULAR_TOL = 1e-12
-
-
-class RestartBreakdown(RuntimeError):
-    """The augmentation residual vanished: iteration terminated."""
 
 
 class NearSingularProjection(RuntimeError):
@@ -196,55 +192,53 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``).  Retains
     the t largest Ritz pairs of the projected matrix, appends the
     normalized residual direction, forms the arrow projected matrix and
-    extends with plain Lanczos steps.  Raises :class:`RestartBreakdown`
-    when the orthogonalized image of the augmentation vector vanishes.
+    extends with plain Lanczos steps.  Rewrites ``state`` in place and
+    returns it; a vanished new left vector deflates as ``(t, "alpha")``.
     """
     k = state.steps
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
     sig = res.sigmas[:t]
-    V_new = state.P.combine_matrix(res.V[:, :t])
-    U_new = state.Q.combine_matrix(res.U[:, :t])
-
     beta_k = state.beta_last
     scale = max(state.sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
     if beta_k <= BREAKDOWN_TOL * scale:
-        # Exact invariant subspace: restart in the orthogonal complement.
+        # Exact invariant subspace: restart in the orthogonal complement
+        # of the whole basis, so draw before P is overwritten.
         p_aug = _fresh_direction(M.cols, state.P, state.rng)
         rho = np.zeros(t)
     else:
         p_aug = state.f * (1.0 / beta_k)
         rho = beta_k * res.U[-1, :t]
+    P = state.P.combine_matrix(res.V[:, :t])
+    Q = state.Q.combine_matrix(res.U[:, :t])
 
     w = structured_matvec(M, p_aug)
     state.matvecs += 1
     if t:
-        w = w - U_new.combine_real(rho)
-        w, extra = orthogonalize_with_coeffs(w, U_new)
+        w = w - Q.combine_real(rho)
+        w, extra = orthogonalize_with_coeffs(w, Q)
         rho = rho + extra[:, 0]
     alpha_new = vec_norm(w)
     if alpha_new <= BREAKDOWN_TOL * scale:
-        raise RestartBreakdown("augmentation residual vanished")
-    q_new = w * (1.0 / alpha_new)
+        q_new = _fresh_direction(M.rows, Q, state.rng)
+        alpha_new = 0.0
+        state.deflations.append((t, "alpha"))
+    else:
+        q_new = w * (1.0 / alpha_new)
 
-    B_new = np.zeros((t + 1, t + 1))
+    state.B = np.zeros((t + 1, t + 1))
     if t:
-        np.fill_diagonal(B_new[:t, :t], sig)
-        B_new[:t, t] = rho
-    B_new[t, t] = alpha_new
+        np.fill_diagonal(state.B[:t, :t], sig)
+        state.B[:t, t] = rho
+    state.B[t, t] = alpha_new
 
-    P_new = V_new
-    P_new.append(p_aug)
-    Q_basis = U_new
-    Q_basis.append(q_new)
-
+    P.append(p_aug)
+    Q.append(q_new)
     f = structured_matvec(M, q_new, adjoint=True) - p_aug * alpha_new
     state.matvecs += 1
-    f = orthogonalize_against_basis(f, P_new)
-
-    out = replace(state, P=P_new, Q=Q_basis, B=B_new, f=f,
-                  beta_last=vec_norm(f))
-    return lanczos_extend(M, out, k)
+    state.f = orthogonalize_against_basis(f, P)
+    state.beta_last = vec_norm(state.f)
+    return lanczos_extend(M, state, k)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +270,9 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     harmonic pairs.  Requires the projected matrix to be safely
     nonsingular and ``beta_last > 0``; raises
     :class:`NearSingularProjection` otherwise so the driver can restart
-    from a perturbed seed vector.  The input state is consumed: once the
-    projection succeeds, the augmentation vector is appended to
-    ``state.P`` in place.
+    from a perturbed seed vector, which discards ``state``.  Otherwise
+    rewrites ``state`` in place and returns it; a vanished new left vector
+    deflates as ``(t, "alpha")``.
     """
     k = state.steps
     if not 1 <= t < k:
@@ -302,18 +296,20 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
         raise NearSingularProjection(str(exc)) from exc
 
     p_aug = state.f * (1.0 / beta_k)
-    state.P.append(p_aug)
-    P_new = state.P.combine_matrix(Qc)
-    Q_t = state.Q.combine_matrix(U_t)
-
+    # q_k leaves the left basis in the combination below.
     w = structured_matvec(M, p_aug) - state.Q.data[k - 1] * beta_k
     state.matvecs += 1
-    w, coeffs = orthogonalize_with_coeffs(w, Q_t)
+    state.P.append(p_aug)
+    P = state.P.combine_matrix(Qc)
+    Q = state.Q.combine_matrix(U_t)
+
+    w, coeffs = orthogonalize_with_coeffs(w, Q)
     c_hat = coeffs[:, 0]
     alpha_new = vec_norm(w)
     if alpha_new <= BREAKDOWN_TOL * scale:
-        q_new = _fresh_direction(M.rows, Q_t, state.rng)
+        q_new = _fresh_direction(M.rows, Q, state.rng)
         alpha_new = 0.0
+        state.deflations.append((t, "alpha"))
     else:
         q_new = w * (1.0 / alpha_new)
 
@@ -322,19 +318,17 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     D[:t, t] = c_hat
     D[t, t] = alpha_new
     try:
-        B_new = smalldense.tri_solve_upper(Rc, D)
+        state.B = smalldense.tri_solve_upper(Rc, D)
     except smalldense.NearSingularError as exc:
         raise NearSingularProjection(str(exc)) from exc
 
-    Q_t.append(q_new)
+    Q.append(q_new)
     f = structured_matvec(M, q_new, adjoint=True) - \
-        P_new.data[t] * float(B_new[t, t])
+        P.data[t] * float(state.B[t, t])
     state.matvecs += 1
-    f = orthogonalize_against_basis(f, P_new)
-
-    out = replace(state, P=P_new, Q=Q_t, B=B_new, f=f,
-                  beta_last=vec_norm(f))
-    return lanczos_extend(M, out, k)
+    state.f = orthogonalize_against_basis(f, P)
+    state.beta_last = vec_norm(state.f)
+    return lanczos_extend(M, state, k)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +347,8 @@ def _retained_count(k: int, m_b: int) -> int:
 def _extract_triplets(state: KrylovState, k: int, which: str,
                       flags: np.ndarray,
                       res: smalldense.SvdResult) -> TripletSet:
-    """Reported triplets from ``res``, the SVD of the square ``state.B``."""
+    """Reported triplets from ``res``, the SVD of the square ``state.B``.
+    The triplet bases are the state's own, combined in place."""
     order = _target_order(res.sigmas, which)[:k]
     sigmas = res.sigmas[order].copy()
     # Reported bounds cannot certify below the roundoff of the
@@ -413,7 +408,9 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
                                 which=opts.which, sigma_max=state.sigma_max)
         state.sigma_max = chk.sigma_max
         trace.append_cycle(cycle, chk.bounds, state.matvecs)
-        if np.all(chk.flags) or cycle == opts.maxit:
+        # With m_b = n the right basis spans the column space: the
+        # projection is exact and no direction is left to restart with.
+        if np.all(chk.flags) or cycle == opts.maxit or m_b == n:
             break
         t = _retained_count(opts.k, m_b)
         try:
@@ -421,10 +418,6 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
                 state = harmonic_augment_cycle(M, state, t, chk.svd)
             else:
                 state = ritz_augment_cycle(M, state, t, chk.svd)
-        except RestartBreakdown:
-            trace.events.append(f"cycle {cycle}: augmentation residual "
-                                "vanished, iteration terminated")
-            break
         except NearSingularProjection as exc:
             singular_restarts += 1
             trace.events.append(f"cycle {cycle}: {exc}; restarting from a "
@@ -444,7 +437,7 @@ def _initial_state(M: QuatMatrix, rng: np.random.Generator, m_b: int,
                    matvecs: int = 0, sigma_max: float = 0.0) -> KrylovState:
     """Factorization of ``m_b`` steps from a random start vector; a fresh
     restart carries the matvec count and sigma_max of the state it drops."""
-    state = start_state(M, random_unit_vector(M.cols, rng), rng)
+    state = start_state(M, random_unit_vector(M.cols, rng), rng, m_b)
     state.matvecs = matvecs
     state.sigma_max = sigma_max
     return lanczos_extend(M, state, m_b)

@@ -61,19 +61,13 @@ def dedup_singular_values(M):
 
 def orthonormal_basis(rng, n, k):
     """Random orthonormal quaternion basis built by repeated projection."""
-    basis = None
-    while basis is None or len(basis) < k:
-        v = random_unit_vector(n, rng)
-        if basis is not None:
-            v = orthogonalize_against_basis(v, basis)
+    basis = CompactBasis(n, k)
+    while len(basis) < k:
+        v = orthogonalize_against_basis(random_unit_vector(n, rng), basis)
         nv = vec_norm(v)
         if nv < 1e-8:
             continue
-        v = v * (1.0 / nv)
-        if basis is None:
-            basis = basis_of([v])
-        else:
-            basis.append(v)
+        basis.append(v * (1.0 / nv))
     return basis
 
 

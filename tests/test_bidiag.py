@@ -63,7 +63,7 @@ def test_random_factorization_identities(rng):
 def test_extend_matches_single_run(rng):
     M = rand_qmat(rng, 18, 12)
     p1 = random_unit_vector(12, rng)
-    state = start_state(M, p1, np.random.default_rng(77))
+    state = start_state(M, p1, np.random.default_rng(77), 8)
     lanczos_extend(M, state, 5)
     lanczos_extend(M, state, 8)
     F = lanczos_bidiag(M, p1, 8, np.random.default_rng(77))
@@ -87,9 +87,20 @@ def test_extend_zero_residual_deflates(rng):
 
 def test_extend_past_min_dimension_rejected(rng):
     M = rand_qmat(rng, 6, 4)
-    state = start_state(M, random_unit_vector(4, rng), rng)
+    state = start_state(M, random_unit_vector(4, rng), rng, 5)
     with pytest.raises(ValueError):
         lanczos_extend(M, state, 5)
+
+
+def test_extend_past_capacity_rejected(rng):
+    M = rand_qmat(rng, 12, 10)
+    state = start_state(M, random_unit_vector(10, rng), rng, 4)
+    lanczos_extend(M, state, 5)  # the spare slot takes one more step
+    B, matvecs = state.B.copy(), state.matvecs
+    with pytest.raises(ValueError):
+        lanczos_extend(M, state, 6)
+    assert state.matvecs == matvecs and state.steps == 5
+    assert np.array_equal(state.B, B)
 
 
 def test_btb_matches_tridiagonal_recurrence(rng):

@@ -1,5 +1,6 @@
 """Property checks of the compact kernels and the Matrix Market reader
-against hand-written oracles.
+against hand-written oracles, and of the factorization kept by in-place
+restarts.
 
 Examples are derandomized so the suite is deterministic; each draws a
 shape, a dense or sparse layout and a seed for the entries, or the
@@ -12,12 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatsvd import io as qio
+from quatsvd.bidiag import factorization_errors
 from quatsvd.quatlin import (
     QuatMatrix,
     expand_real_counterpart,
     expand_vector,
     quat_dot,
     structured_matvec,
+)
+from quatsvd.restart import (
+    _augmented_projection,
+    _initial_state,
+    check_convergence,
+    harmonic_augment_cycle,
+    ritz_augment_cycle,
 )
 
 from conftest import basis_of, triplets_of
@@ -27,10 +36,12 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, min_dim=1, square=False, sparse=None):
     """Tall, wide or square QuatMatrix, dense or below the sparse limit."""
-    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-    sparse = draw(st.booleans())
+    m = draw(st.integers(min_dim, 16))
+    n = m if square else draw(st.integers(min_dim, 16))
+    if sparse is None:
+        sparse = draw(st.booleans())
     rng = np.random.default_rng(draw(SEEDS))
     if sparse:
         blocks = [sp.random(m, n, density=0.1, format="csr", random_state=rng,
@@ -68,6 +79,49 @@ def test_dot_all_matches_quat_dot_loop(n, k, seed):
         q = quat_dot(v, r)
         scale = np.abs(v).sum() * np.abs(r).max()
         assert np.abs(got[i] - (q.w, q.x, q.y, q.z)).max() <= 1e-13 * scale
+
+
+def _restart_twice(M, rng, m_b, t, harmonic):
+    """Two restart cycles on one state, with sigma_max and the SVD taken
+    by check_convergence as the solver driver does."""
+    state = _initial_state(M, rng, m_b)
+    workspace = state.P.data, state.Q.data
+    for _ in range(2):
+        B = _augmented_projection(state.B, state.beta_last) if harmonic \
+            else state.B
+        chk = check_convergence(B, state.beta_last, 1e-10, 1,
+                                sigma_max=state.sigma_max)
+        state.sigma_max = chk.sigma_max
+        cycle = harmonic_augment_cycle if harmonic else ritz_augment_cycle
+        assert cycle(M, state, t, chk.svd) is state
+    assert state.steps == m_b
+    assert all(np.shares_memory(a, b) for a, b in
+               zip((state.P.data, state.Q.data), workspace))
+    errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+    assert errs["direct"] <= 1e-11 * state.sigma_max
+    assert errs["adjoint"] <= 1e-11 * state.sigma_max
+    assert errs["P_orth"] <= 1e-12
+    assert errs["Q_orth"] <= 1e-12
+
+
+@SETTINGS
+@given(matrices(min_dim=3), st.data())
+def test_ritz_restarts_keep_factorization(drawn, data):
+    M, rng = drawn
+    # m_b < n: at m_b = n the solver stops instead of restarting.
+    m_b = data.draw(st.integers(2, min(M.rows, M.cols - 1)), label="m_b")
+    t = data.draw(st.integers(0, m_b - 1), label="t")
+    _restart_twice(M, rng, m_b, t, harmonic=False)
+
+
+@SETTINGS
+@given(matrices(min_dim=3, square=True, sparse=False), st.data())
+def test_harmonic_restarts_keep_factorization(drawn, data):
+    M, rng = drawn
+    # m_b < n: at m_b = n the solver stops instead of restarting.
+    m_b = data.draw(st.integers(2, M.cols - 1), label="m_b")
+    t = data.draw(st.integers(1, m_b - 1), label="t")
+    _restart_twice(M, rng, m_b, t, harmonic=True)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from quatsvd.quatlin import (
     QUAT_CONJ,
     QUAT_TABLE,
+    CompactBasis,
     QuatMatrix,
     Quaternion,
     expand_real_counterpart,
@@ -284,10 +285,11 @@ class TestCompactBasis:
     def test_combine_matrix_columns(self, rng):
         basis = orthonormal_basis(rng, 8, 4)
         C = rng.standard_normal((4, 2))
+        wants = [basis.combine_real(C[:, j]) for j in range(2)]
         out = basis.combine_matrix(C)
+        assert out is basis and len(basis) == 2
         for j in range(2):
-            want = basis.combine_real(C[:, j])
-            assert np.allclose(out.data[j], want, atol=1e-15)
+            assert np.allclose(out.data[j], wants[j], atol=1e-15)
 
     def test_dot_all_matches_quat_dot_loop(self, rng):
         basis = basis_of(rng.standard_normal((9, 4)) for _ in range(5))
@@ -308,7 +310,9 @@ class TestCompactBasis:
         assert np.abs(expand_vector(got) - want).max() <= 1e-13
 
     def test_append_length_check(self, rng):
-        basis = orthonormal_basis(rng, 8, 2)
+        basis = CompactBasis(8, 3)
+        for v in orthonormal_basis(rng, 8, 2).data:
+            basis.append(v)
         with pytest.raises(ValueError):
             basis.append(random_unit_vector(9, rng))
         # (8, 1) would otherwise broadcast into the (8, 4) slot.
@@ -316,6 +320,12 @@ class TestCompactBasis:
             with pytest.raises(ValueError):
                 basis.append(np.ones(shape))
         assert len(basis) == 2
+
+    def test_append_to_full_basis_rejected(self, rng):
+        basis = orthonormal_basis(rng, 8, 2)
+        with pytest.raises(ValueError):
+            basis.append(random_unit_vector(8, rng))
+        assert len(basis) == 2 and basis.capacity == 2
 
     def test_dot_all_shape_check(self, rng):
         basis = orthonormal_basis(rng, 8, 2)

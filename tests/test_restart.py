@@ -157,7 +157,7 @@ class TestRitzCycle:
         M, V1 = _block_structured_matrix(rng)
         p1 = V1.combine_real([0.6, 0.4, 0.3])
         p1 = p1 * (1.0 / vec_norm(p1))
-        state = start_state(M, p1, rng)
+        state = start_state(M, p1, rng, 3)
         lanczos_extend(M, state, 3)
         state.sigma_max = float(np.linalg.svd(state.B, compute_uv=False)[0])
         assert state.beta_last <= 1e-12  # block exhausted exactly
@@ -166,16 +166,35 @@ class TestRitzCycle:
         assert np.allclose(np.diag(out.B)[:2], sig_before, atol=1e-10)
         assert np.abs(out.B[:2, 2]).max() <= 1e-10  # rho column vanishes
 
-    def test_rank_exhausted_augmentation_terminates(self, rng):
+    def test_rank_exhausted_augmentation_deflates(self, rng):
         # Once the whole row space is captured, any fresh direction lies
-        # in the null space and the augmentation signals termination.
-        from quatsvd.restart import RestartBreakdown
+        # in the null space: the new left vector vanishes and deflates to
+        # a fresh one with a zero coefficient, as in the Lanczos steps.
         T = synthetic_triplets(rng, 10, 8, [4.0, 2.5, 1.0])
         M = matrix_from_triplets_expansion(T)
         state = make_state(M, 5)
         assert state.beta_last <= 1e-10
-        with pytest.raises(RestartBreakdown):
-            ritz_cycle(M, state, 3)
+        before = len(state.deflations)
+        out = ritz_cycle(M, state, 3)
+        assert out.steps == 5
+        assert out.B[3, 3] == 0.0
+        assert out.deflations[before] == (3, "alpha")
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert errs["direct"] <= 1e-12 * 4.0
+        assert errs["adjoint"] <= 1e-12 * 4.0
+        assert errs["P_orth"] <= 1e-12
+        assert errs["Q_orth"] <= 1e-12
+        got = np.linalg.svd(out.B, compute_uv=False)
+        assert np.allclose(got, [4.0, 2.5, 1.0, 0.0, 0.0], atol=1e-11)
+
+    def test_cycles_rewrite_one_workspace(self, rng):
+        M = rand_qmat(rng, 30, 22)
+        state = make_state(M, 10)
+        P0, Q0 = state.P.data, state.Q.data
+        for _ in range(3):
+            assert ritz_cycle(M, state, 4) is state
+        assert np.shares_memory(state.P.data, P0)
+        assert np.shares_memory(state.Q.data, Q0)
 
 
 class TestHarmonicCycle:
@@ -220,6 +239,15 @@ class TestHarmonicCycle:
         assert errs["f_orth"] <= 1e-12
         assert errs["P_orth"] <= 1e-12
         assert errs["Q_orth"] <= 1e-12
+
+    def test_cycles_rewrite_one_workspace(self, rng):
+        M = rand_qmat(rng, 25, 25)
+        state = make_state(M, 10)
+        P0, Q0 = state.P.data, state.Q.data
+        for _ in range(3):
+            assert harmonic_cycle(M, state, 4) is state
+        assert np.shares_memory(state.P.data, P0)
+        assert np.shares_memory(state.Q.data, Q0)
 
     def test_projection_stays_upper_triangular(self, rng):
         M = rand_qmat(rng, 25, 25)
@@ -309,6 +337,18 @@ class TestSolver:
         state.B[3, 3] = 1e-20  # poison the projected matrix
         with pytest.raises(NearSingularProjection):
             harmonic_cycle(M, state, 3)
+
+    @pytest.mark.parametrize("which", ["largest", "smallest"])
+    def test_full_right_basis_stops_without_restart(self, rng, which):
+        # m_b = n leaves no direction outside the right basis; a tolerance
+        # below roundoff must not make the solver restart anyway.
+        M = rand_qmat(rng, 6, 4)
+        true_vals, _ = dedup_singular_values(M)
+        T, trace = solve_partial_svd(
+            M, SolverOptions(k=2, which=which, delta=0.0, maxit=8, seed=0))
+        assert trace.cycles == 1 and not trace.events
+        want = true_vals[:2] if which == "largest" else true_vals[::-1][:2]
+        assert np.abs(T.sigmas - want).max() <= 1e-12 * true_vals[0]
 
     def test_repeated_harmonic_failures_escalate(self, rng, monkeypatch):
         import quatsvd.restart as restart_mod
