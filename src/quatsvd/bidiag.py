@@ -7,9 +7,13 @@ produced bases are orthonormal in the quaternion inner product and satisfy
     M P_k = Q_k B_k,      M* Q_k = P_k B_k' + f e_k'
 
 with B_k upper bidiagonal (alphas on the diagonal, betas above) and f the
-residual vector orthogonal to P_k.  Exact breakdowns deflate, in both
-restarts too: a fresh random unit vector orthogonalized against the
-current basis replaces the vanished one, and B_k keeps the zero.
+residual vector orthogonal to P_k.
+
+The vector half of every step, in :func:`lanczos_extend` and in both
+restarts, is three helpers: :func:`next_right`, :func:`next_left` and
+:func:`close_step`.  They hold the one breakdown rule: a norm at or below
+``BREAKDOWN_TOL`` times the caller's scale deflates to a fresh random unit
+vector orthogonal to the current basis, and B_k keeps the zero.
 
 :class:`KrylovState` is the one factorization state of the package and
 owns its bases, allocated once with ``steps + 1`` slots (the spare one
@@ -30,6 +34,7 @@ from .quatlin import (
     QuatMatrix,
     check_compact,
     orthogonalize_against_basis,
+    orthogonalize_with_coeffs,
     random_unit_vector,
     structured_matvec,
     vec_norm,
@@ -68,7 +73,10 @@ class KrylovState:
 
 
 def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector orthogonal to ``basis`` (deflation restart)."""
+    """Random unit vector orthogonal to ``basis`` (deflation restart);
+    a plain random unit vector when the basis is empty."""
+    if not len(basis):
+        return random_unit_vector(n, rng)
     for _ in range(8):
         v = random_unit_vector(n, rng)
         v = orthogonalize_against_basis(v, basis)
@@ -78,11 +86,40 @@ def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> n
     raise RuntimeError("could not draw a direction orthogonal to the basis")
 
 
-def _grow(B: np.ndarray) -> np.ndarray:
-    s = B.shape[0]
-    out = np.zeros((s + 1, s + 1))
-    out[:s, :s] = B
-    return out
+def next_right(M: QuatMatrix, state: KrylovState, scale: float):
+    """Next right vector ``f / ||f||`` and its beta.  A vanished residual
+    (at most ``BREAKDOWN_TOL * scale``) gives a fresh direction and beta 0;
+    recording the breakdown is the caller's business."""
+    beta = vec_norm(state.f)
+    if beta <= BREAKDOWN_TOL * scale or beta == 0.0:
+        return _fresh_direction(M.cols, state.P, state.rng), 0.0
+    return state.f * (1.0 / beta), beta
+
+
+def next_left(M: QuatMatrix, state: KrylovState, w: np.ndarray, scale: float):
+    """Orthogonalize ``w`` against Q and normalize it: the next left
+    vector, its alpha and the removed (len(Q), 4) coefficients.  A
+    vanished ``w`` deflates to a fresh direction with alpha 0 and records
+    ``(len(Q), "alpha")``."""
+    w, coeffs = orthogonalize_with_coeffs(w, state.Q)
+    alpha = vec_norm(w)
+    if alpha <= BREAKDOWN_TOL * scale or alpha == 0.0:
+        state.deflations.append((len(state.Q), "alpha"))
+        return _fresh_direction(M.rows, state.Q, state.rng), 0.0, coeffs
+    return w * (1.0 / alpha), alpha, coeffs
+
+
+def close_step(M: QuatMatrix, state: KrylovState, q: np.ndarray) -> None:
+    """Append ``q`` as left vector s and set the residual
+    ``f = M* q - p_s B[s, s]``, reorthogonalized against P.  P and B must
+    already hold step s."""
+    s = len(state.Q)
+    state.Q.append(q)
+    f = structured_matvec(M, q, adjoint=True) - \
+        state.P.data[s] * float(state.B[s, s])
+    state.matvecs += 1
+    state.f = orthogonalize_against_basis(f, state.P)
+    state.beta_last = vec_norm(state.f)
 
 
 def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovState:
@@ -101,42 +138,21 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
     while state.steps < to_step:
         s = state.steps
         scale = float(np.abs(state.B).max(initial=0.0))
-        beta = vec_norm(state.f)
-        if beta <= BREAKDOWN_TOL * scale or beta == 0.0:
-            beta = 0.0
-            p_new = _fresh_direction(M.cols, state.P, state.rng) if s else \
-                random_unit_vector(M.cols, state.rng)
+        p, beta = next_right(M, state, scale)
+        if beta == 0.0:
             state.deflations.append((s, "beta"))
-        else:
-            p_new = state.f * (1.0 / beta)
-
-        w = structured_matvec(M, p_new)
+        w = structured_matvec(M, p)
         state.matvecs += 1
         if s and beta > 0.0:
             w = w - state.Q.data[s - 1] * beta
-        if s:
-            w = orthogonalize_against_basis(w, state.Q)
-        alpha = vec_norm(w)
-        scale = max(scale, alpha)
-        if alpha <= BREAKDOWN_TOL * scale or alpha == 0.0:
-            alpha = 0.0
-            q_new = _fresh_direction(M.rows, state.Q, state.rng) if s else \
-                random_unit_vector(M.rows, state.rng)
-            state.deflations.append((s, "alpha"))
-        else:
-            q_new = w * (1.0 / alpha)
+        q, alpha, _ = next_left(M, state, w, scale)
 
-        state.B = _grow(state.B)
+        state.B = np.pad(state.B, (0, 1))
         if s:
             state.B[s - 1, s] = beta
         state.B[s, s] = alpha
-        state.P.append(p_new)
-        state.Q.append(q_new)
-
-        f = structured_matvec(M, q_new, adjoint=True) - p_new * alpha
-        state.matvecs += 1
-        state.f = orthogonalize_against_basis(f, state.P)
-        state.beta_last = vec_norm(state.f)
+        state.P.append(p)
+        close_step(M, state, q)
     return state
 
 
@@ -174,7 +190,7 @@ def lanczos_bidiag(M: QuatMatrix, p1: np.ndarray, k: int,
 # ---------------------------------------------------------------------------
 
 def basis_orthogonality_error(basis: CompactBasis) -> float:
-    """max_ij |quat_dot(b_i, b_j) - delta_ij| over all quaternion components."""
+    """max_ij |b_i* . b_j - delta_ij| over all quaternion components."""
     worst = 0.0
     for i in range(len(basis)):
         dots = basis.dot_all(basis.data[i])
@@ -188,7 +204,7 @@ def factorization_errors(M: QuatMatrix, P: CompactBasis, Q: CompactBasis,
     """Frobenius residuals of the two factorization identities.
 
     Returns ``direct`` = ||M P - Q B||_F, ``adjoint`` =
-    ||M* Q - P B' - f e_last'||_F and ``f_orth`` = max_i |quat_dot(p_i, f)|,
+    ||M* Q - P B' - f e_last'||_F and ``f_orth`` = max_i |p_i* . f|,
     all in compact arithmetic.
     """
     s = len(P)

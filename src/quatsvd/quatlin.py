@@ -1,4 +1,4 @@
-"""Quaternion scalars, matrices and compact structured vectors.
+"""Quaternion matrices and compact structured vectors.
 
 A quaternion matrix ``M = M0 + M1*i + M2*j + M3*k`` is stored as its four
 real blocks.  Its real counterpart is the 4m-by-4n block matrix
@@ -16,15 +16,16 @@ the same component order (0, 2, 1, 3); :class:`CompactBasis` stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
 conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
-calls on the storage, mixed by that table.  The oracles (:func:`quat_mul`,
-:func:`quat_dot`, :func:`expand_real_counterpart`, :func:`expand_vector`,
-:func:`structure_matrices`) are written out by hand and never read it.
+calls on the storage, mixed by that table.  The oracles
+(:func:`expand_real_counterpart`, :func:`expand_vector`,
+:func:`structure_matrices`, and the scalar product and inner product in
+the test suite's ``oracles`` module) are written out by hand and never
+read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,44 +56,6 @@ _CONJ_TABLE = QUAT_CONJ[:, None, None] * QUAT_TABLE
 
 # Density threshold below which sparse blocks keep a sparse matvec path.
 SPARSE_DENSITY_LIMIT = 0.25
-
-
-# ---------------------------------------------------------------------------
-# scalars
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b (noncommutative)."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
-        a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +103,6 @@ class QuatMatrix:
         self.rows = int(rows)
         self.cols = int(cols)
         self.blocks = tuple(blocks)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QuatMatrix":
-        z = np.zeros((rows, cols))
-        return cls(z, z.copy(), z.copy(), z.copy())
-
-    @classmethod
-    def from_scalar(cls, q: Quaternion) -> "QuatMatrix":
-        return cls(np.array([[q.w]]), np.array([[q.x]]),
-                   np.array([[q.y]]), np.array([[q.z]]))
 
     @property
     def is_sparse(self) -> bool:
@@ -225,20 +178,6 @@ def vec_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def quat_dot(a: np.ndarray, b: np.ndarray) -> Quaternion:
-    """Quaternion inner product a* . b (conjugate on the first argument)."""
-    check_compact(a, len(a), "left vector")
-    check_compact(b, len(a), "right vector")
-    a0, a1, a2, a3 = a[:, 0], a[:, 2], a[:, 1], a[:, 3]
-    b0, b1, b2, b3 = b[:, 0], b[:, 2], b[:, 1], b[:, 3]
-    return Quaternion(
-        float(a0 @ b0 + a1 @ b1 + a2 @ b2 + a3 @ b3),
-        float(a0 @ b1 - a1 @ b0 - a2 @ b3 + a3 @ b2),
-        float(a0 @ b2 - a2 @ b0 - a3 @ b1 + a1 @ b3),
-        float(a0 @ b3 - a3 @ b0 - a1 @ b2 + a2 @ b1),
-    )
-
-
 def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Compact product M.x, or M*.x when ``adjoint`` is set.
 
@@ -301,13 +240,20 @@ class CompactBasis:
         self._buf[self._size] = v
         self._size += 1
 
+    def copy(self) -> "CompactBasis":
+        """The current vectors in a new basis of capacity ``len(self)``."""
+        out = CompactBasis(self.n, self._size)
+        out._buf[:] = self.data
+        out._size = self._size
+        return out
+
     def _flat(self) -> np.ndarray:
         """The basis as a contiguous (k, 4n) view, one vector per row."""
         return self.data.reshape(self._size, 4 * self.n)
 
     def dot_all(self, r: np.ndarray) -> np.ndarray:
-        """Quaternion inner products quat_dot(v_i, r), as a (k, 4) array
-        of (w, x, y, z) components."""
+        """Quaternion inner products v_i* . r, as a (k, 4) array of
+        (w, x, y, z) components."""
         check_compact(r, self.n, "dot_all operand")
         # rot[t, a] = conj(e_a) * r_t, so row i of the product sums
         # conj(v_i[t]) * r_t over t.  STORAGE_ORDER is its own inverse, so

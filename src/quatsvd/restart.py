@@ -1,19 +1,21 @@
 """Implicitly restarted drivers for partial quaternion SVD.
 
-Two augmentation strategies shrink a full-size factorization to a small
-set of retained directions plus the residual direction, then re-expand it
-with plain Lanczos steps:
+Both restarts are augmented (Baglama & Reichel, SIAM J. Sci. Comput.
+27(1), 2005): they keep t retained directions, take one Lanczos step from
+an augmentation vector and re-expand with plain steps.  The vector half of
+that step, breakdowns included, is done by the step helpers of
+:mod:`quatsvd.bidiag`; a cycle here computes only its projected algebra:
 
-* Ritz augmentation targets the k `largest` triplets.  The retained Ritz
-  vectors and the normalized residual form the new bases, and the
-  projected matrix becomes an arrow matrix (retained singular values on
-  the diagonal, residual couplings in the last column).
+* Ritz augmentation targets the k `largest` triplets.  It retains Ritz
+  vectors from the SVD of B, continues from the residual, removes the
+  couplings rho = beta * (last row of the left singular vectors) from the
+  new left vector, and B becomes an arrow matrix.
 
 * Harmonic augmentation targets the k `smallest` triplets of a
-  nonsingular matrix.  Retention is driven by the smallest singular
-  triplets of the row-extended projected matrix [B, beta*e_last]; the new
-  right basis comes from a QR factorization of the harmonic coefficient
-  matrix and the projected matrix becomes upper triangular.
+  nonsingular matrix.  It retains the smallest triplets of the
+  row-extended matrix [B, beta*e_last], combines the right basis by the
+  Q factor of a QR of the harmonic coefficients, removes q_k beta from
+  the new left vector, and B becomes R^-1 times an arrow matrix.
 
 A triplet (sigma_j, u_j, v_j) of the projected matrix is accepted once
 ``beta_last * |last component of u_j| <= delta * sigma_max`` where
@@ -41,15 +43,15 @@ from . import smalldense
 from .bidiag import (
     BREAKDOWN_TOL,
     KrylovState,
-    _fresh_direction,
+    close_step,
     lanczos_extend,
+    next_left,
+    next_right,
     start_state,
 )
 from .quatlin import (
     CompactBasis,
     QuatMatrix,
-    orthogonalize_against_basis,
-    orthogonalize_with_coeffs,
     random_unit_vector,
     structured_matvec,
     vec_norm,
@@ -181,6 +183,13 @@ def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
     return np.hstack([B, col])
 
 
+def _arrow(sig: np.ndarray, col: np.ndarray, alpha: float) -> np.ndarray:
+    """Arrow matrix [diag(sig), col; 0, alpha] of order len(sig) + 1."""
+    A = np.diag(np.append(sig, alpha))
+    A[:-1, -1] = col
+    return A
+
+
 # ---------------------------------------------------------------------------
 # Ritz augmentation (largest triplets)
 # ---------------------------------------------------------------------------
@@ -190,54 +199,28 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     """One Ritz-augmented restart, re-expanded to ``state.steps`` steps.
 
     ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``).  Retains
-    the t largest Ritz pairs of the projected matrix, appends the
-    normalized residual direction, forms the arrow projected matrix and
-    extends with plain Lanczos steps.  Rewrites ``state`` in place and
-    returns it; a vanished new left vector deflates as ``(t, "alpha")``.
+    the t largest Ritz pairs and continues from the residual.  Computes the
+    couplings rho = beta_k U[last, :t], removes them from the new left
+    vector and sets B to the arrow [diag(sigma), rho + removed
+    coefficients; 0, alpha].  Rewrites ``state`` in place and returns it.
     """
     k = state.steps
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
-    sig = res.sigmas[:t]
-    beta_k = state.beta_last
     scale = max(state.sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
-    if beta_k <= BREAKDOWN_TOL * scale:
-        # Exact invariant subspace: restart in the orthogonal complement
-        # of the whole basis, so draw before P is overwritten.
-        p_aug = _fresh_direction(M.cols, state.P, state.rng)
-        rho = np.zeros(t)
-    else:
-        p_aug = state.f * (1.0 / beta_k)
-        rho = beta_k * res.U[-1, :t]
-    P = state.P.combine_matrix(res.V[:, :t])
-    Q = state.Q.combine_matrix(res.U[:, :t])
+    # On an exact invariant subspace the fresh direction must avoid the
+    # whole basis, so it is drawn before P is overwritten.
+    p_aug, beta_k = next_right(M, state, scale)
+    rho = beta_k * res.U[-1, :t]
+    state.P.combine_matrix(res.V[:, :t])
+    state.Q.combine_matrix(res.U[:, :t])
 
-    w = structured_matvec(M, p_aug)
+    w = structured_matvec(M, p_aug) - state.Q.combine_real(rho)
     state.matvecs += 1
-    if t:
-        w = w - Q.combine_real(rho)
-        w, extra = orthogonalize_with_coeffs(w, Q)
-        rho = rho + extra[:, 0]
-    alpha_new = vec_norm(w)
-    if alpha_new <= BREAKDOWN_TOL * scale:
-        q_new = _fresh_direction(M.rows, Q, state.rng)
-        alpha_new = 0.0
-        state.deflations.append((t, "alpha"))
-    else:
-        q_new = w * (1.0 / alpha_new)
-
-    state.B = np.zeros((t + 1, t + 1))
-    if t:
-        np.fill_diagonal(state.B[:t, :t], sig)
-        state.B[:t, t] = rho
-    state.B[t, t] = alpha_new
-
-    P.append(p_aug)
-    Q.append(q_new)
-    f = structured_matvec(M, q_new, adjoint=True) - p_aug * alpha_new
-    state.matvecs += 1
-    state.f = orthogonalize_against_basis(f, P)
-    state.beta_last = vec_norm(state.f)
+    q_new, alpha_new, coeffs = next_left(M, state, w, scale)
+    state.B = _arrow(res.sigmas[:t], rho + coeffs[:, 0], alpha_new)
+    state.P.append(p_aug)
+    close_step(M, state, q_new)
     return lanczos_extend(M, state, k)
 
 
@@ -267,12 +250,13 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
 
     ``res`` is the SVD of the row-extended matrix [B, beta*e_last]
     (``ConvergenceCheck.svd`` in harmonic mode).  Retains the t smallest
-    harmonic pairs.  Requires the projected matrix to be safely
-    nonsingular and ``beta_last > 0``; raises
-    :class:`NearSingularProjection` otherwise so the driver can restart
-    from a perturbed seed vector, which discards ``state``.  Otherwise
-    rewrites ``state`` in place and returns it; a vanished new left vector
-    deflates as ``(t, "alpha")``.
+    harmonic pairs: the right basis becomes [P, f/beta] Qc for the QR
+    factorization Qc Rc of the harmonic coefficients, the new left vector
+    loses q_k beta, and B becomes Rc^-1 [diag(sigma), removed
+    coefficients; 0, alpha].  Rewrites ``state`` in place.  Raises
+    :class:`NearSingularProjection` when B is nearly singular, beta_last
+    vanishes or a factor is rank deficient; the solver then discards
+    ``state`` and restarts from a perturbed seed vector.
     """
     k = state.steps
     if not 1 <= t < k:
@@ -300,34 +284,16 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     w = structured_matvec(M, p_aug) - state.Q.data[k - 1] * beta_k
     state.matvecs += 1
     state.P.append(p_aug)
-    P = state.P.combine_matrix(Qc)
-    Q = state.Q.combine_matrix(U_t)
+    state.P.combine_matrix(Qc)
+    state.Q.combine_matrix(U_t)
 
-    w, coeffs = orthogonalize_with_coeffs(w, Q)
-    c_hat = coeffs[:, 0]
-    alpha_new = vec_norm(w)
-    if alpha_new <= BREAKDOWN_TOL * scale:
-        q_new = _fresh_direction(M.rows, Q, state.rng)
-        alpha_new = 0.0
-        state.deflations.append((t, "alpha"))
-    else:
-        q_new = w * (1.0 / alpha_new)
-
-    D = np.zeros((t + 1, t + 1))
-    np.fill_diagonal(D[:t, :t], sig)
-    D[:t, t] = c_hat
-    D[t, t] = alpha_new
+    q_new, alpha_new, coeffs = next_left(M, state, w, scale)
     try:
-        state.B = smalldense.tri_solve_upper(Rc, D)
+        state.B = smalldense.tri_solve_upper(
+            Rc, _arrow(sig, coeffs[:, 0], alpha_new))
     except smalldense.NearSingularError as exc:
         raise NearSingularProjection(str(exc)) from exc
-
-    Q.append(q_new)
-    f = structured_matvec(M, q_new, adjoint=True) - \
-        P.data[t] * float(state.B[t, t])
-    state.matvecs += 1
-    state.f = orthogonalize_against_basis(f, P)
-    state.beta_last = vec_norm(state.f)
+    close_step(M, state, q_new)
     return lanczos_extend(M, state, k)
 
 
@@ -348,7 +314,8 @@ def _extract_triplets(state: KrylovState, k: int, which: str,
                       flags: np.ndarray,
                       res: smalldense.SvdResult) -> TripletSet:
     """Reported triplets from ``res``, the SVD of the square ``state.B``.
-    The triplet bases are the state's own, combined in place."""
+    The triplet bases are combined in the state's workspace and copied out
+    to k slots, so the result does not keep the workspace alive."""
     order = _target_order(res.sigmas, which)[:k]
     sigmas = res.sigmas[order].copy()
     # Reported bounds cannot certify below the roundoff of the
@@ -362,8 +329,8 @@ def _extract_triplets(state: KrylovState, k: int, which: str,
     if np.any(np.abs(np.diff(sigmas)) <= tie):
         order, sigmas, bounds, flags = \
             order[perm], sigmas[perm], bounds[perm], flags[perm]
-    U = state.Q.combine_matrix(res.U[:, order])
-    V = state.P.combine_matrix(res.V[:, order])
+    U = state.Q.combine_matrix(res.U[:, order]).copy()
+    V = state.P.combine_matrix(res.V[:, order]).copy()
     return TripletSet(sigmas=sigmas, U=U, V=V, bounds=bounds,
                       converged=flags.copy(), which=which)
 

@@ -12,7 +12,6 @@ from quatsvd.bidiag import (
 )
 from quatsvd.quatlin import (
     QuatMatrix,
-    Quaternion,
     random_unit_vector,
     vec_norm,
 )
@@ -23,10 +22,11 @@ from conftest import (
     from_quaternion,
     rand_qmat,
 )
+from oracles import Quaternion, scalar_matrix
 
 
 def test_scalar_full_quaternion():
-    M = QuatMatrix.from_scalar(Quaternion(1, 1, 1, 1))
+    M = scalar_matrix(Quaternion(1, 1, 1, 1))
     p1 = from_quaternion(Quaternion(1, 0, 0, 0))
     F = lanczos_bidiag(M, p1, 1, np.random.default_rng(0))
     assert F.B[0, 0] == pytest.approx(2.0, abs=1e-15)

@@ -18,7 +18,6 @@ from quatsvd.quatlin import (
     QuatMatrix,
     expand_real_counterpart,
     expand_vector,
-    quat_dot,
     structured_matvec,
 )
 from quatsvd.restart import (
@@ -30,6 +29,7 @@ from quatsvd.restart import (
 )
 
 from conftest import basis_of, triplets_of
+from oracles import quat_dot
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)

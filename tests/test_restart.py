@@ -7,7 +7,6 @@ import pytest
 from quatsvd.bidiag import factorization_errors, lanczos_bidiag
 from quatsvd.quatlin import (
     QuatMatrix,
-    Quaternion,
     expand_real_counterpart,
     expand_vector,
     random_unit_vector,
@@ -35,6 +34,7 @@ from conftest import (
     rand_qmat,
     synthetic_triplets,
 )
+from oracles import Quaternion, scalar_matrix
 
 
 def make_state(M, m_b, seed=3):
@@ -249,6 +249,25 @@ class TestHarmonicCycle:
         assert np.shares_memory(state.P.data, P0)
         assert np.shares_memory(state.Q.data, Q0)
 
+    def test_rank_exhausted_augmentation_deflates(self, rng):
+        # A rank-3 matrix with a 3-step basis: the augmentation step finds
+        # no new left direction, deflates it to a fresh one with a zero
+        # coefficient and keeps the factorization exact.
+        T = synthetic_triplets(rng, 6, 4, [4.0, 2.5, 1.0])
+        M = matrix_from_triplets_expansion(T)
+        state = make_state(M, 3)
+        before = len(state.deflations)
+        out = harmonic_cycle(M, state, 2)
+        assert (2, "alpha") in out.deflations[before:]
+        assert out.B[2, 2] == 0.0
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert errs["direct"] <= 1e-12 * 4.0
+        assert errs["adjoint"] <= 1e-12 * 4.0
+        assert errs["P_orth"] <= 1e-12
+        assert errs["Q_orth"] <= 1e-12
+        got = np.linalg.svd(out.B, compute_uv=False)
+        assert np.allclose(got, [2.5, 1.0, 0.0], atol=1e-11)
+
     def test_projection_stays_upper_triangular(self, rng):
         M = rand_qmat(rng, 25, 25)
         state = make_state(M, 10)
@@ -259,7 +278,7 @@ class TestHarmonicCycle:
 
 class TestSolver:
     def test_scalar_quaternion(self):
-        M = QuatMatrix.from_scalar(Quaternion(1, 1, 1, 1))
+        M = scalar_matrix(Quaternion(1, 1, 1, 1))
         T, trace = solve_partial_svd(M, SolverOptions(k=1, seed=9))
         assert T.sigmas[0] == pytest.approx(2.0, abs=1e-12)
         assert trace.cycles == 1
@@ -299,6 +318,18 @@ class TestSolver:
         assert np.abs(T.sigmas - true_vals[::-1][:3]).max() <= \
             1e-6 * true_vals[0]
         assert T.U.n == 18 and T.V.n == 30
+
+    @pytest.mark.parametrize("which, m, n", [("largest", 30, 20),
+                                             ("smallest", 30, 20),
+                                             ("smallest", 18, 30)])
+    def test_triplet_bases_hold_only_the_triplets(self, rng, which, m, n):
+        # The reported bases are k-slot copies, not views of the solve's
+        # (m_b+1)-slot workspace (the wide case runs on the adjoint).
+        M = rand_qmat(rng, m, n)
+        T, _ = solve_partial_svd(
+            M, SolverOptions(k=3, which=which, m_b=10, seed=1))
+        assert T.U.capacity == T.V.capacity == len(T)
+        assert (T.U.n, T.V.n) == (m, n)
 
     def test_unconverged_flagged_and_best_effort(self, rng):
         M = rand_qmat(rng, 40, 30)
