@@ -1,8 +1,11 @@
 """Partial Lanczos bidiagonalization of quaternion matrices.
 
 Runs the two-sided recurrence entirely in compact storage: each step costs
-one matvec, one adjoint matvec and two reorthogonalization sweeps.  The
-produced bases are orthonormal in the quaternion inner product and satisfy
+one matvec, one adjoint matvec and a full reorthogonalization of each new
+vector against its basis, by classical Gram-Schmidt with a second pass only
+where the DGKS criterion asks for one (see
+:func:`quatsvd.quatlin.orthogonalize_against_basis`).  The produced bases
+are orthonormal in the quaternion inner product and satisfy
 
     M P_k = Q_k B_k,      M* Q_k = P_k B_k' + f e_k'
 

@@ -57,6 +57,10 @@ _CONJ_TABLE = QUAT_CONJ[:, None, None] * QUAT_TABLE
 # Density threshold below which sparse blocks keep a sparse matvec path.
 SPARSE_DENSITY_LIMIT = 0.25
 
+# A Gram-Schmidt pass that leaves at most this fraction of its input's
+# norm has lost orthogonality to cancellation and is repeated (DGKS).
+_DGKS_ETA = 1.0 / math.sqrt(2.0)
+
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -255,11 +259,11 @@ class CompactBasis:
         """Quaternion inner products v_i* . r, as a (k, 4) array of
         (w, x, y, z) components."""
         check_compact(r, self.n, "dot_all operand")
-        # rot[t, a] = conj(e_a) * r_t, so row i of the product sums
-        # conj(v_i[t]) * r_t over t.  STORAGE_ORDER is its own inverse, so
-        # it also maps storage columns back to (w, x, y, z).
-        rot = np.tensordot(r, _CONJ_TABLE, axes=(1, 1))
-        return (self._flat() @ rot.reshape(4 * self.n, 4))[:, STORAGE_ORDER]
+        # G[i, a, b] = sum_t v_i[t, a] r[t, b], so v_i* . r is the sum over
+        # (a, b) of G[i, a, b] conj(e_a) e_b.  STORAGE_ORDER is its own
+        # inverse, so it also maps storage columns back to (w, x, y, z).
+        G = np.matmul(self.data.transpose(0, 2, 1), r)
+        return (G.reshape(-1, 16) @ _CONJ_TABLE.reshape(16, 4))[:, STORAGE_ORDER]
 
     def combine_quat(self, coeffs: np.ndarray) -> np.ndarray:
         """Right-linear combination sum_i v_i * q_i for quaternion
@@ -301,8 +305,11 @@ def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
 def orthogonalize_against_basis(r: np.ndarray, B: CompactBasis) -> np.ndarray:
     """Project r onto the orthogonal complement of the span of B.
 
-    Two passes of classical Gram-Schmidt with quaternion right
-    coefficients; twice is enough to restore orthogonality to roundoff.
+    Classical Gram-Schmidt with quaternion right coefficients.  A second
+    pass runs only when the first one cut the norm of r to at most
+    1/sqrt(2) of its input, the DGKS criterion (Daniel, Gragg, Kaufman &
+    Stewart, Math. Comp. 30(136), 1976); with it the result is orthogonal
+    to B to roundoff.
     """
     out, _ = orthogonalize_with_coeffs(r, B)
     return out
@@ -312,10 +319,10 @@ def orthogonalize_with_coeffs(r: np.ndarray, B: CompactBasis):
     """Like :func:`orthogonalize_against_basis` but also returns the total
     removed coefficients as a (k, 4) quaternion component array.  ``r``
     is not modified."""
-    out = r
-    total = np.zeros((len(B), 4))
-    for _ in range(2):
-        coeffs = B.dot_all(out)
-        total += coeffs
-        out = out - B.combine_quat(coeffs)
-    return out, total
+    coeffs = B.dot_all(r)
+    out = r - B.combine_quat(coeffs)
+    if vec_norm(out) <= _DGKS_ETA * vec_norm(r):
+        again = B.dot_all(out)
+        coeffs += again
+        out -= B.combine_quat(again)
+    return out, coeffs

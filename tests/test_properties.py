@@ -9,18 +9,21 @@ entries of a small coordinate file.
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatsvd import io as qio
-from quatsvd.bidiag import factorization_errors
+from quatsvd.bidiag import factorization_errors, lanczos_bidiag
 from quatsvd.quatlin import (
+    CompactBasis,
     QuatMatrix,
     expand_real_counterpart,
     expand_vector,
+    random_unit_vector,
     structured_matvec,
 )
 from quatsvd.restart import (
+    NearSingularProjection,
     _augmented_projection,
     _initial_state,
     check_convergence,
@@ -28,7 +31,7 @@ from quatsvd.restart import (
     ritz_augment_cycle,
 )
 
-from conftest import basis_of, triplets_of
+from conftest import matrix_from_triplets_expansion, synthetic_triplets, triplets_of
 from oracles import quat_dot
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -68,13 +71,18 @@ def test_matvec_matches_expanded_counterpart(drawn, adjoint):
 
 
 @SETTINGS
-@given(st.integers(1, 20), st.integers(1, 6), SEEDS)
+@given(st.integers(1, 20), st.integers(0, 6), SEEDS)
+# Every fresh start orthogonalizes against an empty left basis.
+@example(5, 0, 0)
 def test_dot_all_matches_quat_dot_loop(n, k, seed):
     rng = np.random.default_rng(seed)
-    basis = basis_of(rng.standard_normal((n, 4)) for _ in range(k))
+    basis = CompactBasis(n, k)
+    for _ in range(k):
+        basis.append(rng.standard_normal((n, 4)))
     r = rng.standard_normal((n, 4))
     got = basis.dot_all(r)
     assert got.shape == (k, 4)
+    assert np.array_equal(basis.combine_quat(np.zeros((k, 4))), np.zeros((n, 4)))
     for i, v in enumerate(basis.data):
         q = quat_dot(v, r)
         scale = np.abs(v).sum() * np.abs(r).max()
@@ -122,6 +130,40 @@ def test_harmonic_restarts_keep_factorization(drawn, data):
     m_b = data.draw(st.integers(2, M.cols - 1), label="m_b")
     t = data.draw(st.integers(1, m_b - 1), label="t")
     _restart_twice(M, rng, m_b, t, harmonic=True)
+
+
+@st.composite
+def graded_matrices(draw):
+    """Tall or square QuatMatrix of 30-60 rows with singular values
+    logspace(0, -c), c in [0, 14]."""
+    m = draw(st.integers(30, 60))
+    n = draw(st.integers(30, m))
+    c = draw(st.floats(0, 14))
+    rng = np.random.default_rng(draw(SEEDS))
+    T = synthetic_triplets(rng, m, n, np.logspace(0, -c, n))
+    return matrix_from_triplets_expansion(T), rng
+
+
+@SETTINGS
+@given(graded_matrices(), st.data())
+def test_graded_spectrum_keeps_both_bases_orthogonal(drawn, data):
+    # Without full reorthogonalization of both bases, orthogonality decays
+    # with the condition of B, so a graded spectrum exposes it.
+    M, rng = drawn
+    m_b = data.draw(st.integers(2, M.cols - 1), label="m_b")
+    t = data.draw(st.integers(1, m_b - 1), label="t")
+    state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
+    errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+    assert errs["P_orth"] <= 1e-12
+    assert errs["Q_orth"] <= 1e-12
+    _restart_twice(M, rng, m_b, t, harmonic=False)
+    try:
+        _restart_twice(M, rng, m_b, t, harmonic=True)
+    except NearSingularProjection:
+        # A flat spectrum (c = 0) makes every Krylov space invariant: the
+        # run deflates, and a harmonic restart refuses the vanished
+        # residual so that the solver starts over from a new seed.
+        assert (m_b - 1, "beta") in state.deflations
 
 
 @st.composite

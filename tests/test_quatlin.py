@@ -11,6 +11,7 @@ from quatsvd.quatlin import (
     expand_real_counterpart,
     expand_vector,
     orthogonalize_against_basis,
+    orthogonalize_with_coeffs,
     random_unit_vector,
     structure_matrices,
     structured_matvec,
@@ -268,6 +269,38 @@ class TestOrthogonalize:
         once = orthogonalize_against_basis(r, basis)
         twice = orthogonalize_against_basis(once, basis)
         assert np.abs(twice - once).max() <= 1e-13
+
+    @staticmethod
+    def _counted_passes(monkeypatch, r, basis):
+        """orthogonalize_with_coeffs(r, basis) and its number of
+        Gram-Schmidt passes, one dot_all call each."""
+        calls = []
+        dot_all = CompactBasis.dot_all
+
+        def counting(self, x):
+            calls.append(1)
+            return dot_all(self, x)
+
+        monkeypatch.setattr(CompactBasis, "dot_all", counting)
+        out, total = orthogonalize_with_coeffs(r, basis)
+        # Whatever the pass count, the coefficients account for all that
+        # was removed.
+        assert vec_norm(out + basis.combine_quat(total) - r) \
+            <= 1e-14 * vec_norm(r)
+        return out, len(calls)
+
+    def test_generic_vector_takes_one_pass(self, rng, monkeypatch):
+        basis = orthonormal_basis(rng, 200, 4)
+        r = random_unit_vector(200, rng)
+        _, passes = self._counted_passes(monkeypatch, r, basis)
+        assert passes == 1
+
+    def test_cancellation_takes_second_pass(self, rng, monkeypatch):
+        basis = orthonormal_basis(rng, 200, 4)
+        r = basis.data[0] + 1e-6 * rng.standard_normal((200, 4))
+        out, passes = self._counted_passes(monkeypatch, r, basis)
+        assert passes == 2
+        assert np.abs(basis.dot_all(out)).max() <= 1e-13 * vec_norm(out)
 
 
 class TestCompactBasis:
