@@ -6,12 +6,16 @@ entries sorted row-major when :func:`gen_sparse_block` or
 
 All readers are strict: malformed input raises :class:`MalformedFileError`
 with the byte offset of the offending token, and nothing is returned
-partially.  Writers are deterministic; floats are printed with 17
-significant digits so a write/read round-trip is bit exact.
+partially.  The entries of a Matrix Market file are parsed in one numpy
+call; a body that call does not take whole is parsed again line by line,
+which either returns the same entries or names the offending line.
+Writers are deterministic; floats are printed with 17 significant digits
+so a write/read round-trip is bit exact.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import struct
 
@@ -60,76 +64,138 @@ def _summed_coo(rows, cols, vals, shape) -> sp.coo_matrix:
     return sp.coo_matrix((acc, (keys // width, keys % width)), shape=shape)
 
 
+def _lines(raw: bytes, offset: int):
+    """(offset, line) for each ``\\n``-separated line of ``raw`` from
+    ``offset`` on, as ``raw[offset:].split(b"\\n")`` would give them."""
+    while True:
+        end = raw.find(b"\n", offset)
+        if end < 0:
+            yield offset, raw[offset:]
+            return
+        yield offset, raw[offset:end]
+        offset = end + 1
+
+
+# numpy splits fields on unicode whitespace, bytes.split() only on ASCII
+# space, tab, CR, LF, VT and FF.  A body with a non-ASCII byte or one of
+# these bytes (a comment marker, or the ASCII separators that are unicode
+# whitespace) is left to the line loop.
+_MM_LOOP_BYTES = (b"%", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_MM_ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
+
+
+def _parse_body(body: bytes, rows: int, cols: int, nnz: int):
+    """The (row, col, value) arrays of the entry lines in one numpy parse,
+    or None when the body is not plain ASCII entries that all pass the
+    count and range checks; the line loop then decides."""
+    if (not nnz or not body.strip() or not body.isascii()
+            or any(b in body for b in _MM_LOOP_BYTES)):
+        return None
+    try:
+        entries = np.loadtxt(io.BytesIO(body), dtype=_MM_ENTRY, comments=None,
+                             ndmin=1)
+    except ValueError:
+        return None
+    r, c, v = entries["r"], entries["c"], entries["v"]
+    if (r.size != nnz or r.min() < 1 or r.max() > rows
+            or c.min() < 1 or c.max() > cols):
+        return None
+    return r, c, v
+
+
+def _parse_lines(path, raw: bytes, start: int, rows: int, cols: int,
+                 nnz: int):
+    """The entry lines from byte ``start`` on, parsed one line at a time;
+    a malformed line raises with its byte offset."""
+    rs, cs, vs = [], [], []
+    for offset, line in _lines(raw, start):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(b"%"):
+            continue
+        try:
+            r, c, v = stripped.split()
+            r, c, v = int(r), int(c), float(v)
+        except ValueError:
+            raise MalformedFileError(path, offset, "bad entry line") from None
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            raise MalformedFileError(
+                path, offset, f"index ({r}, {c}) out of range "
+                f"{rows}x{cols}")
+        rs.append(r)
+        cs.append(c)
+        vs.append(v)
+    if len(rs) != nnz:
+        raise MalformedFileError(path, len(raw),
+                                 f"expected {nnz} entries, found {len(rs)}")
+    return (np.array(rs, dtype=np.int64), np.array(cs, dtype=np.int64),
+            np.array(vs, dtype=np.float64))
+
+
 def read_matrix_market(path) -> sp.coo_matrix:
     """Read a real coordinate-format file (general or symmetric).
 
     Symmetric storage is expanded; duplicate entries are summed in file
     order; indices are converted from 1-based to 0-based.  The entries of
     the returned COO matrix are sorted row-major.
+
+    The header and size line are read line by line, the entries in one
+    numpy parse.  A body that parse does not take whole (a comment line, a
+    malformed or out-of-range entry, a wrong count) is read again one line
+    at a time, which returns the same entries or raises at the offending
+    line's byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.split(b"\n")
-    match = _MM_HEADER.match(lines[0].rstrip(b"\r"))
+    lines = _lines(raw, 0)
+    _, head = next(lines)
+    match = _MM_HEADER.match(head.rstrip(b"\r"))
     if match is None:
         raise MalformedFileError(path, 0, "bad MatrixMarket header")
     symmetric = match.group(2).lower() == b"symmetric"
 
-    size_seen = False
-    rows = cols = nnz = 0
-    rs, cs, vs = [], [], []
-    count = 0
-    offset = len(lines[0]) + 1
-    for line in lines[1:]:
+    for offset, line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith(b"%"):
-            offset += len(line) + 1
             continue
-        fields = stripped.split()
-        if not size_seen:
-            try:
-                rows, cols, nnz = (int(f) for f in fields)
-            except ValueError:
-                raise MalformedFileError(path, offset, "bad size line") from None
-            if min(rows, cols, nnz) < 0:
-                raise MalformedFileError(path, offset, "bad size line")
-            size_seen = True
-        else:
-            try:
-                r, c, v = fields
-                r, c, v = int(r), int(c), float(v)
-            except ValueError:
-                raise MalformedFileError(path, offset, "bad entry line") from None
-            if not (1 <= r <= rows and 1 <= c <= cols):
-                raise MalformedFileError(
-                    path, offset, f"index ({r}, {c}) out of range "
-                    f"{rows}x{cols}")
-            rs.append(r - 1)
-            cs.append(c - 1)
-            vs.append(v)
-            if symmetric and r != c:
-                rs.append(c - 1)
-                cs.append(r - 1)
-                vs.append(v)
-            count += 1
-        offset += len(line) + 1
-    if not size_seen:
-        raise MalformedFileError(path, offset, "missing size line")
-    if count != nnz:
-        raise MalformedFileError(path, len(raw),
-                                 f"expected {nnz} entries, found {count}")
-    return _summed_coo(rs, cs, vs, (rows, cols))
+        try:
+            rows, cols, nnz = (int(f) for f in stripped.split())
+        except ValueError:
+            raise MalformedFileError(path, offset, "bad size line") from None
+        if min(rows, cols, nnz) < 0:
+            raise MalformedFileError(path, offset, "bad size line")
+        break
+    else:
+        raise MalformedFileError(path, len(raw) + 1, "missing size line")
+
+    start = offset + len(line) + 1
+    entries = _parse_body(raw[start:], rows, cols, nnz)
+    if entries is None:
+        entries = _parse_lines(path, raw, start, rows, cols, nnz)
+    r, c, v = entries
+    if symmetric:
+        # Each off-diagonal entry is followed by its mirror, so duplicates
+        # are still summed in file order.
+        keep = np.stack([np.ones_like(r, dtype=bool), r != c], axis=1).ravel()
+        r, c = (np.stack([r, c], axis=1).ravel()[keep],
+                np.stack([c, r], axis=1).ravel()[keep])
+        v = np.repeat(v, 2)[keep]
+    return _summed_coo(r - 1, c - 1, v, (rows, cols))
 
 
 def write_matrix_market(block: sp.coo_matrix, path) -> None:
     """Write a COO matrix as a real general coordinate file, entries in
     storage order."""
+    nnz = block.nnz
+    # One interleaved list of Python ints and floats, formatted in a single
+    # call: the bytes are those of a per-entry f"{v:.17g}".
+    flat = [None] * (3 * nnz)
+    flat[0::3] = (block.row + 1).tolist()
+    flat[1::3] = (block.col + 1).tolist()
+    flat[2::3] = block.data.tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{block.shape[0]} {block.shape[1]} {block.nnz}\n")
-        for r, c, v in zip(block.row.tolist(), block.col.tolist(),
-                           block.data.tolist()):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+        fh.write(f"{block.shape[0]} {block.shape[1]} {nnz}\n")
+        fh.write(("%d %d %.17g\n" * nnz) % tuple(flat))
 
 
 def assemble_jrs_blocks(B0, B1, B2, B3, n: int) -> QuatMatrix:

@@ -84,11 +84,12 @@ class QuatMatrix:
     are kept sparse when the overall density is below
     ``SPARSE_DENSITY_LIMIT``, otherwise they are densified up front.
     NaN or infinite entries are rejected with a ``ValueError`` naming the
-    block.  Instances are immutable by convention: no method mutates the
-    blocks.
+    block.  ``max_abs[i]`` is the largest entry magnitude of block Mi, so a
+    block with ``max_abs[i] == 0`` is all zeros.  Instances are immutable by
+    convention: no method mutates the blocks.
     """
 
-    __slots__ = ("rows", "cols", "blocks")
+    __slots__ = ("rows", "cols", "blocks", "max_abs")
 
     def __init__(self, M0, M1, M2, M3):
         first = M0.tocsr() if sp.issparse(M0) else np.asarray(M0, dtype=np.float64)
@@ -96,9 +97,15 @@ class QuatMatrix:
             raise ValueError("blocks must be 2-d")
         rows, cols = first.shape
         blocks = [first] + [_as_block(b, rows, cols) for b in (M1, M2, M3)]
+        max_abs = []
         for i, b in enumerate(blocks):
-            if not np.isfinite(b.data if sp.issparse(b) else b).all():
+            data = b.data if sp.issparse(b) else b
+            # max and min propagate NaN and reach any infinity, so the one
+            # pass that finds the magnitude also checks finiteness.
+            hi, lo = float(data.max(initial=0.0)), float(data.min(initial=0.0))
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise ValueError(f"block M{i} has NaN or infinite entries")
+            max_abs.append(max(hi, -lo))
         if any(sp.issparse(b) for b in blocks):
             nnz = sum(b.nnz if sp.issparse(b) else np.count_nonzero(b)
                       for b in blocks)
@@ -107,6 +114,7 @@ class QuatMatrix:
         self.rows = int(rows)
         self.cols = int(cols)
         self.blocks = tuple(blocks)
+        self.max_abs = tuple(max_abs)
 
     @property
     def is_sparse(self) -> bool:
@@ -185,18 +193,20 @@ def vec_norm(x: np.ndarray) -> float:
 def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Compact product M.x, or M*.x when ``adjoint`` is set.
 
-    Four real block products on the whole (n, 4) array, mixed by the
-    product table; the 4m-by-4n counterpart is never materialized.
-    ``adjoint=True`` corresponds to multiplying by the transpose of the
-    real counterpart.
+    One real block product on the whole (n, 4) array per nonzero block,
+    mixed by the product table; the 4m-by-4n counterpart is never
+    materialized.  A pure quaternion matrix (zero M0, as images are
+    encoded) takes three products.  ``adjoint=True`` corresponds to
+    multiplying by the transpose of the real counterpart.
     """
     check_compact(x, M.rows if adjoint else M.cols, "matvec operand")
-    blocks = [M.blocks[s] for s in STORAGE_ORDER]
-    if adjoint:
-        prods, table = [(x.T @ b).T for b in blocks], _CONJ_TABLE
-    else:
-        prods, table = [b @ x for b in blocks], QUAT_TABLE
-    return sum(p @ t for p, t in zip(prods, table))
+    table = _CONJ_TABLE if adjoint else QUAT_TABLE
+    out = np.zeros((M.cols if adjoint else M.rows, 4))
+    for a, s in enumerate(STORAGE_ORDER):
+        if M.max_abs[s]:
+            b = M.blocks[s]
+            out += ((x.T @ b).T if adjoint else b @ x) @ table[a]
+    return out
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

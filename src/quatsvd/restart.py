@@ -35,9 +35,11 @@ extract the reported triplets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import smalldense
 from .bidiag import (
@@ -68,6 +70,11 @@ MAX_SINGULAR_RESTARTS = 5
 # Harmonic restarts abort when a diagonal entry of the projected matrix
 # falls to this fraction of sigma_max.
 NEAR_SINGULAR_TOL = 1e-12
+
+# A matrix whose largest entry magnitude lies outside
+# [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled by a power of two,
+# so that sums of squares of its entries neither overflow nor underflow.
+SAFE_EXPONENT = 400
 
 
 class NearSingularProjection(RuntimeError):
@@ -341,13 +348,26 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     Returns ``(TripletSet, ConvergenceTrace)``.  On non-convergence after
     ``opts.maxit`` restarts the best current approximations are returned
     with their ``converged`` flags showing which triplets met the
-    tolerance.
+    tolerance.  A matrix whose largest entry magnitude lies outside
+    [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved times a power of two,
+    and the singular values and bounds are scaled back.
     """
     if opts.which not in (WHICH_LARGEST, WHICH_SMALLEST):
         raise ValueError(f"unknown mode {opts.which!r}")
     m, n = M.rows, M.cols
     if not 1 <= opts.k <= min(m, n):
         raise ValueError(f"k={opts.k} out of range 1..{min(m, n)}")
+
+    peak = max(M.max_abs)
+    if peak and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
+        # Solve M 2**-e, whose largest entry lies in [1/2, 1), and scale
+        # the singular values and bounds back; the vectors are the same.
+        e = math.frexp(peak)[1]
+        triplets, trace = solve_partial_svd(_scaled(M, -e), opts)
+        trace.rows = [(cycle, j, float(np.ldexp(bound, e)), matvecs)
+                      for cycle, j, bound, matvecs in trace.rows]
+        return replace(triplets, sigmas=np.ldexp(triplets.sigmas, e),
+                       bounds=np.ldexp(triplets.bounds, e)), trace
 
     if opts.which == WHICH_SMALLEST and m < n:
         # Work on the adjoint so the projected matrix tracks the nonzero
@@ -398,6 +418,16 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
 
     res = smalldense.dense_svd(state.B) if harmonic else chk.svd
     return _extract_triplets(state, opts.k, opts.which, chk.flags, res), trace
+
+
+def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
+    """M times 2**e, exact unless an entry leaves the normal range."""
+    def scale(b):
+        if sp.issparse(b):
+            return sp.csr_matrix((np.ldexp(b.data, e), b.indices, b.indptr),
+                                 shape=b.shape)
+        return np.ldexp(b, e)
+    return QuatMatrix(*(scale(b) for b in M.blocks))
 
 
 def _initial_state(M: QuatMatrix, rng: np.random.Generator, m_b: int,

@@ -1,5 +1,7 @@
 """Readers and writers: strictness, round trips, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -87,12 +89,17 @@ class TestMatrixMarket:
                            match=f"byte {len(header)}: bad size line"):
             qio.read_matrix_market(path)
 
+    # The last five hold a separator the line loop does not split fields
+    # on: a trailing comment, a lone CR between two entries, and bytes that
+    # are unicode whitespace but not ASCII whitespace.
     @pytest.mark.parametrize("entry", ["1 1", "1 1 1.0 2.0", "1 x 1.0",
-                                       "1 1 y"])
+                                       "1 1 y", "1 1 1.0 % note",
+                                       "1 1 1.0\r2 2 2.0", "1\xa01 1.0",
+                                       "1 1\x1c1.0", "1 1 1.0\x85"])
     def test_malformed_entry_line(self, tmp_path, entry):
         path = tmp_path / "ent.mtx"
         head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n"
-        path.write_text(f"{head}{entry}\n")
+        path.write_text(f"{head}{entry}\n", encoding="latin-1")
         with pytest.raises(qio.MalformedFileError,
                            match=f"byte {len(head)}: bad entry line"):
             qio.read_matrix_market(path)
@@ -101,8 +108,74 @@ class TestMatrixMarket:
         path = tmp_path / "empty.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "0 0 0\n")
-        block = qio.read_matrix_market(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = qio.read_matrix_market(path)
         assert block.shape == (0, 0) and block.nnz == 0
+
+    GENERAL = b"%%MatrixMarket matrix coordinate real general\n"
+
+    def _read(self, tmp_path, raw):
+        path = tmp_path / "strict.mtx"
+        path.write_bytes(raw)
+        return qio.read_matrix_market(path)
+
+    def _rejects(self, tmp_path, raw, offset, reason):
+        with pytest.raises(qio.MalformedFileError) as err:
+            self._read(tmp_path, raw)
+        assert err.value.offset == offset
+        assert str(err.value).endswith(f": byte {offset}: {reason}")
+
+    def test_crlf_line_endings(self, tmp_path):
+        raw = (self.GENERAL + b"% note\r\n3 3 3\r\n1 1 1.5\r\n3 2 -2.0\r\n"
+               b"1 1 0.25\r\n")
+        assert triplets_of(self._read(tmp_path, raw)) == [
+            (0, 0, 1.75), (2, 1, -2.0)]
+
+    def test_comment_and_blank_lines_between_entries(self, tmp_path):
+        raw = (self.GENERAL + b"3 3 3\n1 1 1.5\n% inner\n\n   \n"
+               b"3 2 -2.0\n\t\n  % indented\n1 1 0.25\n\n")
+        assert triplets_of(self._read(tmp_path, raw)) == [
+            (0, 0, 1.75), (2, 1, -2.0)]
+
+    def test_underscore_in_value_accepted(self, tmp_path):
+        # As Python's float() reads it.
+        raw = self.GENERAL + b"2 2 2\n1 1 1e5_0\n2 2 1_000.5\n"
+        assert triplets_of(self._read(tmp_path, raw)) == [
+            (0, 0, 1e50), (1, 1, 1000.5)]
+
+    def test_index_above_int64_rejected(self, tmp_path):
+        head = self.GENERAL + b"2 2 2\n1 1 1.0\n"
+        self._rejects(tmp_path, head + b"9223372036854775808 1 1.0\n",
+                      len(head), "index (9223372036854775808, 1) out of "
+                      "range 2x2")
+
+    def test_out_of_range_on_last_line(self, tmp_path):
+        head = self.GENERAL + b"3 2 3\n1 1 1.0\n3 2 2.0\n"
+        self._rejects(tmp_path, head + b"2 3 3.0", len(head),
+                      "index (2, 3) out of range 3x2")
+
+    @pytest.mark.parametrize("body,found", [(b"1 1 1.0\n2 2 2.0\n", 2),
+                                            (b"", 0), (b"\n  \n", 0)])
+    def test_wrong_entry_count_rejected_at_end(self, tmp_path, body, found):
+        raw = self.GENERAL + b"2 2 1\n" + body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._rejects(tmp_path, raw, len(raw),
+                          f"expected 1 entries, found {found}")
+
+    @pytest.mark.parametrize("kind", [b"general", b"symmetric"])
+    def test_plain_body_skips_line_loop(self, tmp_path, monkeypatch, kind):
+        def line_loop(*args):
+            raise AssertionError("plain body read line by line")
+        monkeypatch.setattr(qio, "_parse_lines", line_loop)
+        raw = (b"%%MatrixMarket matrix coordinate real " + kind +
+               b"\n% leading comment\n3 3 4\n1 1 1.5\r\n3 2 -2.0\n\n"
+               b"\t2 3 4e-310 \n1 1 0.25")
+        want = [(0, 0, 1.75), (1, 2, 4e-310), (2, 1, -2.0)]
+        if kind == b"symmetric":
+            want = [(0, 0, 1.75), (1, 2, -2.0 + 4e-310), (2, 1, -2.0 + 4e-310)]
+        assert triplets_of(self._read(tmp_path, raw)) == want
 
 
 class TestAssemble:

@@ -58,9 +58,11 @@ def matrices(draw, min_dim=1, square=False, sparse=None):
 
 
 @SETTINGS
-@given(matrices(), st.booleans())
-def test_matvec_matches_expanded_counterpart(drawn, adjoint):
+@given(matrices(), st.booleans(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_matvec_matches_expanded_counterpart(drawn, adjoint, zeroed):
     M, rng = drawn
+    # Zeroed blocks keep their sparse structure as stored zeros.
+    M = QuatMatrix(*[0.0 * b if z else b for b, z in zip(M.blocks, zeroed)])
     E = expand_real_counterpart(M)
     E = E.T if adjoint else E
     x = rng.standard_normal((M.rows if adjoint else M.cols, 4))
@@ -214,3 +216,50 @@ def test_read_matrix_market_sums_in_file_order(tmp_path_factory, drawn):
     assert np.array_equal(back.row, block.row)
     assert np.array_equal(back.col, block.col)
     assert back.data.tobytes() == block.data.tobytes()
+
+
+EXTREME_VALUES = [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def coo_blocks(draw):
+    """A COO matrix with distinct positions in a random storage order, of
+    any shape down to 0x0, with extreme and ordinary values."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    position = st.tuples(st.integers(0, max(rows - 1, 0)),
+                         st.integers(0, max(cols - 1, 0)))
+    positions = draw(st.lists(position, unique=True,
+                              max_size=min(rows * cols, 12)))
+    values = draw(st.lists(st.one_of(st.sampled_from(EXTREME_VALUES),
+                                     st.floats(allow_nan=False)),
+                           min_size=len(positions), max_size=len(positions)))
+    r = np.array([p[0] for p in positions], dtype=np.int32)
+    c = np.array([p[1] for p in positions], dtype=np.int32)
+    return sp.coo_matrix((np.array(values, dtype=np.float64), (r, c)),
+                         shape=(rows, cols))
+
+
+@SETTINGS
+@given(coo_blocks())
+@example(sp.coo_matrix((0, 0)))
+@example(sp.coo_matrix((np.array(EXTREME_VALUES), (np.arange(6), np.zeros(6, int))),
+                       shape=(6, 1)))
+def test_write_matrix_market_matches_per_line_format(tmp_path_factory, block):
+    path = tmp_path_factory.getbasetemp() / "write.mtx"
+    qio.write_matrix_market(block, path)
+    want = (f"%%MatrixMarket matrix coordinate real general\n"
+            f"{block.shape[0]} {block.shape[1]} {block.nnz}\n")
+    for r, c, v in zip(block.row.tolist(), block.col.tolist(),
+                       block.data.tolist()):
+        want += f"{r + 1} {c + 1} {v:.17g}\n"
+    assert path.read_bytes() == want.encode("ascii")
+
+    # Read-back is bit-exact.  Each position's sum starts from +0.0, so a
+    # stored -0.0 reads back as +0.0.
+    back = qio.read_matrix_market(path)
+    order = np.lexsort((block.col, block.row))
+    assert back.shape == block.shape
+    assert np.array_equal(back.row, block.row[order])
+    assert np.array_equal(back.col, block.col[order])
+    assert back.data.tobytes() == (0.0 + block.data[order]).tobytes()

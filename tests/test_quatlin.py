@@ -152,6 +152,58 @@ class TestMatvec:
                            structured_matvec(Md, xa, adjoint=True),
                            atol=1e-14)
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pure_quaternion_takes_three_block_products(self, rng, adjoint,
+                                                        sparse):
+        import scipy.sparse as sp
+        calls = []
+
+        class Counted:
+            """A block that counts the products taken with it."""
+            __array_ufunc__ = None      # ndarray @ Counted defers to us
+
+            def __init__(self, block):
+                self.block = block
+
+            def __matmul__(self, x):
+                calls.append(1)
+                return self.block @ x
+
+            def __rmatmul__(self, x):
+                calls.append(1)
+                return x @ self.block
+
+        channels = [np.where(rng.random((30, 20)) < 0.05,
+                             rng.uniform(0, 255, (30, 20)), 0.0)
+                    for _ in range(3)]
+        if sparse:
+            channels = [sp.csr_matrix(c) for c in channels]
+        M = QuatMatrix(np.zeros((30, 20)), *channels)
+        assert M.is_sparse == sparse and M.max_abs[0] == 0.0
+        want = expand_real_counterpart(M)
+        want = want.T if adjoint else want
+        x = random_unit_vector(30 if adjoint else 20, rng)
+        M.blocks = tuple(Counted(b) for b in M.blocks)
+        y = structured_matvec(M, x, adjoint=adjoint)
+        assert len(calls) == 3
+        assert np.allclose(expand_vector(y), want @ expand_vector(x),
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_max_abs_per_block(self, sparse):
+        import scipy.sparse as sp
+        blocks = [np.zeros((3, 4)) for _ in range(4)]
+        blocks[1][0, 2] = -7.5
+        blocks[2][2, 3] = 2.0
+        blocks[2][1, 1] = -1.0
+        if sparse:
+            blocks = [sp.csr_matrix(b) for b in blocks]
+            # A stored zero is still a zero block.
+            blocks[3] = sp.csr_matrix(([0.0], ([1], [1])), shape=(3, 4))
+            assert blocks[3].nnz == 1
+        assert QuatMatrix(*blocks).max_abs == (0.0, 7.5, 2.0, 0.0)
+
     def test_dimension_mismatch(self, rng):
         M = rand_qmat(rng, 4, 3)
         with pytest.raises(ValueError):
@@ -188,7 +240,7 @@ class TestMatvec:
         assert (M.rows, M.cols) == (dense.rows, dense.cols) == shape
         assert all(b.shape == shape for b in M.dense_blocks())
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_non_finite_entries_rejected(self, sparse, bad):
         import scipy.sparse as sp

@@ -4,6 +4,7 @@ solver loop and residual verification."""
 import numpy as np
 import pytest
 
+from quatsvd import io as qio
 from quatsvd.bidiag import factorization_errors, lanczos_bidiag
 from quatsvd.quatlin import (
     QuatMatrix,
@@ -416,10 +417,6 @@ class TestSolver:
         extra = 1 if which == "smallest" else 0
         assert len(calls) == trace.cycles + extra
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="known defect: norms overflow on entries near "
-                              "1e200 and the projected SVD input turns "
-                              "non-finite; needs input scaling")
     def test_scaled_near_overflow(self, rng):
         M0 = rand_qmat(rng, 30, 30)
         true_vals, _ = dedup_singular_values(M0)
@@ -427,6 +424,39 @@ class TestSolver:
         T, _ = solve_partial_svd(M, SolverOptions(k=3, seed=1))
         assert T.all_converged
         assert np.allclose(T.sigmas / 1e200, true_vals[:3], rtol=1e-8)
+
+    def test_scaled_near_underflow(self, rng):
+        M0 = rand_qmat(rng, 30, 30)
+        true_vals, _ = dedup_singular_values(M0)
+        M = QuatMatrix(*[1e-300 * b for b in M0.dense_blocks()])
+        T, _ = solve_partial_svd(M, SolverOptions(k=3, seed=1))
+        assert T.all_converged
+        assert np.allclose(T.sigmas / 1e-300, true_vals[:3], rtol=1e-8)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("which", ["largest", "smallest"])
+    @pytest.mark.parametrize("e", [600, -900])
+    def test_power_of_two_scaling_is_exact(self, rng, which, e, sparse):
+        # Outside the safe range the solve runs on M scaled back by a power
+        # of two: every reported number is exactly 2**e times the unscaled
+        # solve's, and the vectors and flags are the same.
+        if sparse:
+            M0 = QuatMatrix(*[qio.gen_sparse_block(60, seed=i, diagonal_shift=3.0)
+                              for i in range(4)])
+            assert M0.is_sparse
+        else:
+            M0 = rand_qmat(rng, 30, 24)
+        opts = SolverOptions(k=3, which=which, seed=1)
+        T0, trace0 = solve_partial_svd(M0, opts)
+        M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
+        T, trace = solve_partial_svd(M, opts)
+        assert np.array_equal(T.sigmas, np.ldexp(T0.sigmas, e))
+        assert np.array_equal(T.bounds, np.ldexp(T0.bounds, e))
+        assert trace.rows == [(c, j, float(np.ldexp(b, e)), mv)
+                              for c, j, b, mv in trace0.rows]
+        assert np.array_equal(T.converged, T0.converged)
+        assert np.array_equal(T.U.data, T0.U.data)
+        assert np.array_equal(T.V.data, T0.V.data)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="known defect: smallest mode stalls on a "
