@@ -15,8 +15,9 @@ residual vector orthogonal to P_k.
 The vector half of every step, in :func:`lanczos_extend` and in both
 restarts, is three helpers: :func:`next_right`, :func:`next_left` and
 :func:`close_step`.  They hold the one breakdown rule: a norm at or below
-``BREAKDOWN_TOL`` times the caller's scale deflates to a fresh random unit
-vector orthogonal to the current basis, and B_k keeps the zero.
+``BREAKDOWN_TOL`` times the state's :attr:`KrylovState.scale` deflates to
+a fresh random unit vector orthogonal to the current basis, and B_k keeps
+the zero.
 
 :class:`KrylovState` is the one factorization state of the package and
 owns its bases, allocated once with ``steps + 1`` slots (the spare one
@@ -43,8 +44,8 @@ from .quatlin import (
     vec_norm,
 )
 
-# A computed alpha or beta at or below this fraction of the largest entry
-# of B is an exact breakdown.
+# A computed alpha or beta at or below this fraction of the state's scale
+# is an exact breakdown.
 BREAKDOWN_TOL = 1e-14
 
 
@@ -74,6 +75,11 @@ class KrylovState:
     def steps(self) -> int:
         return len(self.P)
 
+    @property
+    def scale(self) -> float:
+        """The breakdown scale, max(sigma_max, max|B|)."""
+        return max(self.sigma_max, float(np.abs(self.B).max(initial=0.0)))
+
 
 def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> np.ndarray:
     """Random unit vector orthogonal to ``basis`` (deflation restart);
@@ -89,24 +95,24 @@ def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> n
     raise RuntimeError("could not draw a direction orthogonal to the basis")
 
 
-def next_right(M: QuatMatrix, state: KrylovState, scale: float):
+def next_right(M: QuatMatrix, state: KrylovState):
     """Next right vector ``f / ||f||`` and its beta.  A vanished residual
-    (at most ``BREAKDOWN_TOL * scale``) gives a fresh direction and beta 0;
-    recording the breakdown is the caller's business."""
+    (at most ``BREAKDOWN_TOL * state.scale``) gives a fresh direction and
+    beta 0; recording the breakdown is the caller's business."""
     beta = vec_norm(state.f)
-    if beta <= BREAKDOWN_TOL * scale or beta == 0.0:
+    if beta <= BREAKDOWN_TOL * state.scale:
         return _fresh_direction(M.cols, state.P, state.rng), 0.0
     return state.f * (1.0 / beta), beta
 
 
-def next_left(M: QuatMatrix, state: KrylovState, w: np.ndarray, scale: float):
+def next_left(M: QuatMatrix, state: KrylovState, w: np.ndarray):
     """Orthogonalize ``w`` against Q and normalize it: the next left
     vector, its alpha and the removed (len(Q), 4) coefficients.  A
     vanished ``w`` deflates to a fresh direction with alpha 0 and records
     ``(len(Q), "alpha")``."""
     w, coeffs = orthogonalize_with_coeffs(w, state.Q)
     alpha = vec_norm(w)
-    if alpha <= BREAKDOWN_TOL * scale or alpha == 0.0:
+    if alpha <= BREAKDOWN_TOL * state.scale:
         state.deflations.append((len(state.Q), "alpha"))
         return _fresh_direction(M.rows, state.Q, state.rng), 0.0, coeffs
     return w * (1.0 / alpha), alpha, coeffs
@@ -140,15 +146,14 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
         raise ValueError("cannot extend past the basis capacity")
     while state.steps < to_step:
         s = state.steps
-        scale = float(np.abs(state.B).max(initial=0.0))
-        p, beta = next_right(M, state, scale)
+        p, beta = next_right(M, state)
         if beta == 0.0:
             state.deflations.append((s, "beta"))
         w = structured_matvec(M, p)
         state.matvecs += 1
         if s and beta > 0.0:
             w = w - state.Q.data[s - 1] * beta
-        q, alpha, _ = next_left(M, state, w, scale)
+        q, alpha, _ = next_left(M, state, w)
 
         state.B = np.pad(state.B, (0, 1))
         if s:

@@ -115,8 +115,10 @@ def _reconstruction_report(M: QuatMatrix, k: int, opts: SolverOptions):
     sigma1 = float(triplets.sigmas[0]) if len(triplets) else 0.0
     rel2 = float(triplets.sigmas[k]) / sigma1 if k < full else 0.0
     normF = M.frobenius_norm()
-    tail = max(normF ** 2 - float((triplets.sigmas[:k] ** 2).sum()), 0.0)
-    relF = math.sqrt(tail) / normF if normF > 0 else 0.0
+    # Relative to normF before squaring, so that neither overflows.
+    tail = 1.0 - float(((triplets.sigmas[:k] / normF) ** 2).sum()) \
+        if normF > 0 else 0.0
+    relF = math.sqrt(max(tail, 0.0))
     return Ak, rel2, relF, triplets, trace
 
 

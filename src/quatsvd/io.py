@@ -52,14 +52,14 @@ _MM_HEADER = re.compile(
 def _summed_coo(rows, cols, vals, shape) -> sp.coo_matrix:
     """COO matrix of the given entries, duplicates summed, sorted row-major.
 
-    Duplicates are added in input order (``np.add.at`` is sequential), so
-    each value is bit-identical to an entry-by-entry sum; coo
-    ``sum_duplicates`` would move some values by 1 ulp.
+    Duplicates are added in input order (``np.add.at`` is sequential) from
+    -0.0, so each value, -0.0 included, is bit-identical to an
+    entry-by-entry sum; coo ``sum_duplicates`` would move some by 1 ulp.
     """
     width = shape[1]
     keys = np.asarray(rows, dtype=np.int64) * width + np.asarray(cols, dtype=np.int64)
     keys, slot = np.unique(keys, return_inverse=True)
-    acc = np.zeros(keys.size)
+    acc = np.full(keys.size, -0.0)
     np.add.at(acc, slot, np.asarray(vals, dtype=np.float64))
     return sp.coo_matrix((acc, (keys // width, keys % width)), shape=shape)
 
@@ -166,6 +166,8 @@ def read_matrix_market(path) -> sp.coo_matrix:
         break
     else:
         raise MalformedFileError(path, len(raw) + 1, "missing size line")
+    if symmetric and rows != cols:
+        raise MalformedFileError(path, offset, "symmetric matrix is not square")
 
     start = offset + len(line) + 1
     entries = _parse_body(raw[start:], rows, cols, nnz)
@@ -354,23 +356,6 @@ def write_triplets(T: TripletSet, path) -> None:
         for j in range(len(T)):
             fh.write(f"{j + 1},{T.sigmas[j]:.17g},{T.bounds[j]:.17g},"
                      f"{int(T.converged[j])}\n")
-
-
-def read_triplets_csv(path):
-    """Read back a triplet CSV as (sigmas, bounds, converged)."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != TRIPLET_HEADER:
-            raise MalformedFileError(path, 0, f"bad header {header!r}")
-        sig, bnd, conv = [], [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            _, s, b, c = line.strip().split(",")
-            sig.append(float(s))
-            bnd.append(float(b))
-            conv.append(bool(int(c)))
-    return np.array(sig), np.array(bnd), np.array(conv, dtype=bool)
 
 
 def write_trace(trace: ConvergenceTrace, path) -> None:

@@ -127,13 +127,14 @@ class QuatMatrix:
         return QuatMatrix(t(b0), -t(b1), -t(b2), -t(b3))
 
     def frobenius_norm(self) -> float:
+        """Frobenius norm, summed with the largest entry scaled into
+        [1/2, 1) by a power of two, so no square overflows or underflows."""
+        e = math.frexp(max(self.max_abs))[1]
         total = 0.0
         for b in self.blocks:
-            if sp.issparse(b):
-                total += float((b.data ** 2).sum())
-            else:
-                total += float((b ** 2).sum())
-        return math.sqrt(total)
+            data = b.data if sp.issparse(b) else b
+            total += float((np.ldexp(data, -e) ** 2).sum())
+        return math.ldexp(math.sqrt(total), e)
 
     def dense_blocks(self) -> tuple:
         return tuple(b.toarray() if sp.issparse(b) else b for b in self.blocks)

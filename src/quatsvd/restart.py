@@ -19,18 +19,21 @@ that step, breakdowns included, is done by the step helpers of
 
 A triplet (sigma_j, u_j, v_j) of the projected matrix is accepted once
 ``beta_last * |last component of u_j| <= delta * sigma_max`` where
-sigma_max is a running estimate of the largest singular value.  In
-harmonic mode the test uses the row-extended projected matrix; reported
-triplets are always extracted from the square projected matrix, for which
-``M v = u sigma`` holds to roundoff.
+sigma_max is a running estimate of the largest singular value; only
+:func:`check_convergence` orders a projected SVD's triplets and computes
+these bounds.  In harmonic mode the test uses the row-extended projected
+matrix; reported triplets always come from a check of the square
+projected matrix, for which ``M v = u sigma`` holds to roundoff.
 
 Each cycle computes one dense SVD: :func:`check_convergence` takes it of
 the matrix it tests (square in largest mode, row-extended in harmonic
 mode) and returns it, and the augmentation of the same cycle retains its
 vectors.  The loop state is one :class:`quatsvd.bidiag.KrylovState` per
 solve, which each restart and the final extraction rewrite in place.
-Only harmonic mode computes one more SVD, of the square matrix, to
-extract the reported triplets.
+Only harmonic mode checks the square matrix once more, for the reported
+triplets.  A harmonic restart that meets a (near-)singular matrix raises
+:class:`quatsvd.smalldense.NearSingularError`, from its own guards or a
+solve or QR, and the driver restarts from a perturbed seed vector.
 """
 
 from __future__ import annotations
@@ -68,17 +71,13 @@ RETAIN_BUFFER = 5
 MAX_SINGULAR_RESTARTS = 5
 
 # Harmonic restarts abort when a diagonal entry of the projected matrix
-# falls to this fraction of sigma_max.
+# falls to this fraction of the state's breakdown scale.
 NEAR_SINGULAR_TOL = 1e-12
 
 # A matrix whose largest entry magnitude lies outside
 # [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled by a power of two,
 # so that sums of squares of its entries neither overflow nor underflow.
 SAFE_EXPONENT = 400
-
-
-class NearSingularProjection(RuntimeError):
-    """Harmonic augmentation hit a (near-)singular projected matrix."""
 
 
 class SingularMatrixError(ValueError):
@@ -116,10 +115,6 @@ class ConvergenceTrace:
     def cycles(self) -> int:
         return 1 + max((r[0] for r in self.rows), default=-1)
 
-    def bounds_for(self, j: int) -> np.ndarray:
-        """Bound trajectory of target j (1-based) across cycles."""
-        return np.array([r[2] for r in self.rows if r[1] == j])
-
 
 @dataclass
 class TripletSet:
@@ -134,7 +129,6 @@ class TripletSet:
     V: CompactBasis
     bounds: np.ndarray
     converged: np.ndarray
-    which: str = WHICH_LARGEST
 
     def __len__(self) -> int:
         return len(self.sigmas)
@@ -146,12 +140,12 @@ class TripletSet:
 
 @dataclass(frozen=True)
 class ConvergenceCheck:
-    """Outcome of :func:`check_convergence`; ``svd`` is the SVD of the
-    tested matrix, which the restart of the same cycle reuses."""
+    """Outcome of :func:`check_convergence`: ``order`` indexes the first t
+    triplets of ``svd``, the SVD of the tested matrix, in target order."""
 
     flags: np.ndarray
     bounds: np.ndarray
-    sigmas: np.ndarray
+    order: np.ndarray
     sigma_max: float
     svd: smalldense.SvdResult
 
@@ -171,15 +165,13 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     order = _target_order(res.sigmas, which)[:t]
     bounds = abs(beta_k) * np.abs(res.U[-1, order])
     flags = bounds <= delta * sigma_max
-    return ConvergenceCheck(flags=flags, bounds=bounds,
-                            sigmas=res.sigmas[order], sigma_max=sigma_max,
-                            svd=res)
+    return ConvergenceCheck(flags=flags, bounds=bounds, order=order,
+                            sigma_max=sigma_max, svd=res)
 
 
 def _target_order(sigmas: np.ndarray, which: str) -> np.ndarray:
-    if which == WHICH_LARGEST:
-        return np.arange(sigmas.size)
-    return np.arange(sigmas.size)[::-1]
+    order = np.arange(sigmas.size)
+    return order if which == WHICH_LARGEST else order[::-1]
 
 
 def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
@@ -214,17 +206,18 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     k = state.steps
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
-    scale = max(state.sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
     # On an exact invariant subspace the fresh direction must avoid the
     # whole basis, so it is drawn before P is overwritten.
-    p_aug, beta_k = next_right(M, state, scale)
+    p_aug, beta_k = next_right(M, state)
+    if beta_k == 0.0:
+        state.deflations.append((t, "beta"))
     rho = beta_k * res.U[-1, :t]
     state.P.combine_matrix(res.V[:, :t])
     state.Q.combine_matrix(res.U[:, :t])
 
     w = structured_matvec(M, p_aug) - state.Q.combine_real(rho)
     state.matvecs += 1
-    q_new, alpha_new, coeffs = next_left(M, state, w, scale)
+    q_new, alpha_new, coeffs = next_left(M, state, w)
     state.B = _arrow(res.sigmas[:t], rho + coeffs[:, 0], alpha_new)
     state.P.append(p_aug)
     close_step(M, state, q_new)
@@ -244,7 +237,7 @@ def _harmonic_projection(B: np.ndarray, res: smalldense.SvdResult, t: int):
     z = B^{-1} e_last, from one solve with the stacked [U_t, e_last].
     """
     k = B.shape[0]
-    asc = np.arange(res.sigmas.size)[::-1][:t]
+    asc = _target_order(res.sigmas, WHICH_SMALLEST)[:t]
     sig = res.sigmas[asc]
     U_t = res.U[:, asc]
     Wz = smalldense.solve_upper(B, np.column_stack([U_t, np.eye(k)[:, -1]]))
@@ -261,30 +254,26 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     factorization Qc Rc of the harmonic coefficients, the new left vector
     loses q_k beta, and B becomes Rc^-1 [diag(sigma), removed
     coefficients; 0, alpha].  Rewrites ``state`` in place.  Raises
-    :class:`NearSingularProjection` when B is nearly singular, beta_last
-    vanishes or a factor is rank deficient; the solver then discards
+    ``smalldense.NearSingularError`` when B is nearly singular, beta_last
+    vanishes or a solve or QR refuses its matrix; the solver then discards
     ``state`` and restarts from a perturbed seed vector.
     """
     k = state.steps
     if not 1 <= t < k:
         raise ValueError(f"retained count t={t} out of range 1..{k - 1}")
     beta_k = state.beta_last
-    scale = max(state.sigma_max, float(np.abs(state.B).max()))
-    diag = np.abs(np.diag(state.B))
-    if diag.min() <= NEAR_SINGULAR_TOL * scale:
-        raise NearSingularProjection("projected matrix nearly singular")
-    if beta_k <= BREAKDOWN_TOL * scale:
-        raise NearSingularProjection("zero residual: invariant subspace found")
+    if np.abs(np.diag(state.B)).min() <= NEAR_SINGULAR_TOL * state.scale:
+        raise smalldense.NearSingularError("projected matrix nearly singular")
+    if beta_k <= BREAKDOWN_TOL * state.scale:
+        raise smalldense.NearSingularError(
+            "zero residual: invariant subspace found")
 
-    try:
-        sig, U_t, W, z = _harmonic_projection(state.B, res, t)
-        C = np.zeros((k + 1, t + 1))
-        C[:k, :t] = W * sig[None, :]
-        C[:k, t] = -beta_k * z
-        C[k, t] = 1.0
-        Qc, Rc = smalldense.qr_factor(C)
-    except (smalldense.NearSingularError, smalldense.RankDeficientError) as exc:
-        raise NearSingularProjection(str(exc)) from exc
+    sig, U_t, W, z = _harmonic_projection(state.B, res, t)
+    C = np.zeros((k + 1, t + 1))
+    C[:k, :t] = W * sig[None, :]
+    C[:k, t] = -beta_k * z
+    C[k, t] = 1.0
+    Qc, Rc = smalldense.qr_factor(C)
 
     p_aug = state.f * (1.0 / beta_k)
     # q_k leaves the left basis in the combination below.
@@ -294,12 +283,9 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     state.P.combine_matrix(Qc)
     state.Q.combine_matrix(U_t)
 
-    q_new, alpha_new, coeffs = next_left(M, state, w, scale)
-    try:
-        state.B = smalldense.tri_solve_upper(
-            Rc, _arrow(sig, coeffs[:, 0], alpha_new))
-    except smalldense.NearSingularError as exc:
-        raise NearSingularProjection(str(exc)) from exc
+    q_new, alpha_new, coeffs = next_left(M, state, w)
+    state.B = smalldense.tri_solve_upper(
+        Rc, _arrow(sig, coeffs[:, 0], alpha_new))
     close_step(M, state, q_new)
     return lanczos_extend(M, state, k)
 
@@ -317,29 +303,26 @@ def _retained_count(k: int, m_b: int) -> int:
     return max(1, min(t, m_b - 3, m_b - 1))
 
 
-def _extract_triplets(state: KrylovState, k: int, which: str,
-                      flags: np.ndarray,
-                      res: smalldense.SvdResult) -> TripletSet:
-    """Reported triplets from ``res``, the SVD of the square ``state.B``.
-    The triplet bases are combined in the state's workspace and copied out
-    to k slots, so the result does not keep the workspace alive."""
-    order = _target_order(res.sigmas, which)[:k]
-    sigmas = res.sigmas[order].copy()
+def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
+                      flags: np.ndarray, which: str) -> TripletSet:
+    """Reported triplets from ``chk``, a check of the square ``state.B``,
+    flagged by ``flags``.  The bases are combined in the state's workspace
+    and copied out to k slots, so the result does not keep it alive."""
+    res = chk.svd
+    sigmas = res.sigmas[chk.order]
     # Reported bounds cannot certify below the roundoff of the
     # factorization itself: floor them at m_b * eps * sigma_max.
     floor = state.B.shape[0] * np.finfo(float).eps * state.sigma_max
-    bounds = np.maximum(abs(state.beta_last) * np.abs(res.U[-1, order]), floor)
-    # Degenerate values: order ties by bound, then by position.
-    tie = 1e-14 * max(state.sigma_max, sigmas.max(initial=0.0))
-    perm = np.lexsort((np.arange(k), bounds,
+    bounds = np.maximum(chk.bounds, floor)
+    # Equal values are ordered by bound, then by position; LAPACK's
+    # order of distinct values is already the target order.
+    perm = np.lexsort((np.arange(chk.order.size), bounds,
                        -sigmas if which == WHICH_LARGEST else sigmas))
-    if np.any(np.abs(np.diff(sigmas)) <= tie):
-        order, sigmas, bounds, flags = \
-            order[perm], sigmas[perm], bounds[perm], flags[perm]
+    order = chk.order[perm]
     U = state.Q.combine_matrix(res.U[:, order]).copy()
     V = state.P.combine_matrix(res.V[:, order]).copy()
-    return TripletSet(sigmas=sigmas, U=U, V=V, bounds=bounds,
-                      converged=flags.copy(), which=which)
+    return TripletSet(sigmas=sigmas[perm], U=U, V=V, bounds=bounds[perm],
+                      converged=flags[perm])
 
 
 def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
@@ -373,9 +356,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         # Work on the adjoint so the projected matrix tracks the nonzero
         # spectrum, then swap the vector roles back.
         triplets, trace = solve_partial_svd(M.conjugate_transpose(), opts)
-        return TripletSet(sigmas=triplets.sigmas, U=triplets.V, V=triplets.U,
-                          bounds=triplets.bounds, converged=triplets.converged,
-                          which=triplets.which), trace
+        return replace(triplets, U=triplets.V, V=triplets.U), trace
 
     m_b = opts.resolved_m_b(m, n)
     if opts.k >= m_b and m_b < min(m, n):
@@ -405,7 +386,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
                 state = harmonic_augment_cycle(M, state, t, chk.svd)
             else:
                 state = ritz_augment_cycle(M, state, t, chk.svd)
-        except NearSingularProjection as exc:
+        except smalldense.NearSingularError as exc:
             singular_restarts += 1
             trace.events.append(f"cycle {cycle}: {exc}; restarting from a "
                                 "perturbed seed vector")
@@ -416,8 +397,11 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
             state = _initial_state(M, rng, m_b, state.matvecs,
                                    state.sigma_max)
 
-    res = smalldense.dense_svd(state.B) if harmonic else chk.svd
-    return _extract_triplets(state, opts.k, opts.which, chk.flags, res), trace
+    flags = chk.flags
+    if harmonic:
+        chk = check_convergence(state.B, state.beta_last, opts.delta, opts.k,
+                                which=opts.which, sigma_max=state.sigma_max)
+    return _extract_triplets(state, chk, flags, opts.which), trace
 
 
 def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:

@@ -3,7 +3,8 @@
 SVD, QR and triangular/bidiagonal solves on matrices of at most a few
 hundred rows.  LAPACK (through numpy/scipy) does the heavy lifting; this
 module adds the deterministic conventions and the guards the restart logic
-relies on.  Explicit matrix inverses are never formed.
+relies on.  Explicit matrix inverses are never formed.  Every singularity
+guard, in the solves and in :func:`qr_factor`, raises NearSingularError.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ import scipy.linalg
 
 
 class NearSingularError(ValueError):
-    """A solve hit a diagonal entry too close to zero."""
-
-
-class RankDeficientError(ValueError):
-    """QR factorization detected (numerical) rank deficiency."""
+    """A solve or a QR factorization hit a diagonal entry too close to
+    zero: the matrix is (numerically) singular or rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ def dense_svd(A: np.ndarray) -> SvdResult:
 def qr_factor(C: np.ndarray):
     """QR factorization C = Q @ R with R's diagonal non-negative.
 
-    Raises :class:`RankDeficientError` when a diagonal entry of R falls
+    Raises :class:`NearSingularError` when a diagonal entry of R falls
     below 1e-14 times the Frobenius norm of C.
     """
     C = np.asarray(C, dtype=np.float64)
@@ -77,7 +75,7 @@ def qr_factor(C: np.ndarray):
     R = flip[:, None] * R
     scale = np.linalg.norm(C)
     if np.any(np.diag(R) <= 1e-14 * scale):
-        raise RankDeficientError("rank-deficient matrix in QR factorization")
+        raise NearSingularError("rank-deficient matrix in QR factorization")
     return Q, R
 
 

@@ -71,14 +71,14 @@ def orthonormal_basis(rng, n, k):
     return basis
 
 
-def synthetic_triplets(rng, m, n, sigmas, which="largest"):
+def synthetic_triplets(rng, m, n, sigmas):
     """Exact TripletSet with prescribed singular values."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     k = sigmas.size
     U = orthonormal_basis(rng, m, k)
     V = orthonormal_basis(rng, n, k)
     return TripletSet(sigmas=sigmas, U=U, V=V, bounds=np.zeros(k),
-                      converged=np.ones(k, dtype=bool), which=which)
+                      converged=np.ones(k, dtype=bool))
 
 
 def matrix_from_triplets_expansion(T):

@@ -85,6 +85,18 @@ def test_extend_zero_residual_deflates(rng):
     assert np.all(got[2:] <= 1e-11)
 
 
+def test_breakdown_scale_includes_sigma_max(rng):
+    # A residual of 1e-9 is far above 1e-14 * max|B| but at or below
+    # 1e-14 * sigma_max = 1e-8: the state's scale makes it a breakdown.
+    M = rand_qmat(rng, 12, 10)
+    state = lanczos_bidiag(M, random_unit_vector(10, rng), 3, rng)
+    state.sigma_max = 1e6
+    state.f = state.f * (1e-9 / vec_norm(state.f))
+    lanczos_extend(M, state, 4)
+    assert (3, "beta") in state.deflations
+    assert state.B[2, 3] == 0.0
+
+
 def test_extend_past_min_dimension_rejected(rng):
     M = rand_qmat(rng, 6, 4)
     state = start_state(M, random_unit_vector(4, rng), rng, 5)

@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from quatsvd import io as qio
-from quatsvd.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCONVERGED, main
+from quatsvd.cli import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_UNCONVERGED,
+    _reconstruction_report,
+    main,
+)
 from quatsvd.lowrank import RgbImage
+from quatsvd.quatlin import QuatMatrix
+from quatsvd.restart import SolverOptions
 
 from conftest import dedup_singular_values
 
@@ -32,7 +40,7 @@ def test_gen_then_svd_matches_oracle(tmp_path, dense_qmx):
     rc = run(["svd", "--input", dense_qmx, "--k", "5", "--which", "largest",
               "--seed", "3", "--out", trip, "--trace", trace])
     assert rc == EXIT_OK
-    sig, _, conv = qio.read_triplets_csv(trip)
+    _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
     assert conv.all()
     true_vals, _ = dedup_singular_values(qio.read_qmx(dense_qmx))
     assert np.abs(sig - true_vals[:5]).max() <= 1e-8 * true_vals[0]
@@ -52,7 +60,7 @@ def test_svd_smallest_from_mtx_blocks(tmp_path):
               for i in range(4)]
     M = qio.assemble_jrs_blocks(*blocks, n=50)
     true_vals, _ = dedup_singular_values(M)
-    sig, _, conv = qio.read_triplets_csv(trip)
+    _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
     assert conv.all()
     assert np.abs(sig - true_vals[::-1][:3]).max() <= 1e-6 * true_vals[0]
     # Orders outside 1..60 are usage errors, not crashes.
@@ -102,7 +110,8 @@ def test_nonconvergence_exit_code_and_outputs(tmp_path, dense_qmx):
     rc = run(["svd", "--input", dense_qmx, "--k", "5", "--maxit", "0",
               "--delta", "1e-16", "--mb", "8", "--seed", "1", "--out", trip])
     assert rc == EXIT_UNCONVERGED
-    sig, _, conv = qio.read_triplets_csv(trip)  # results still written
+    # Results are still written.
+    _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
     assert sig.size == 5
     assert not conv.all()
 
@@ -138,6 +147,21 @@ def test_approx_reconstruction_report(tmp_path):
     assert 0.0 < float(s) <= 1.0
     assert 0.0 <= float(rel2) <= 1.0 and 0.0 <= float(relF) <= 1.0
     assert out.exists()
+
+
+@pytest.mark.parametrize("e", [664, -997])
+def test_reconstruction_report_near_overflow_and_underflow(e):
+    # relF of a matrix scaled by 2**e (about 1e200 or 1e-300) is finite
+    # and matches the unscaled matrix's.
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal((20, 16)) for _ in range(4)]
+    opts = SolverOptions(seed=1)
+    _, rel2, relF, _, _ = _reconstruction_report(QuatMatrix(*blocks), 3, opts)
+    scaled = QuatMatrix(*[b * 2.0 ** e for b in blocks])
+    _, rel2_e, relF_e, _, _ = _reconstruction_report(scaled, 3, opts)
+    assert np.isfinite(relF_e) and 0.0 < relF_e < 1.0
+    assert relF_e == pytest.approx(relF, rel=1e-12)
+    assert rel2_e == pytest.approx(rel2, rel=1e-12)
 
 
 def test_video_pipeline(tmp_path):

@@ -65,6 +65,16 @@ class TestMatrixMarket:
         with pytest.raises(qio.MalformedFileError, match="out of range"):
             qio.read_matrix_market(path)
 
+    def test_symmetric_non_square_rejected(self, tmp_path):
+        # The mirror of entry (1, 2) would fall outside a 1x4 shape.
+        path = tmp_path / "sym.mtx"
+        head = "%%MatrixMarket matrix coordinate real symmetric\n"
+        path.write_text(f"{head}1 4 1\n1 2 1.0\n")
+        with pytest.raises(qio.MalformedFileError,
+                           match=f"byte {len(head)}: symmetric matrix is "
+                                 "not square"):
+            qio.read_matrix_market(path)
+
     def test_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "cnt.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -378,10 +388,12 @@ class TestCsv:
         T, _ = solve_partial_svd(M, SolverOptions(k=4, seed=2))
         path = tmp_path / "t.csv"
         qio.write_triplets(T, path)
-        sig, bnd, conv = qio.read_triplets_csv(path)
+        assert path.read_text().startswith("j,sigma,bound,converged\n")
+        _, sig, bnd, conv = np.loadtxt(path, delimiter=",", skiprows=1,
+                                       ndmin=2).T
         assert np.array_equal(sig, T.sigmas)
         assert np.array_equal(bnd, T.bounds)
-        assert np.array_equal(conv, T.converged)
+        assert np.array_equal(conv.astype(bool), T.converged)
 
     def test_trace_rows_match(self, tmp_path, rng):
         M = rand_qmat(rng, 12, 10)

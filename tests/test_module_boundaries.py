@@ -1,12 +1,15 @@
-"""Package modules reach each other only through public names."""
+"""Package modules reach each other only through public names, and every
+public name has a caller outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import oracles
 import quatsvd
 
 PACKAGE = Path(quatsvd.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _private_uses(tree: ast.Module) -> list:
@@ -47,3 +50,51 @@ def test_oracles_never_read_the_product_table():
     names = {getattr(node, attr) for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
     assert not names & {"QUAT_TABLE", "QUAT_CONJ", "_CONJ_TABLE"}
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    """(qualified name, bare name) of each public module-level function or
+    class and of each public method of such a class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name)
+                      for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return found
+
+
+def _names_used(tree: ast.Module) -> set:
+    """Identifiers a module names: variables, attributes, imported names
+    and the dotted parts of identifier-like strings (perfbench names its
+    traced targets as ``"CompactBasis.dot_all"``)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_no_public_name_is_test_only():
+    callers = [p for p in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+               if not p.name.startswith(("test_", "conftest"))]
+    used = set().union(*(_names_used(ast.parse(p.read_text()))
+                         for p in callers))
+    unused = [f"{path.stem}.{qualified}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in _public_definitions(
+                  ast.parse(path.read_text()))
+              if name not in used and name not in quatsvd.__all__]
+    assert unused == []

@@ -191,6 +191,19 @@ class TestMatvec:
                            atol=1e-12)
 
     @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("e", [664, -997])
+    def test_frobenius_norm_near_overflow_and_underflow(self, rng, e, sparse):
+        # 2**664 is about 1e200 and 2**-997 about 1e-300: squaring the
+        # entries unscaled gives inf or 0.
+        import scipy.sparse as sp
+        blocks = [rng.standard_normal((20, 16)) for _ in range(4)]
+        if sparse:
+            blocks = [sp.csr_matrix(b) for b in blocks]
+        want = np.ldexp(QuatMatrix(*blocks).frobenius_norm(), e)
+        got = QuatMatrix(*[b * 2.0 ** e for b in blocks]).frobenius_norm()
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
     def test_max_abs_per_block(self, sparse):
         import scipy.sparse as sp
         blocks = [np.zeros((3, 4)) for _ in range(4)]
