@@ -16,7 +16,6 @@ from .lowrank import (
     mean_center_samples,
     psnr,
     quat_to_image,
-    relative_distances,
     ssim,
     stack_frames,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "orthogonalize_against_basis",
     "psnr",
     "quat_to_image",
-    "relative_distances",
     "solve_partial_svd",
     "ssim",
     "stack_frames",

@@ -106,21 +106,6 @@ def ssim(F: RgbImage, Fk: RgbImage) -> float:
                  / ((mx ** 2 + my ** 2 + SSIM_C1) * (vx + vy + SSIM_C2)))
 
 
-def relative_distances(sigmas_full: np.ndarray, k: int,
-                       normA2: float, normAF: float):
-    """Relative 2-norm and Frobenius distances of the rank-k truncation.
-
-    ``sigmas_full`` must be the full spectrum in descending order; the
-    distances are sigma_{k+1}/normA2 and sqrt(sum_{j>k} sigma_j^2)/normAF.
-    """
-    sigmas_full = np.asarray(sigmas_full, dtype=np.float64)
-    if k > sigmas_full.size:
-        raise ValueError(f"k={k} exceeds spectrum length {sigmas_full.size}")
-    rel2 = float(sigmas_full[k] / normA2) if k < sigmas_full.size else 0.0
-    relF = float(np.sqrt((sigmas_full[k:] ** 2).sum()) / normAF)
-    return rel2, relF
-
-
 def stack_frames(frames: list) -> QuatMatrix:
     """Stack video frames row-wise into one (l*m) x n quaternion matrix."""
     if not frames:

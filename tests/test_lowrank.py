@@ -12,7 +12,6 @@ from quatsvd.lowrank import (
     mean_center_samples,
     psnr,
     quat_to_image,
-    relative_distances,
     ssim,
     stack_frames,
     unstack_frames,
@@ -167,34 +166,6 @@ class TestSsim:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             ssim(random_image(rng, 3, 3), random_image(rng, 4, 3))
-
-
-class TestRelativeDistances:
-    def test_full_rank_is_zero(self):
-        sig = np.array([4.0, 2.0, 1.0])
-        assert relative_distances(sig, 3, 4.0, np.linalg.norm(sig)) == (0.0, 0.0)
-
-    def test_k_zero_is_one(self):
-        sig = np.array([4.0, 2.0, 1.0])
-        rel2, relF = relative_distances(sig, 0, 4.0, np.linalg.norm(sig))
-        assert rel2 == 1.0 and relF == pytest.approx(1.0, rel=1e-15)
-
-    def test_matches_direct_difference(self, rng):
-        M = rand_qmat(rng, 12, 9)
-        true_vals, _ = dedup_singular_values(M)
-        T, _ = solve_partial_svd(M, SolverOptions(k=9, seed=3))
-        normF = M.frobenius_norm()
-        for k in (2, 5, 8):
-            rel2, relF = relative_distances(true_vals, k, true_vals[0], normF)
-            Ak = low_rank_approx(T, k)
-            diff = math.sqrt(sum(((a - b) ** 2).sum() for a, b in
-                                 zip(Ak.dense_blocks(), M.dense_blocks())))
-            assert relF == pytest.approx(diff / normF, rel=1e-9, abs=1e-12)
-            assert rel2 == pytest.approx(true_vals[k] / true_vals[0], rel=1e-12)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            relative_distances(np.array([1.0]), 2, 1.0, 1.0)
 
 
 class TestFrames:

@@ -125,7 +125,70 @@ class TestCheckConvergence:
                                                 abs=1e-12 * sigma1)
 
 
-class TestRitzCycle:
+class _AugmentCycleChecks:
+    """Checks shared by both restarts, which take one augmentation step.
+
+    Each subclass names its cycle and its test matrices, and inherits
+    these tests under its own name.  ``exhausted_case`` is (shape, m_b,
+    t, residual vanishes, deflation records, spectrum of the new B) for
+    a rank-3 matrix with singular values 4, 2.5 and 1.
+    """
+
+    def test_cycle_boundary_identities(self, rng):
+        m, n, t = self.boundary_case
+        M = rand_qmat(rng, m, n)
+        state = make_state(M, 12)
+        out = self.cycle(M, state, t)
+        assert out.steps == 12
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert errs["direct"] <= 1e-11 * out.sigma_max
+        assert errs["adjoint"] <= 1e-11 * out.sigma_max
+        assert errs["f_orth"] <= 1e-12
+        assert errs["P_orth"] <= 1e-12
+        assert errs["Q_orth"] <= 1e-12
+
+    def test_cycles_rewrite_one_workspace(self, rng):
+        M = rand_qmat(rng, *self.workspace_shape)
+        state = make_state(M, 10)
+        P0, Q0 = state.P.data, state.Q.data
+        for _ in range(3):
+            assert self.cycle(M, state, 4) is state
+        assert np.shares_memory(state.P.data, P0)
+        assert np.shares_memory(state.Q.data, Q0)
+
+    def test_rank_exhausted_augmentation_deflates(self, rng):
+        # Once the basis captures the whole rank, the augmentation step
+        # finds no new left direction: it deflates to a fresh one with a
+        # zero coefficient, as in the Lanczos steps, and keeps the
+        # factorization exact.
+        shape, m_b, t, vanishes, records, spectrum = self.exhausted_case
+        T = synthetic_triplets(rng, *shape, [4.0, 2.5, 1.0])
+        M = matrix_from_triplets_expansion(T)
+        state = make_state(M, m_b)
+        assert (state.beta_last <= 1e-10) == vanishes
+        before = len(state.deflations)
+        out = self.cycle(M, state, t)
+        assert out.steps == m_b
+        assert out.B[t, t] == 0.0
+        assert out.deflations[before:before + len(records)] == records
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert errs["direct"] <= 1e-12 * 4.0
+        assert errs["adjoint"] <= 1e-12 * 4.0
+        assert errs["P_orth"] <= 1e-12
+        assert errs["Q_orth"] <= 1e-12
+        got = np.linalg.svd(out.B, compute_uv=False)
+        assert np.allclose(got, spectrum, atol=1e-11)
+
+
+class TestRitzCycle(_AugmentCycleChecks):
+    cycle = staticmethod(ritz_cycle)
+    boundary_case = (40, 25, 5)
+    workspace_shape = (30, 22)
+    # The residual vanishes with the row space, so the step records a
+    # beta deflation as well.
+    exhausted_case = ((10, 8), 5, 3, True, [(3, "beta"), (3, "alpha")],
+                      [4.0, 2.5, 1.0, 0.0, 0.0])
+
     def test_degenerate_t0_is_plain_restart(self, rng):
         M = rand_qmat(rng, 20, 14)
         state = make_state(M, 8)
@@ -135,17 +198,6 @@ class TestRitzCycle:
         assert max(errs["direct"], errs["adjoint"]) <= 1e-11 * out.sigma_max
         # t=0 leaves no arrow block: the new projection is plain bidiagonal.
         assert np.abs(np.triu(out.B, 2)).max() == 0.0
-
-    def test_cycle_boundary_identities(self, rng):
-        M = rand_qmat(rng, 40, 25)
-        state = make_state(M, 12)
-        out = ritz_cycle(M, state, 5)
-        assert out.steps == 12
-        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
-        assert errs["direct"] <= 1e-11 * out.sigma_max
-        assert errs["adjoint"] <= 1e-11 * out.sigma_max
-        assert errs["P_orth"] <= 1e-12
-        assert errs["Q_orth"] <= 1e-12
 
     def test_exact_invariant_subspace_keeps_ritz_pairs(self, rng):
         # Block-structured matrix explored from inside one block: the
@@ -166,38 +218,15 @@ class TestRitzCycle:
         assert np.allclose(np.diag(out.B)[:2], sig_before, atol=1e-10)
         assert np.abs(out.B[:2, 2]).max() <= 1e-10  # rho column vanishes
 
-    def test_rank_exhausted_augmentation_deflates(self, rng):
-        # Once the whole row space is captured, any fresh direction lies
-        # in the null space: the new left vector vanishes and deflates to
-        # a fresh one with a zero coefficient, as in the Lanczos steps.
-        T = synthetic_triplets(rng, 10, 8, [4.0, 2.5, 1.0])
-        M = matrix_from_triplets_expansion(T)
-        state = make_state(M, 5)
-        assert state.beta_last <= 1e-10
-        before = len(state.deflations)
-        out = ritz_cycle(M, state, 3)
-        assert out.steps == 5
-        assert out.B[3, 3] == 0.0
-        assert out.deflations[before:before + 2] == [(3, "beta"), (3, "alpha")]
-        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
-        assert errs["direct"] <= 1e-12 * 4.0
-        assert errs["adjoint"] <= 1e-12 * 4.0
-        assert errs["P_orth"] <= 1e-12
-        assert errs["Q_orth"] <= 1e-12
-        got = np.linalg.svd(out.B, compute_uv=False)
-        assert np.allclose(got, [4.0, 2.5, 1.0, 0.0, 0.0], atol=1e-11)
 
-    def test_cycles_rewrite_one_workspace(self, rng):
-        M = rand_qmat(rng, 30, 22)
-        state = make_state(M, 10)
-        P0, Q0 = state.P.data, state.Q.data
-        for _ in range(3):
-            assert ritz_cycle(M, state, 4) is state
-        assert np.shares_memory(state.P.data, P0)
-        assert np.shares_memory(state.Q.data, Q0)
+class TestHarmonicCycle(_AugmentCycleChecks):
+    cycle = staticmethod(harmonic_cycle)
+    boundary_case = (30, 30, 4)
+    workspace_shape = (25, 25)
+    # A 3-step basis of a 6x4 matrix keeps a residual, which the harmonic
+    # restart needs; it retains the two smallest values.
+    exhausted_case = ((6, 4), 3, 2, False, [(2, "alpha")], [2.5, 1.0, 0.0])
 
-
-class TestHarmonicCycle:
     def test_projected_row_matrix_trivial(self):
         # One-step projection [3, 4]: singular value 5, solved harmonic
         # coefficient u / 3.
@@ -227,46 +256,6 @@ class TestHarmonicCycle:
         for j in range(4):
             r = G @ U_t[:, j] - sig[j] ** 2 * U_t[:, j]
             assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(G)
-
-    def test_cycle_boundary_identities_and_residual_orthogonality(self, rng):
-        M = rand_qmat(rng, 30, 30)
-        state = make_state(M, 12)
-        out = harmonic_cycle(M, state, 4)
-        assert out.steps == 12
-        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
-        assert errs["direct"] <= 1e-11 * out.sigma_max
-        assert errs["adjoint"] <= 1e-11 * out.sigma_max
-        assert errs["f_orth"] <= 1e-12
-        assert errs["P_orth"] <= 1e-12
-        assert errs["Q_orth"] <= 1e-12
-
-    def test_cycles_rewrite_one_workspace(self, rng):
-        M = rand_qmat(rng, 25, 25)
-        state = make_state(M, 10)
-        P0, Q0 = state.P.data, state.Q.data
-        for _ in range(3):
-            assert harmonic_cycle(M, state, 4) is state
-        assert np.shares_memory(state.P.data, P0)
-        assert np.shares_memory(state.Q.data, Q0)
-
-    def test_rank_exhausted_augmentation_deflates(self, rng):
-        # A rank-3 matrix with a 3-step basis: the augmentation step finds
-        # no new left direction, deflates it to a fresh one with a zero
-        # coefficient and keeps the factorization exact.
-        T = synthetic_triplets(rng, 6, 4, [4.0, 2.5, 1.0])
-        M = matrix_from_triplets_expansion(T)
-        state = make_state(M, 3)
-        before = len(state.deflations)
-        out = harmonic_cycle(M, state, 2)
-        assert (2, "alpha") in out.deflations[before:]
-        assert out.B[2, 2] == 0.0
-        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
-        assert errs["direct"] <= 1e-12 * 4.0
-        assert errs["adjoint"] <= 1e-12 * 4.0
-        assert errs["P_orth"] <= 1e-12
-        assert errs["Q_orth"] <= 1e-12
-        got = np.linalg.svd(out.B, compute_uv=False)
-        assert np.allclose(got, [2.5, 1.0, 0.0], atol=1e-11)
 
     def test_projection_stays_upper_triangular(self, rng):
         M = rand_qmat(rng, 25, 25)
@@ -340,15 +329,20 @@ class TestSolver:
         assert trace.cycles == 2
 
     def test_invalid_options(self, rng):
+        # Options that do not fit the matrix's shape.
         M = rand_qmat(rng, 10, 8)
         with pytest.raises(ValueError):
             solve_partial_svd(M, SolverOptions(k=9))
         with pytest.raises(ValueError):
-            solve_partial_svd(M, SolverOptions(k=0))
-        with pytest.raises(ValueError):
-            solve_partial_svd(M, SolverOptions(k=2, which="middle"))
-        with pytest.raises(ValueError):
             solve_partial_svd(M, SolverOptions(k=5, m_b=5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("which", "middle"), ("k", 0), ("m_b", 0), ("maxit", -1),
+        ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
+        ("delta", -1e-10)])
+    def test_invalid_options_rejected_on_construction(self, field, value):
+        with pytest.raises(ValueError):
+            SolverOptions(**{"k": 2, field: value})
 
     def test_singular_matrix_null_space_found_by_deflation(self, rng):
         # An exactly singular matrix explored past its rank: deflation
@@ -376,7 +370,8 @@ class TestSolver:
         M = rand_qmat(rng, 6, 4)
         true_vals, _ = dedup_singular_values(M)
         T, trace = solve_partial_svd(
-            M, SolverOptions(k=2, which=which, delta=0.0, maxit=8, seed=0))
+            M, SolverOptions(k=2, which=which, delta=1e-300, maxit=8,
+                             seed=0))
         assert trace.cycles == 1 and not trace.events
         want = true_vals[:2] if which == "largest" else true_vals[::-1][:2]
         assert np.abs(T.sigmas - want).max() <= 1e-12 * true_vals[0]
