@@ -92,7 +92,13 @@ def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> n
         nv = vec_norm(v)
         if nv > 1e-6:
             return v * (1.0 / nv)
-    raise RuntimeError("could not draw a direction orthogonal to the basis")
+    # Draws from the stream that built a low-rank matrix can all lie in
+    # its range; the coordinate vector farthest from the span cannot.
+    coords = np.zeros((n, n, 4))
+    coords[:, :, 0] = np.eye(n)
+    v = max((orthogonalize_against_basis(e, basis) for e in coords),
+            key=vec_norm)
+    return v * (1.0 / vec_norm(v))
 
 
 def next_right(M: QuatMatrix, state: KrylovState):

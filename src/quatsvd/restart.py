@@ -17,21 +17,24 @@ c = beta e_last and col = 0.  The vector half of the step, breakdowns
 included, is done by the step helpers of :mod:`quatsvd.bidiag`; a cycle
 here computes only its projected algebra.
 
-A triplet (sigma_j, u_j, v_j) of the projected matrix is accepted once
-``beta_last * |last component of u_j| <= delta * sigma_max`` where
-sigma_max is a running estimate of the largest singular value; only
-:func:`check_convergence` orders a projected SVD's triplets and computes
-these bounds.  In harmonic mode the test uses the row-extended projected
-matrix; reported triplets always come from a check of the square
-projected matrix, for which ``M v = u sigma`` holds to roundoff.
-
-Each cycle computes one dense SVD: :func:`check_convergence` takes it of
-the matrix it tests (square in largest mode, row-extended in harmonic
-mode) and returns it, and the augmentation of the same cycle retains its
-vectors.  The loop state is one :class:`quatsvd.bidiag.KrylovState` per
-solve, which each restart and the final extraction rewrite in place.
-Only harmonic mode checks the square matrix once more, for the reported
-triplets.  A harmonic restart that meets a (near-)singular matrix raises
+Each cycle computes one dense SVD, in :func:`check_convergence`, which
+alone owns the triplets a solve reports.  It takes the SVD of B in
+largest mode and of the row-extended [B, beta*e_last] in harmonic mode,
+and returns unit coefficient vectors x_j and y_j with B y_j parallel to
+x_j: the singular vectors of B, or a harmonic left vector x_j and
+y_j = B^-1 x_j normalized.  Then v_j = P y_j and u_j = Q x_j satisfy
+``M v_j = u_j sigma_j`` with sigma_j = x_j' B y_j (the singular value
+itself for an SVD pair), and the factorization identities give the bound
+``||M* u_j - v_j sigma_j|| = ||B' x_j - sigma_j y_j|| (+) beta_last
+|last component of x_j|``, where (+) is the root sum of squares.  A
+triplet is accepted once its bound is at most ``delta * sigma_max``,
+sigma_max being a running estimate of the largest singular value.  Once
+beta_last breaks down the projection is exact, harmonic pairs equal Ritz
+pairs, and harmonic mode checks B itself.  The augmentation of the same
+cycle retains vectors from the check's SVD.
+The loop state is one :class:`quatsvd.bidiag.KrylovState` per solve,
+which each restart and the final extraction rewrite in place.  A
+harmonic check or restart that meets a (near-)singular matrix raises
 :class:`quatsvd.smalldense.NearSingularError`, from its own guards or a
 solve or QR, and the driver restarts from a perturbed seed vector.
 
@@ -43,6 +46,7 @@ Output is bit-identical for a fixed seed and BLAS thread count.  Between
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,6 +107,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.which not in (WHICH_LARGEST, WHICH_SMALLEST):
             raise ValueError(f"unknown mode {self.which!r}")
+        counts = {"k": self.k, "maxit": self.maxit,
+                  **({} if self.m_b is None else {"m_b": self.m_b})}
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}={value!r} must be an integer")
         if self.k < 1:
             raise ValueError(f"k={self.k} must be at least 1")
         if self.m_b is not None and self.m_b < 1:
@@ -138,7 +147,10 @@ class TripletSet:
     """Approximate singular triplets with their residual bounds.
 
     ``sigmas`` is descending in largest mode and ascending in smallest
-    mode; ``bounds[j]`` estimates ||M* u_j - v_j sigma_j||.
+    mode.  ``M v_j = u_j sigma_j`` holds to roundoff, ``bounds[j]`` is
+    ||M* u_j - v_j sigma_j|| to roundoff, and ``converged[j]`` says whether
+    that bound met the tolerance.  Smallest mode solves a wide M through
+    its adjoint, which swaps the two equations' roles.
     """
 
     sigmas: np.ndarray
@@ -157,12 +169,16 @@ class TripletSet:
 
 @dataclass(frozen=True)
 class ConvergenceCheck:
-    """Outcome of :func:`check_convergence`: ``order`` indexes the first t
-    triplets of ``svd``, the SVD of the tested matrix, in target order."""
+    """Outcome of :func:`check_convergence`: the first t projected triplets
+    in target order, as ``sigmas`` and unit coefficient columns of ``X``
+    (left) and ``Y`` (right), with their bounds and flags.  ``svd`` is the
+    SVD the check took, from which the same cycle's restart retains."""
 
     flags: np.ndarray
     bounds: np.ndarray
-    order: np.ndarray
+    sigmas: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
     sigma_max: float
     svd: smalldense.SvdResult
 
@@ -170,20 +186,30 @@ class ConvergenceCheck:
 def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
                       which: str = WHICH_LARGEST,
                       sigma_max: float = 0.0) -> ConvergenceCheck:
-    """Per-triplet convergence flags and bounds from the projected matrix.
-
-    ``B`` is the current projected matrix: square in largest mode, the
-    row-extended [B, beta*e_last] in harmonic mode.  The j-th bound is
-    ``beta_k * |e_last' u_j|`` for the j-th triplet in target order;
+    """Triplets of the square projected matrix ``B`` with their bounds and
+    flags, as the module docstring describes.  Harmonic mode solves with B
+    and raises ``smalldense.NearSingularError`` when B is nearly singular.
     sigma_max is kept as a running maximum so the tolerance never shrinks.
     """
-    res = smalldense.dense_svd(B)
+    scale = max(sigma_max, float(np.abs(B).max(initial=0.0)))
+    harmonic = which == WHICH_SMALLEST and beta_k > BREAKDOWN_TOL * scale
+    res = smalldense.dense_svd(_augmented_projection(B, beta_k) if harmonic
+                               else B)
     sigma_max = max(sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
     order = _target_order(res.sigmas, which)[:t]
-    bounds = abs(beta_k) * np.abs(res.U[-1, order])
-    flags = bounds <= delta * sigma_max
-    return ConvergenceCheck(flags=flags, bounds=bounds, order=order,
-                            sigma_max=sigma_max, svd=res)
+    X = res.U[:, order]
+    if harmonic:
+        Y = smalldense.solve_upper(B, X)
+        Y /= np.linalg.norm(Y, axis=0)
+        sigmas = np.einsum("ij,ij->j", X, B @ Y)
+    else:
+        Y = res.V[:, order]
+        sigmas = res.sigmas[order]
+    bounds = np.hypot(np.linalg.norm(B.T @ X - Y * sigmas, axis=0),
+                      beta_k * X[-1])
+    return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,
+                            sigmas=sigmas, X=X, Y=Y, sigma_max=sigma_max,
+                            svd=res)
 
 
 def _target_order(sigmas: np.ndarray, which: str) -> np.ndarray:
@@ -314,25 +340,17 @@ def _retained_count(k: int, m_b: int) -> int:
 
 
 def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
-                      flags: np.ndarray, which: str) -> TripletSet:
-    """Reported triplets from ``chk``, a check of the square ``state.B``,
-    flagged by ``flags``.  The bases are combined in the state's workspace
+                      which: str) -> TripletSet:
+    """Reported triplets u_j = Q x_j and v_j = P y_j of ``chk``, the last
+    check of ``state``.  The bases are combined in the state's workspace
     and copied out to k slots, so the result does not keep it alive."""
-    res = chk.svd
-    sigmas = res.sigmas[chk.order]
-    # Reported bounds cannot certify below the roundoff of the
-    # factorization itself: floor them at m_b * eps * sigma_max.
-    floor = state.B.shape[0] * np.finfo(float).eps * state.sigma_max
-    bounds = np.maximum(chk.bounds, floor)
-    # Equal values are ordered by bound, then by position; LAPACK's
-    # order of distinct values is already the target order.
-    perm = np.lexsort((np.arange(chk.order.size), bounds,
-                       -sigmas if which == WHICH_LARGEST else sigmas))
-    order = chk.order[perm]
-    U = state.Q.combine_matrix(res.U[:, order]).copy()
-    V = state.P.combine_matrix(res.V[:, order]).copy()
-    return TripletSet(sigmas=sigmas[perm], U=U, V=V, bounds=bounds[perm],
-                      converged=flags[perm])
+    # Sorted by value; equal values by bound, then by position.
+    perm = np.lexsort((np.arange(chk.sigmas.size), chk.bounds,
+                       -chk.sigmas if which == WHICH_LARGEST else chk.sigmas))
+    U = state.Q.combine_matrix(chk.X[:, perm]).copy()
+    V = state.P.combine_matrix(chk.Y[:, perm]).copy()
+    return TripletSet(sigmas=chk.sigmas[perm], U=U, V=V,
+                      bounds=chk.bounds[perm], converged=chk.flags[perm])
 
 
 def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
@@ -373,43 +391,33 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     rng = np.random.default_rng(opts.seed)
     trace = ConvergenceTrace()
     state = _initial_state(M, rng, m_b)
-    harmonic = opts.which == WHICH_SMALLEST
+    augment = harmonic_augment_cycle if opts.which == WHICH_SMALLEST \
+        else ritz_augment_cycle
     singular_restarts = 0
-    chk = None
-
-    for cycle in range(opts.maxit + 1):
-        B_chk = _augmented_projection(state.B, state.beta_last) if harmonic \
-            else state.B
-        chk = check_convergence(B_chk, state.beta_last, opts.delta, opts.k,
-                                which=opts.which, sigma_max=state.sigma_max)
-        state.sigma_max = chk.sigma_max
-        trace.append_cycle(cycle, chk.bounds, state.matvecs)
-        # With m_b = n the right basis spans the column space: the
-        # projection is exact and no direction is left to restart with.
-        if np.all(chk.flags) or cycle == opts.maxit or m_b == n:
-            break
-        t = _retained_count(opts.k, m_b)
+    cycle = 0
+    while True:
         try:
-            if harmonic:
-                state = harmonic_augment_cycle(M, state, t, chk.svd)
-            else:
-                state = ritz_augment_cycle(M, state, t, chk.svd)
+            chk = check_convergence(state.B, state.beta_last, opts.delta,
+                                    opts.k, which=opts.which,
+                                    sigma_max=state.sigma_max)
+            state.sigma_max = chk.sigma_max
+            trace.append_cycle(cycle, chk.bounds, state.matvecs)
+            # With m_b = n the right basis spans the column space: the
+            # projection is exact and no direction is left to restart with.
+            if np.all(chk.flags) or cycle == opts.maxit or m_b == n:
+                return _extract_triplets(state, chk, opts.which), trace
+            cycle += 1
+            state = augment(M, state, _retained_count(opts.k, m_b), chk.svd)
         except smalldense.NearSingularError as exc:
             singular_restarts += 1
-            trace.events.append(f"cycle {cycle}: {exc}; restarting from a "
-                                "perturbed seed vector")
+            trace.events.append(f"before cycle {cycle}: {exc}; restarting "
+                                "from a perturbed seed vector")
             if singular_restarts > MAX_SINGULAR_RESTARTS:
                 raise SingularMatrixError(
                     "harmonic mode kept hitting a singular projection; "
                     "matrix appears to be singular") from exc
             state = _initial_state(M, rng, m_b, state.matvecs,
                                    state.sigma_max)
-
-    flags = chk.flags
-    if harmonic:
-        chk = check_convergence(state.B, state.beta_last, opts.delta, opts.k,
-                                which=opts.which, sigma_max=state.sigma_max)
-    return _extract_triplets(state, chk, flags, opts.which), trace
 
 
 def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:

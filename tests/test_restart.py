@@ -125,6 +125,32 @@ class TestCheckConvergence:
                                                 abs=1e-12 * sigma1)
 
 
+    def test_harmonic_pairs_are_exact_in_one_direction(self, rng):
+        # u = Q x_j and v = P y_j with B y_j parallel to x_j: M v = u sigma
+        # to roundoff, and the bound is the adjoint residual.
+        M = rand_qmat(rng, 22, 16)
+        F = lanczos_bidiag(M, random_unit_vector(16, rng), 9, rng)
+        chk = check_convergence(F.B, F.beta_last, 1e-10, 4, which="smallest")
+        assert chk.svd.V.shape == (10, 9)   # of [B, beta e_last]
+        sigma1 = np.linalg.svd(F.B, compute_uv=False)[0]
+        for j in range(4):
+            u = F.Q.combine_real(chk.X[:, j])
+            v = F.P.combine_real(chk.Y[:, j])
+            exact = structured_matvec(M, v) - u * chk.sigmas[j]
+            assert vec_norm(exact) <= 1e-13 * sigma1
+            r = structured_matvec(M, u, adjoint=True) - v * chk.sigmas[j]
+            assert vec_norm(r) == pytest.approx(chk.bounds[j],
+                                                abs=1e-12 * sigma1)
+
+    def test_harmonic_check_of_exact_projection_is_square(self):
+        # With beta_k broken down, harmonic pairs are Ritz pairs of B.
+        chk = check_convergence(np.diag([3.0, 2.0, 1.0]), 0.0, 1e-10, 3,
+                                which="smallest")
+        assert chk.svd.V.shape == (3, 3)
+        assert np.array_equal(chk.sigmas, [1.0, 2.0, 3.0])
+        assert np.all(chk.flags)
+
+
 class _AugmentCycleChecks:
     """Checks shared by both restarts, which take one augmentation step.
 
@@ -265,6 +291,22 @@ class TestHarmonicCycle(_AugmentCycleChecks):
             assert np.abs(np.tril(state.B, -1)).max() == 0.0
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known defect: B has a singular value of "
+                              "1.7e-14 but diagonal entries above 6e-6, so "
+                              "the near-singular guard passes and the "
+                              "restart's solve leaves the factorization off "
+                              "by about 1e-3")
+    def test_restart_keeps_factorization_of_rank_deficient_matrix(self):
+        sig = [(0.5, 0.25, 0.1)[i % 3] * (1.0 + 1e-8 * i) for i in range(11)]
+        M = matrix_from_triplets_expansion(
+            synthetic_triplets(np.random.default_rng(2), 19, 12, sig))
+        state = harmonic_cycle(M, make_state(M, 8, seed=0), 3)
+        errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+        assert errs["direct"] <= 1e-11 * state.sigma_max
+        assert errs["adjoint"] <= 1e-11 * state.sigma_max
+
+
 class TestSolver:
     def test_scalar_quaternion(self):
         M = scalar_matrix(Quaternion(1, 1, 1, 1))
@@ -339,7 +381,8 @@ class TestSolver:
     @pytest.mark.parametrize("field, value", [
         ("which", "middle"), ("k", 0), ("m_b", 0), ("maxit", -1),
         ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
-        ("delta", -1e-10)])
+        ("delta", -1e-10), ("k", 2.5), ("k", True), ("k", "2"),
+        ("m_b", 4.5), ("m_b", False), ("maxit", 1.5), ("maxit", True)])
     def test_invalid_options_rejected_on_construction(self, field, value):
         with pytest.raises(ValueError):
             SolverOptions(**{"k": 2, field: value})
@@ -355,6 +398,18 @@ class TestSolver:
         assert out.all_converged
         assert np.all(out.sigmas <= 1e-10)
         assert verify_residual(M, out) <= 1e-12 * 5.0
+
+    def test_deflation_when_draws_lie_in_the_range(self):
+        # A rank-11 matrix built from the solver's own seed: the solver's
+        # random fresh directions all lie in its range, and deflation must
+        # still find the null vector.
+        T = synthetic_triplets(np.random.default_rng(1), 12, 12,
+                               np.logspace(0, -1, 11))
+        M = matrix_from_triplets_expansion(T)
+        out, _ = solve_partial_svd(
+            M, SolverOptions(k=2, which="smallest", m_b=12, maxit=0, seed=1))
+        assert out.all_converged
+        assert np.allclose(out.sigmas, [0.0, 0.1], atol=1e-12)
 
     def test_near_singular_projection_guard(self, rng):
         M = rand_qmat(rng, 16, 16)
@@ -390,10 +445,24 @@ class TestSolver:
                 M, SolverOptions(k=2, which="smallest", m_b=8,
                                  delta=1e-16, seed=0))
 
+    def test_singular_harmonic_check_escalates(self, rng, monkeypatch):
+        # A check whose solve refuses B restarts from a perturbed seed like
+        # a failed restart; NearSingularError never escapes the solver.
+        import quatsvd.smalldense as smalldense_mod
+
+        def refuses(R, b):
+            raise NearSingularError("forced")
+
+        monkeypatch.setattr(smalldense_mod, "solve_upper", refuses)
+        M = rand_qmat(rng, 16, 16)
+        with pytest.raises(SingularMatrixError):
+            solve_partial_svd(M, SolverOptions(k=2, which="smallest", m_b=8,
+                                               seed=0))
+
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_one_dense_svd_per_cycle(self, rng, monkeypatch, which):
-        # The check's SVD drives the restart of the same cycle; only the
-        # harmonic extraction needs one more, of the square matrix.
+        # The check's SVD drives the restart of the same cycle and the
+        # reported triplets, in both modes.
         import quatsvd.smalldense as smalldense_mod
 
         calls = []
@@ -408,8 +477,7 @@ class TestSolver:
         _, trace = solve_partial_svd(
             M, SolverOptions(k=4, which=which, m_b=10, seed=5))
         assert trace.cycles > 1
-        extra = 1 if which == "smallest" else 0
-        assert len(calls) == trace.cycles + extra
+        assert len(calls) == trace.cycles
 
     def test_scaled_near_overflow(self, rng):
         M0 = rand_qmat(rng, 30, 30)
