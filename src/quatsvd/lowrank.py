@@ -6,7 +6,8 @@ reconstructs the rank-k approximation U_k diag(sigma) V_k* entirely in
 compact quaternion arithmetic.  PSNR uses the 255-peak formula over all
 three channels; SSIM is a single global window over the channel-
 concatenated vectors with the standard constants c1 = (0.01*255)^2 and
-c2 = (0.03*255)^2.
+c2 = (0.03*255)^2.  Both are accumulated channel by channel in float64,
+so any real dtype scores as its float64 copy, with no full-size temporary.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ class RgbImage:
 
 def image_to_quat(img: RgbImage) -> QuatMatrix:
     """Encode an image as a pure quaternion matrix R*i + G*j + B*k."""
-    zero = np.zeros_like(np.asarray(img.R, dtype=np.float64))
-    return QuatMatrix(zero,
-                      np.asarray(img.R, dtype=np.float64),
-                      np.asarray(img.G, dtype=np.float64),
-                      np.asarray(img.B, dtype=np.float64))
+    r, g, b = (np.asarray(c, dtype=np.float64) for c in img.channels())
+    # Untouched np.zeros pages stay off RSS; matvecs skip the zero block.
+    return QuatMatrix(np.zeros(r.shape), r, g, b)
 
 
 def quat_to_image(M: QuatMatrix) -> RgbImage:
@@ -84,8 +83,12 @@ def psnr(F: RgbImage, Fk: RgbImage) -> float:
     """
     if F.R.shape != Fk.R.shape:
         raise ValueError("image dimensions differ")
-    err = sum(float(((a - b) ** 2).sum())
-              for a, b in zip(F.channels(), Fk.channels()))
+    d = np.empty(F.R.shape)
+    err = 0.0
+    for a, b in zip(F.channels(), Fk.channels()):
+        # dtype=float64 subtracts in float64: integer channels would wrap.
+        np.subtract(a, b, out=d, dtype=np.float64)
+        err += float(np.vdot(d, d))
     if err == 0.0:
         return math.inf
     m, n = F.R.shape
@@ -93,15 +96,20 @@ def psnr(F: RgbImage, Fk: RgbImage) -> float:
 
 
 def ssim(F: RgbImage, Fk: RgbImage) -> float:
-    """Global single-window SSIM on the channel-concatenated vectors."""
+    """Global single-window SSIM on the channel-concatenated vectors,
+    accumulated channel by channel through two reused float64 buffers."""
     if F.R.shape != Fk.R.shape:
         raise ValueError("image dimensions differ")
-    x = np.concatenate([c.ravel() for c in F.channels()]).astype(np.float64)
-    y = np.concatenate([c.ravel() for c in Fk.channels()]).astype(np.float64)
-    mx, my = x.mean(), y.mean()
-    vx = ((x - mx) ** 2).mean()
-    vy = ((y - my) ** 2).mean()
-    cov = ((x - mx) * (y - my)).mean()
+    N = 3 * F.R.size
+    mx = sum(float(c.sum(dtype=np.float64)) for c in F.channels()) / N
+    my = sum(float(c.sum(dtype=np.float64)) for c in Fk.channels()) / N
+    dx, dy = np.empty(F.R.shape), np.empty(F.R.shape)
+    sums = np.zeros(3)
+    for a, b in zip(F.channels(), Fk.channels()):
+        np.subtract(a, mx, out=dx, dtype=np.float64)
+        np.subtract(b, my, out=dy, dtype=np.float64)
+        sums += (np.vdot(dx, dx), np.vdot(dy, dy), np.vdot(dx, dy))
+    vx, vy, cov = sums / N
     return float((2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
                  / ((mx ** 2 + my ** 2 + SSIM_C1) * (vx + vy + SSIM_C2)))
 
@@ -116,7 +124,7 @@ def stack_frames(frames: list) -> QuatMatrix:
     r = np.vstack([f.R for f in frames])
     g = np.vstack([f.G for f in frames])
     b = np.vstack([f.B for f in frames])
-    return QuatMatrix(np.zeros_like(r), r, g, b)
+    return QuatMatrix(np.zeros(r.shape), r, g, b)
 
 
 def unstack_frames(M: QuatMatrix, frame_height: int) -> list:
@@ -144,9 +152,14 @@ def mean_center_samples(samples: list) -> QuatMatrix:
     rows, cols = samples[0].rows, samples[0].cols
     if any(s.rows != rows or s.cols != cols for s in samples):
         raise ValueError("sample dimensions differ")
-    stacked = [np.stack([b.ravel(order="F") for b in s.dense_blocks()])
-               for s in samples]                       # each (4, m*n)
-    mean = sum(stacked) / len(stacked)
-    cols_out = [s - mean for s in stacked]
-    blocks = [np.column_stack([c[i] for c in cols_out]) for i in range(4)]
+    blocks = np.empty((4, rows * cols, len(samples)))
+    for j, s in enumerate(samples):
+        for i, b in enumerate(s.dense_blocks()):
+            blocks[i, :, j] = b.ravel(order="F")
+    # Summed from zero in sample order, as sum() over the samples would be.
+    mean = np.zeros((4, rows * cols))
+    for j in range(len(samples)):
+        mean += blocks[:, :, j]
+    mean /= len(samples)
+    blocks -= mean[:, :, None]
     return QuatMatrix(*blocks)

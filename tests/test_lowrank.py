@@ -1,6 +1,7 @@
 """Image encoding, rank-k reconstruction and quality metric contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ from conftest import (
 
 def random_image(rng, h, w):
     return RgbImage(*(rng.uniform(0.0, 255.0, size=(h, w)) for _ in range(3)))
+
+
+def as_float64(img):
+    return RgbImage(*(c.astype(np.float64) for c in img.channels()))
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestImageEncoding:
@@ -132,6 +147,14 @@ class TestPsnr:
             psnr(random_image(rng, 3, 3), random_image(rng, 3, 4))
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_uint8_channels_score_as_their_float64_copies(rng, metric):
+    # uint8 differences wrap (3 - 250 == 9) unless taken in float64.
+    a, b = (RgbImage(*(rng.integers(0, 256, (6, 5), dtype=np.uint8)
+                       for _ in range(3))) for _ in range(2))
+    assert metric(a, b) == metric(as_float64(a), as_float64(b))
+
+
 def reference_ssim(F, Fk):
     """Plain-Python re-implementation of the global SSIM formula."""
     xs, ys = [], []
@@ -163,9 +186,45 @@ class TestSsim:
         a, b = random_image(rng, 7, 5), random_image(rng, 7, 5)
         assert ssim(a, b) == pytest.approx(reference_ssim(a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("layout", ["float32", "uint8", "interleaved"])
+    def test_matches_reimplementation_on_other_channel_layouts(self, rng,
+                                                               layout):
+        def image():
+            pix = rng.uniform(0.0, 255.0, size=(7, 5, 3))
+            if layout == "interleaved":       # non-contiguous channel views
+                return RgbImage(pix[..., 0], pix[..., 1], pix[..., 2])
+            return RgbImage(*(c.astype(layout) for c in pix.transpose(2, 0, 1)))
+        a, b = image(), image()
+        assert ssim(a, b) == pytest.approx(reference_ssim(a, b), abs=1e-12)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             ssim(random_image(rng, 3, 3), random_image(rng, 4, 3))
+
+
+class TestScoringMemory:
+    """tracemalloc peaks, in float64 channels of a 256x256 image."""
+
+    CHANNEL = 256 * 256 * 8
+
+    def test_scores_stream_one_channel_at_a_time(self, rng):
+        a, b = random_image(rng, 256, 256), random_image(rng, 256, 256)
+        # psnr reuses one difference buffer, ssim two centred buffers.
+        for metric, bound in ((psnr, 1.5), (ssim, 2.5)):
+            peak = traced_peak(lambda: metric(a, b))
+            assert peak <= bound * self.CHANNEL, metric.__name__
+
+    def test_rebuild_and_score(self, rng):
+        img = random_image(rng, 256, 256)
+        T = synthetic_triplets(rng, 256, 256, np.linspace(2e4, 1e3, 10))
+
+        def rebuild_and_score():
+            Ak = low_rank_approx(T, 10)
+            recon = quat_to_image(Ak)
+            psnr(img, recon)
+            ssim(img, recon)
+        # Ak's four blocks, the three clipped channels, ssim's two buffers.
+        assert traced_peak(rebuild_and_score) <= 10 * self.CHANNEL
 
 
 class TestFrames:
@@ -228,6 +287,22 @@ class TestMeanCenter:
         X = mean_center_samples([rand_qmat(rng, 5, 4) for _ in range(6)])
         for b in X.dense_blocks():
             assert np.abs(b.sum(axis=1)).max() <= 1e-12
+
+    def test_matches_column_stacked_reference_bytewise(self, rng):
+        samples = [rand_qmat(rng, 6, 5) for _ in range(7)]
+        stacked = [np.stack([b.ravel(order="F") for b in s.dense_blocks()])
+                   for s in samples]
+        mean = sum(stacked) / len(stacked)
+        X = mean_center_samples(samples)
+        for i, got in enumerate(X.dense_blocks()):
+            want = np.column_stack([c[i] - mean[i] for c in stacked])
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_near_output_size(self, rng):
+        m, n, S = 64, 48, 40
+        samples = [rand_qmat(rng, m, n) for _ in range(S)]
+        peak = traced_peak(lambda: mean_center_samples(samples))
+        assert peak <= 1.5 * 4 * m * n * S * 8
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
