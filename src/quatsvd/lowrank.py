@@ -7,7 +7,8 @@ compact quaternion arithmetic.  PSNR uses the 255-peak formula over all
 three channels; SSIM is a single global window over the channel-
 concatenated vectors with the standard constants c1 = (0.01*255)^2 and
 c2 = (0.03*255)^2.  Both are accumulated channel by channel in float64,
-so any real dtype scores as its float64 copy, with no full-size temporary.
+so any real dtype scores as its float64 copy and no three-channel
+temporary is built.
 """
 
 from __future__ import annotations
@@ -83,12 +84,9 @@ def psnr(F: RgbImage, Fk: RgbImage) -> float:
     """
     if F.R.shape != Fk.R.shape:
         raise ValueError("image dimensions differ")
-    d = np.empty(F.R.shape)
-    err = 0.0
-    for a, b in zip(F.channels(), Fk.channels()):
-        # dtype=float64 subtracts in float64: integer channels would wrap.
-        np.subtract(a, b, out=d, dtype=np.float64)
-        err += float(np.vdot(d, d))
+    # Subtract in float64: integer channels would wrap around.
+    err = sum(float((np.subtract(a, b, dtype=np.float64) ** 2).sum())
+              for a, b in zip(F.channels(), Fk.channels()))
     if err == 0.0:
         return math.inf
     m, n = F.R.shape
@@ -152,14 +150,9 @@ def mean_center_samples(samples: list) -> QuatMatrix:
     rows, cols = samples[0].rows, samples[0].cols
     if any(s.rows != rows or s.cols != cols for s in samples):
         raise ValueError("sample dimensions differ")
-    blocks = np.empty((4, rows * cols, len(samples)))
-    for j, s in enumerate(samples):
-        for i, b in enumerate(s.dense_blocks()):
-            blocks[i, :, j] = b.ravel(order="F")
-    # Summed from zero in sample order, as sum() over the samples would be.
-    mean = np.zeros((4, rows * cols))
-    for j in range(len(samples)):
-        mean += blocks[:, :, j]
-    mean /= len(samples)
-    blocks -= mean[:, :, None]
+    stacked = [np.stack([b.ravel(order="F") for b in s.dense_blocks()])
+               for s in samples]                       # each (4, m*n)
+    mean = sum(stacked) / len(stacked)
+    cols_out = [s - mean for s in stacked]
+    blocks = [np.column_stack([c[i] for c in cols_out]) for i in range(4)]
     return QuatMatrix(*blocks)

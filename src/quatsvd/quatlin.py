@@ -132,8 +132,8 @@ class QuatMatrix:
         e = math.frexp(max(self.max_abs))[1]
         total = 0.0
         for b in self.blocks:
-            d = np.ldexp(b.data if sp.issparse(b) else b, -e).ravel()
-            total += float(d @ d)
+            data = b.data if sp.issparse(b) else b
+            total += float((np.ldexp(data, -e) ** 2).sum())
         return math.ldexp(math.sqrt(total), e)
 
     def dense_blocks(self) -> tuple:
