@@ -93,11 +93,11 @@ def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> n
         if nv > 1e-6:
             return v * (1.0 / nv)
     # Draws from the stream that built a low-rank matrix can all lie in
-    # its range; the coordinate vector farthest from the span cannot.
-    coords = np.zeros((n, n, 4))
-    coords[:, :, 0] = np.eye(n)
-    v = max((orthogonalize_against_basis(e, basis) for e in coords),
-            key=vec_norm)
+    # its range; the coordinate vector farthest from the span cannot.  It
+    # is the one at the row with the least basis weight.
+    v = np.zeros((n, 4))
+    v[np.argmin((basis.data ** 2).sum(axis=(0, 2))), 0] = 1.0
+    v = orthogonalize_against_basis(v, basis)
     return v * (1.0 / vec_norm(v))
 
 

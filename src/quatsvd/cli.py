@@ -198,8 +198,7 @@ def _cmd_verify(args) -> int:
 
     # Structure identities on a small principal submatrix.
     ns = min(20, M.rows, M.cols)
-    blocks = [b[:ns, :ns] for b in M.dense_blocks()]
-    S = QuatMatrix(*blocks)
+    S = QuatMatrix(*(b[:ns, :ns] for b in M.blocks))
     E = expand_real_counterpart(S)
     Jm, Rm, Sm = structure_matrices(ns)
     ok = (np.array_equal(Jm @ E @ Jm.T, E) and

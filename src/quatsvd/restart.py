@@ -30,8 +30,9 @@ itself for an SVD pair), and the factorization identities give the bound
 triplet is accepted once its bound is at most ``delta * sigma_max``,
 sigma_max being a running estimate of the largest singular value.  Once
 beta_last breaks down the projection is exact, harmonic pairs equal Ritz
-pairs, and harmonic mode checks B itself.  The augmentation of the same
-cycle retains vectors from the check's SVD.
+pairs, and harmonic mode checks B itself.  The restart of the same cycle
+retains the check's leading columns; a harmonic check's one solve with B
+also gives the restart's W = B^-1 U_t and z = B^-1 e_last.
 The loop state is one :class:`quatsvd.bidiag.KrylovState` per solve,
 which each restart and the final extraction rewrite in place.  A
 harmonic check or restart that meets a (near-)singular matrix raises
@@ -107,7 +108,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.which not in (WHICH_LARGEST, WHICH_SMALLEST):
             raise ValueError(f"unknown mode {self.which!r}")
-        counts = {"k": self.k, "maxit": self.maxit,
+        counts = {"k": self.k, "maxit": self.maxit, "seed": self.seed,
                   **({} if self.m_b is None else {"m_b": self.m_b})}
         for name, value in counts.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -116,8 +117,9 @@ class SolverOptions:
             raise ValueError(f"k={self.k} must be at least 1")
         if self.m_b is not None and self.m_b < 1:
             raise ValueError(f"m_b={self.m_b} must be at least 1")
-        if self.maxit < 0:
-            raise ValueError(f"maxit={self.maxit} must be non-negative")
+        for name in ("maxit", "seed"):
+            if counts[name] < 0:
+                raise ValueError(f"{name}={counts[name]} must be non-negative")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta={self.delta} must be finite and positive")
 
@@ -171,8 +173,9 @@ class TripletSet:
 class ConvergenceCheck:
     """Outcome of :func:`check_convergence`: the first t projected triplets
     in target order, as ``sigmas`` and unit coefficient columns of ``X``
-    (left) and ``Y`` (right), with their bounds and flags.  ``svd`` is the
-    SVD the check took, from which the same cycle's restart retains."""
+    (left) and ``Y`` (right), with their bounds and flags, and ``theta``,
+    the check's SVD values (harmonic ones in harmonic mode).  Only a
+    harmonic check sets ``W = B^-1 X`` and ``z = B^-1 e_last``."""
 
     flags: np.ndarray
     bounds: np.ndarray
@@ -180,7 +183,9 @@ class ConvergenceCheck:
     X: np.ndarray
     Y: np.ndarray
     sigma_max: float
-    svd: smalldense.SvdResult
+    theta: np.ndarray
+    W: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
 def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
@@ -196,25 +201,22 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     res = smalldense.dense_svd(_augmented_projection(B, beta_k) if harmonic
                                else B)
     sigma_max = max(sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
-    order = _target_order(res.sigmas, which)[:t]
-    X = res.U[:, order]
+    # Basic-slice views: a reordering copy moves later products by roundoff.
+    step = 1 if which == WHICH_LARGEST else -1
+    X, theta = res.U[:, ::step][:, :t], res.sigmas[::step][:t]
     if harmonic:
-        Y = smalldense.solve_upper(B, X)
-        Y /= np.linalg.norm(Y, axis=0)
+        Wz = smalldense.solve_upper(B, np.column_stack([X, np.eye(len(B))[-1]]))
+        W, z = Wz[:, :-1], Wz[:, -1]
+        Y = W / np.linalg.norm(W, axis=0)
         sigmas = np.einsum("ij,ij->j", X, B @ Y)
     else:
-        Y = res.V[:, order]
-        sigmas = res.sigmas[order]
+        W = z = None
+        Y, sigmas = res.V[:, ::step][:, :t], theta
     bounds = np.hypot(np.linalg.norm(B.T @ X - Y * sigmas, axis=0),
                       beta_k * X[-1])
     return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,
                             sigmas=sigmas, X=X, Y=Y, sigma_max=sigma_max,
-                            svd=res)
-
-
-def _target_order(sigmas: np.ndarray, which: str) -> np.ndarray:
-    order = np.arange(sigmas.size)
-    return order if which == WHICH_LARGEST else order[::-1]
+                            theta=theta, W=W, z=z)
 
 
 def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
@@ -254,12 +256,12 @@ def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
-                       res: smalldense.SvdResult) -> KrylovState:
+                       chk: ConvergenceCheck) -> KrylovState:
     """One Ritz-augmented restart, re-expanded to ``state.steps`` steps.
 
-    ``res`` is the SVD of ``state.B`` (``ConvergenceCheck.svd``); the t
-    largest Ritz pairs are retained, and the augmentation vector is the
-    residual.  Rewrites ``state`` in place and returns it.
+    ``chk`` is the largest-mode check of ``state``; its t leading Ritz
+    pairs are retained, and the augmentation vector is the residual.
+    Rewrites ``state`` in place and returns it.
     """
     k = state.steps
     if not 0 <= t < k:
@@ -269,42 +271,27 @@ def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
     p_aug, beta_k = next_right(M, state)
     if beta_k == 0.0:
         state.deflations.append((t, "beta"))
-    U_t = res.U[:, :t]
+    U_t = chk.X[:, :t]
     rho = beta_k * U_t[-1]
-    return _augment(M, state, p_aug, U_t @ rho, block_diag(res.V[:, :t], 1.0),
-                    U_t, res.sigmas[:t], rho)
+    return _augment(M, state, p_aug, U_t @ rho, block_diag(chk.Y[:, :t], 1.0),
+                    U_t, chk.theta[:t], rho)
 
 
 # ---------------------------------------------------------------------------
 # harmonic augmentation (smallest triplets)
 # ---------------------------------------------------------------------------
 
-def _harmonic_projection(B: np.ndarray, res: smalldense.SvdResult, t: int):
-    """Projected-level quantities of a harmonic restart.
-
-    ``res`` is the SVD of the row-extended matrix [B, beta*e_last].
-    Returns ascending sigmas, the retained left vectors U_t of the
-    row-extended matrix, the solved coefficients W = B^{-1} U_t and
-    z = B^{-1} e_last, from one solve with the stacked [U_t, e_last].
-    """
-    k = B.shape[0]
-    asc = _target_order(res.sigmas, WHICH_SMALLEST)[:t]
-    sig = res.sigmas[asc]
-    U_t = res.U[:, asc]
-    Wz = smalldense.solve_upper(B, np.column_stack([U_t, np.eye(k)[:, -1]]))
-    return sig, U_t, Wz[:, :t], Wz[:, t]
-
-
 def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
-                           res: smalldense.SvdResult) -> KrylovState:
+                           chk: ConvergenceCheck) -> KrylovState:
     """One harmonic-Ritz restart, re-expanded to ``state.steps`` steps.
 
-    ``res`` is the SVD of the row-extended matrix [B, beta*e_last]
-    (``ConvergenceCheck.svd`` in harmonic mode); the t smallest harmonic
-    pairs are retained.  Rewrites ``state`` in place.  Raises
+    ``chk`` is the harmonic check of ``state``; its t leading harmonic
+    pairs are retained, with their solved coefficients ``chk.W`` and
+    ``chk.z``.  Rewrites ``state`` in place.  Raises
     ``smalldense.NearSingularError`` when B is nearly singular, beta_last
-    vanishes or a solve or QR refuses its matrix; the solver then discards
-    ``state`` and restarts from a perturbed seed vector.
+    vanishes (then the check was not harmonic) or the QR refuses its
+    matrix; the solver then discards ``state`` and restarts from a
+    perturbed seed vector.
     """
     k = state.steps
     if not 1 <= t < k:
@@ -316,14 +303,13 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
         raise smalldense.NearSingularError(
             "zero residual: invariant subspace found")
 
-    sig, U_t, W, z = _harmonic_projection(state.B, res, t)
     C = np.zeros((k + 1, t + 1))
-    C[:k, :t] = W * sig[None, :]
-    C[:k, t] = -beta_k * z
+    C[:k, :t] = chk.W[:, :t] * chk.theta[:t]
+    C[:k, t] = -beta_k * chk.z
     C[k, t] = 1.0
     Qc, Rc = smalldense.qr_factor(C)
     return _augment(M, state, state.f * (1.0 / beta_k), beta_k * np.eye(k)[-1],
-                    Qc, U_t, sig, 0.0, Rc)
+                    Qc, chk.X[:, :t], chk.theta[:t], 0.0, Rc)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +326,15 @@ def _retained_count(k: int, m_b: int) -> int:
 
 
 def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
-                      which: str) -> TripletSet:
-    """Reported triplets u_j = Q x_j and v_j = P y_j of ``chk``, the last
-    check of ``state``.  The bases are combined in the state's workspace
-    and copied out to k slots, so the result does not keep it alive."""
+                      which: str, k: int) -> TripletSet:
+    """Reported triplets u_j = Q x_j and v_j = P y_j of the k leading
+    columns of ``chk``, the last check of ``state``.  The bases are
+    combined in the state's workspace and copied out to k slots, so the
+    result does not keep it alive."""
     # Sorted by value; equal values by bound, then by position.
-    perm = np.lexsort((np.arange(chk.sigmas.size), chk.bounds,
-                       -chk.sigmas if which == WHICH_LARGEST else chk.sigmas))
+    sigmas = chk.sigmas[:k]
+    perm = np.lexsort((np.arange(sigmas.size), chk.bounds[:k],
+                       -sigmas if which == WHICH_LARGEST else sigmas))
     U = state.Q.combine_matrix(chk.X[:, perm]).copy()
     V = state.P.combine_matrix(chk.Y[:, perm]).copy()
     return TripletSet(sigmas=chk.sigmas[perm], U=U, V=V,
@@ -393,21 +381,23 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     state = _initial_state(M, rng, m_b)
     augment = harmonic_augment_cycle if opts.which == WHICH_SMALLEST \
         else ritz_augment_cycle
+    retained = _retained_count(opts.k, m_b)
     singular_restarts = 0
     cycle = 0
     while True:
         try:
+            # The check covers the retained pairs; the first k are targets.
             chk = check_convergence(state.B, state.beta_last, opts.delta,
-                                    opts.k, which=opts.which,
+                                    max(retained, opts.k), which=opts.which,
                                     sigma_max=state.sigma_max)
             state.sigma_max = chk.sigma_max
-            trace.append_cycle(cycle, chk.bounds, state.matvecs)
+            trace.append_cycle(cycle, chk.bounds[:opts.k], state.matvecs)
             # With m_b = n the right basis spans the column space: the
             # projection is exact and no direction is left to restart with.
-            if np.all(chk.flags) or cycle == opts.maxit or m_b == n:
-                return _extract_triplets(state, chk, opts.which), trace
+            if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
+                return _extract_triplets(state, chk, opts.which, opts.k), trace
             cycle += 1
-            state = augment(M, state, _retained_count(opts.k, m_b), chk.svd)
+            state = augment(M, state, retained, chk)
         except smalldense.NearSingularError as exc:
             singular_restarts += 1
             trace.events.append(f"before cycle {cycle}: {exc}; restarting "

@@ -164,3 +164,31 @@ def test_orthogonality_after_many_steps(rng):
     F = lanczos_bidiag(M, random_unit_vector(50, rng), 40, rng)
     assert basis_orthogonality_error(F.P) <= 1e-12
     assert basis_orthogonality_error(F.Q) <= 1e-12
+
+
+def test_fresh_direction_fallback_orthogonalizes_one_vector(rng, monkeypatch):
+    # Every draw lies in the span, so the fallback picks the coordinate
+    # vector farthest from it, without laying out all n of them.
+    import tracemalloc
+
+    import quatsvd.bidiag as bidiag_mod
+    from conftest import orthonormal_basis
+
+    n = 2000
+    basis = orthonormal_basis(rng, n, 3)
+    monkeypatch.setattr(bidiag_mod, "random_unit_vector",
+                        lambda n, rng: basis.data[0].copy())
+    tracemalloc.start()
+    try:
+        v = bidiag_mod._fresh_direction(n, basis, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n
+    assert vec_norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(basis.dot_all(v)).max() <= 1e-14
+    # v = (e_i - Pe_i) / ||e_i - Pe_i|| has v[i, 0] = sqrt(1 - weight_i),
+    # which is largest for the row of least basis weight.
+    weights = (basis.data ** 2).sum(axis=(0, 2))
+    i = np.argmin(weights)
+    assert v[i, 0] == pytest.approx(np.sqrt(1.0 - weights[i]), rel=1e-12)

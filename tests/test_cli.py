@@ -226,6 +226,28 @@ def test_verify_passes_on_generated_matrix(tmp_path, dense_qmx, capsys):
     assert out.count("PASS") == 5
 
 
+def test_verify_of_sparse_blocks_stays_sparse(tmp_path, capsys):
+    # The structure checks use a 20x20 corner; densifying the whole
+    # matrix first would cost four n x n float64 blocks.
+    import tracemalloc
+
+    n = 1000
+    prefix = tmp_path / "sp.mtx"
+    assert run(["gen", "--kind", "sparse", "--n", n, "--seed", "1",
+                "--out", prefix]) == EXIT_OK
+    paths = ",".join(str(tmp_path / f"sp_{i}.mtx") for i in range(4))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = run(["verify", "--input", paths, "--n", n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK and out.count("PASS") == 5
+    assert peak <= n * n * 8
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "m.qmx"
     # The child process imports the same quatsvd sources as this test.

@@ -95,17 +95,17 @@ def test_dot_all_matches_quat_dot_loop(n, k, seed):
 
 
 def _restart_twice(M, rng, m_b, t, harmonic):
-    """Two restart cycles on one state, with sigma_max and the SVD taken
-    by check_convergence as the solver driver does."""
+    """Two restart cycles on one state, each retaining the t leading
+    columns of a check_convergence, as the solver driver does."""
     state = _initial_state(M, rng, m_b)
     workspace = state.P.data, state.Q.data
     for _ in range(2):
-        chk = check_convergence(state.B, state.beta_last, 1e-10, 1,
+        chk = check_convergence(state.B, state.beta_last, 1e-10, t,
                                 which="smallest" if harmonic else "largest",
                                 sigma_max=state.sigma_max)
         state.sigma_max = chk.sigma_max
         cycle = harmonic_augment_cycle if harmonic else ritz_augment_cycle
-        assert cycle(M, state, t, chk.svd) is state
+        assert cycle(M, state, t, chk) is state
     assert state.steps == m_b
     assert all(np.shares_memory(a, b) for a, b in
                zip((state.P.data, state.Q.data), workspace))

@@ -23,10 +23,9 @@ from quatsvd.restart import (
     solve_partial_svd,
     verify_residual,
     _augmented_projection,
-    _harmonic_projection,
     _initial_state,
 )
-from quatsvd.smalldense import NearSingularError, dense_svd
+from quatsvd.smalldense import NearSingularError
 
 from conftest import (
     dedup_singular_values,
@@ -43,17 +42,25 @@ def make_state(M, m_b, seed=3):
     return state
 
 
+def state_check(state, t, which):
+    return check_convergence(state.B, state.beta_last, 1e-10, t, which=which,
+                             sigma_max=state.sigma_max)
+
+
 def ritz_cycle(M, state, t):
-    return ritz_augment_cycle(M, state, t, dense_svd(state.B))
-
-
-def harmonic_svd(B, beta_k):
-    return dense_svd(_augmented_projection(B, beta_k))
+    return ritz_augment_cycle(M, state, t, state_check(state, t, "largest"))
 
 
 def harmonic_cycle(M, state, t):
     return harmonic_augment_cycle(M, state, t,
-                                  harmonic_svd(state.B, state.beta_last))
+                                  state_check(state, t, "smallest"))
+
+
+def harmonic_fields(B, beta_k, t):
+    """Retained harmonic values, left vectors and solved coefficients
+    W = B^-1 U_t and z = B^-1 e_last of the row-extended [B, beta*e_last]."""
+    chk = check_convergence(B, beta_k, 1e-10, t, which="smallest")
+    return chk.theta, chk.X, chk.W, chk.z
 
 
 def _padded_basis(sub, total, offset):
@@ -131,7 +138,10 @@ class TestCheckConvergence:
         M = rand_qmat(rng, 22, 16)
         F = lanczos_bidiag(M, random_unit_vector(16, rng), 9, rng)
         chk = check_convergence(F.B, F.beta_last, 1e-10, 4, which="smallest")
-        assert chk.svd.V.shape == (10, 9)   # of [B, beta e_last]
+        assert chk.W.shape == (9, 4) and chk.z.shape == (9,)
+        Baug = _augmented_projection(F.B, F.beta_last)
+        assert np.allclose(chk.theta,
+                           np.linalg.svd(Baug, compute_uv=False)[::-1][:4])
         sigma1 = np.linalg.svd(F.B, compute_uv=False)[0]
         for j in range(4):
             u = F.Q.combine_real(chk.X[:, j])
@@ -146,8 +156,9 @@ class TestCheckConvergence:
         # With beta_k broken down, harmonic pairs are Ritz pairs of B.
         chk = check_convergence(np.diag([3.0, 2.0, 1.0]), 0.0, 1e-10, 3,
                                 which="smallest")
-        assert chk.svd.V.shape == (3, 3)
+        assert chk.W is None and chk.z is None
         assert np.array_equal(chk.sigmas, [1.0, 2.0, 3.0])
+        assert chk.theta is chk.sigmas
         assert np.all(chk.flags)
 
 
@@ -256,8 +267,7 @@ class TestHarmonicCycle(_AugmentCycleChecks):
     def test_projected_row_matrix_trivial(self):
         # One-step projection [3, 4]: singular value 5, solved harmonic
         # coefficient u / 3.
-        sig, U_t, W, z = _harmonic_projection(
-            np.array([[3.0]]), harmonic_svd(np.array([[3.0]]), 4.0), 1)
+        sig, U_t, W, z = harmonic_fields(np.array([[3.0]]), 4.0, 1)
         assert sig[0] == pytest.approx(5.0, rel=1e-15)
         assert abs(W[0, 0]) == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert z[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -266,7 +276,7 @@ class TestHarmonicCycle(_AugmentCycleChecks):
         # With B = I and beta -> 0 the harmonic coefficients coincide with
         # the Ritz vectors and the scaled residual reduces to p_{k+1}.
         B = np.eye(4)
-        sig, U_t, W, z = _harmonic_projection(B, harmonic_svd(B, 1e-13), 4)
+        sig, U_t, W, z = harmonic_fields(B, 1e-13, 4)
         assert np.allclose(np.abs(W), np.abs(U_t), atol=1e-12)
         assert np.allclose(sig, 1.0, atol=1e-12)
         assert np.linalg.norm(1e-13 * z) <= 1e-12  # hr residual correction
@@ -277,7 +287,7 @@ class TestHarmonicCycle(_AugmentCycleChecks):
         state = make_state(M, 10)
         beta_k = state.beta_last
         Baug = _augmented_projection(state.B, beta_k)
-        sig, U_t, W, z = _harmonic_projection(state.B, dense_svd(Baug), 4)
+        sig, U_t, W, z = harmonic_fields(state.B, beta_k, 4)
         G = Baug @ Baug.T
         for j in range(4):
             r = G @ U_t[:, j] - sig[j] ** 2 * U_t[:, j]
@@ -382,7 +392,9 @@ class TestSolver:
         ("which", "middle"), ("k", 0), ("m_b", 0), ("maxit", -1),
         ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
         ("delta", -1e-10), ("k", 2.5), ("k", True), ("k", "2"),
-        ("m_b", 4.5), ("m_b", False), ("maxit", 1.5), ("maxit", True)])
+        ("m_b", 4.5), ("m_b", False), ("maxit", 1.5), ("maxit", True),
+        ("seed", None), ("seed", 1.5), ("seed", "3"), ("seed", True),
+        ("seed", -1)])
     def test_invalid_options_rejected_on_construction(self, field, value):
         with pytest.raises(ValueError):
             SolverOptions(**{"k": 2, field: value})
@@ -434,7 +446,7 @@ class TestSolver:
     def test_repeated_harmonic_failures_escalate(self, rng, monkeypatch):
         import quatsvd.restart as restart_mod
 
-        def always_fails(M, state, t, res):
+        def always_fails(M, state, t, chk):
             raise NearSingularError("forced")
 
         monkeypatch.setattr(restart_mod, "harmonic_augment_cycle",
@@ -477,6 +489,25 @@ class TestSolver:
         _, trace = solve_partial_svd(
             M, SolverOptions(k=4, which=which, m_b=10, seed=5))
         assert trace.cycles > 1
+        assert len(calls) == trace.cycles
+
+    def test_one_solve_with_b_per_harmonic_cycle(self, rng, monkeypatch):
+        # The check's one solve gives both its right vectors and the
+        # coefficients the harmonic restart retains.
+        import quatsvd.smalldense as smalldense_mod
+
+        calls = []
+        real_solve = smalldense_mod.solve_upper
+
+        def counting_solve(R, b):
+            calls.append(np.shape(b))
+            return real_solve(R, b)
+
+        monkeypatch.setattr(smalldense_mod, "solve_upper", counting_solve)
+        M = rand_qmat(rng, 40, 30)
+        _, trace = solve_partial_svd(
+            M, SolverOptions(k=4, which="smallest", m_b=10, seed=5))
+        assert trace.cycles > 1 and not trace.events
         assert len(calls) == trace.cycles
 
     def test_scaled_near_overflow(self, rng):

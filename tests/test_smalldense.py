@@ -102,15 +102,15 @@ class TestQrFactor:
         # row-extended projected matrix of a genuine factorization.
         from quatsvd.bidiag import lanczos_bidiag
         from quatsvd.quatlin import random_unit_vector
-        from quatsvd.restart import _augmented_projection, _harmonic_projection
+        from quatsvd.restart import check_convergence
         from conftest import rand_qmat
 
         M = rand_qmat(rng, 14, 14)
         F = lanczos_bidiag(M, random_unit_vector(14, rng), 8, rng)
         beta_k = F.beta_last
         t = 3
-        res = dense_svd(_augmented_projection(F.B, beta_k))
-        sig, U_t, W, z = _harmonic_projection(F.B, res, t)
+        chk = check_convergence(F.B, beta_k, 1e-10, t, which="smallest")
+        sig, W, z = chk.theta, chk.W, chk.z
         C = np.zeros((9, t + 1))
         C[:8, :t] = W * sig[None, :]
         C[:8, t] = -beta_k * z
