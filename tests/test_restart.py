@@ -424,11 +424,16 @@ class TestSolver:
         assert np.allclose(out.sigmas, [0.0, 0.1], atol=1e-12)
 
     def test_near_singular_projection_guard(self, rng):
+        # A diagonal entry the check's triangular solve still accepts
+        # (above 1e-14 of the largest diagonal entry) but below the
+        # restart's NEAR_SINGULAR_TOL * scale: only the restart refuses it.
         M = rand_qmat(rng, 16, 16)
         state = make_state(M, 8)
-        state.B[3, 3] = 1e-20  # poison the projected matrix
+        state.B[3, 3] = 1e-13 * state.scale  # poison the projected matrix
+        chk = state_check(state, 3, "smallest")
+        assert chk.W is not None
         with pytest.raises(NearSingularError):
-            harmonic_cycle(M, state, 3)
+            harmonic_augment_cycle(M, state, 3, chk)
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_full_right_basis_stops_without_restart(self, rng, which):
