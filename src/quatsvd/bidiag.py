@@ -49,14 +49,19 @@ from .quatlin import (
 BREAKDOWN_TOL = 1e-14
 
 
+def breakdown_scale(B: np.ndarray, sigma_max: float) -> float:
+    """The scale breakdowns are measured against, max(sigma_max, max|B|)."""
+    return max(sigma_max, float(np.abs(B).max(initial=0.0)))
+
+
 @dataclass
 class KrylovState:
     """Working state of a (possibly restarted) partial factorization.
 
     ``P`` and ``Q`` are fixed-capacity bases that restarts rewrite in
     place.  ``B`` is the dense projected matrix (upper triangular), ``f``
-    the continuation residual with ``beta_last = ||f||``.  ``matvecs``
-    counts products with M and M*, ``deflations`` lists the
+    the continuation residual, and ``beta_last`` = ||f|| is derived from f.
+    ``matvecs`` counts products with M and M*, ``deflations`` lists the
     ``(step, "alpha" | "beta")`` breakdowns, and ``sigma_max`` is the
     restart driver's running estimate of the largest singular value.
     """
@@ -65,7 +70,6 @@ class KrylovState:
     Q: CompactBasis
     B: np.ndarray
     f: np.ndarray
-    beta_last: float
     rng: np.random.Generator
     matvecs: int = 0
     deflations: list = field(default_factory=list)
@@ -76,9 +80,14 @@ class KrylovState:
         return len(self.P)
 
     @property
+    def beta_last(self) -> float:
+        """The trailing beta, ||f||."""
+        return vec_norm(self.f)
+
+    @property
     def scale(self) -> float:
-        """The breakdown scale, max(sigma_max, max|B|)."""
-        return max(self.sigma_max, float(np.abs(self.B).max(initial=0.0)))
+        """The breakdown scale of the state's B and sigma_max."""
+        return breakdown_scale(self.B, self.sigma_max)
 
 
 def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +143,6 @@ def close_step(M: QuatMatrix, state: KrylovState, q: np.ndarray) -> None:
         state.P.data[s] * float(state.B[s, s])
     state.matvecs += 1
     state.f = orthogonalize_against_basis(f, state.P)
-    state.beta_last = vec_norm(state.f)
 
 
 def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovState:
@@ -182,7 +190,6 @@ def start_state(M: QuatMatrix, p1: np.ndarray, rng: np.random.Generator,
         Q=CompactBasis(M.rows, steps + 1),
         B=np.zeros((0, 0)),
         f=np.array(p1, dtype=np.float64),
-        beta_last=1.0,
         rng=rng,
     )
 

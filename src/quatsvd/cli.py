@@ -50,24 +50,30 @@ EXIT_ERROR = 1
 EXIT_UNCONVERGED = 2
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser,
+                      k_default: int = SolverOptions.k) -> None:
     p.add_argument("--k", type=int, default=k_default,
                    help="number of singular triplets")
     p.add_argument("--which", choices=["largest", "smallest"],
-                   default="largest")
-    p.add_argument("--mb", type=int, default=None,
+                   default=SolverOptions.which)
+    p.add_argument("--mb", type=int, default=SolverOptions.m_b,
                    help="projected size (default max(2k, 40))")
-    p.add_argument("--maxit", type=int, default=2000,
+    p.add_argument("--maxit", type=int, default=SolverOptions.maxit,
                    help="maximum number of restarts")
-    p.add_argument("--delta", type=float, default=1e-10,
+    p.add_argument("--delta", type=float, default=SolverOptions.delta,
                    help="convergence tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=SolverOptions.seed,
+                   help="RNG seed")
 
 
 def _seed(args) -> int:
-    """``--seed``, overridden by the QSVD_SEED environment variable."""
+    """QSVD_SEED if set, else ``--seed``; refused unless a non-negative integer."""
     env = os.environ.get("QSVD_SEED")
-    return int(env) if env is not None else args.seed
+    name, text = ("QSVD_SEED", env) if env is not None else \
+        ("--seed", str(args.seed))
+    if not text.isdecimal():
+        raise ValueError(f"{name}={text} must be a non-negative integer")
+    return int(text)
 
 
 def _options(args) -> SolverOptions:
@@ -90,8 +96,8 @@ def _load_matrix(spec: str, n: int | None) -> QuatMatrix:
 
 
 def _cmd_svd(args) -> int:
-    M = _load_matrix(args.input, args.n)
     opts = _options(args)
+    M = _load_matrix(args.input, args.n)
     triplets, trace = solve_partial_svd(M, opts)
     qio.write_triplets(triplets, args.out)
     if args.trace:
@@ -123,9 +129,9 @@ def _reconstruction_report(M: QuatMatrix, k: int, opts: SolverOptions):
 
 
 def _cmd_approx(args) -> int:
+    opts = _options(args)
     img = qio.read_image_ppm(args.image)
     M = image_to_quat(img)
-    opts = _options(args)
     Ak, rel2, relF, triplets, _ = _reconstruction_report(M, args.k, opts)
     recon = quat_to_image(Ak)
     qio.write_image_ppm(recon, args.out)
@@ -139,12 +145,12 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_video(args) -> int:
+    opts = _options(args)
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".ppm"))
     if not names:
         raise ValueError(f"no .ppm frames in {args.frames}")
     frames = [qio.read_image_ppm(os.path.join(args.frames, f)) for f in names]
     M = stack_frames(frames)
-    opts = _options(args)
     Ak, rel2, relF, triplets, _ = _reconstruction_report(M, args.k, opts)
     recon_frames = unstack_frames(Ak, frames[0].height)
     if args.out_dir:
@@ -186,8 +192,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    M = _load_matrix(args.input, args.n)
     rng = np.random.default_rng(_seed(args))
+    M = _load_matrix(args.input, args.n)
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["dense", "sparse"], required=True)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.add_argument("--band", type=int, default=2,
                    help="half bandwidth of sparse blocks")
     p.add_argument("--density", type=float, default=2e-3,
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help=".qmx path, or four comma-separated .mtx paths")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.set_defaults(func=_cmd_verify)
     return ap
 

@@ -119,10 +119,8 @@ def stack_frames(frames: list) -> QuatMatrix:
     shape = frames[0].R.shape
     if any(f.R.shape != shape for f in frames):
         raise ValueError("frame dimensions differ")
-    r = np.vstack([f.R for f in frames])
-    g = np.vstack([f.G for f in frames])
-    b = np.vstack([f.B for f in frames])
-    return QuatMatrix(np.zeros(r.shape), r, g, b)
+    stacked = (np.vstack(c) for c in zip(*(f.channels() for f in frames)))
+    return image_to_quat(RgbImage(*stacked))
 
 
 def unstack_frames(M: QuatMatrix, frame_height: int) -> list:

@@ -58,6 +58,7 @@ from . import smalldense
 from .bidiag import (
     BREAKDOWN_TOL,
     KrylovState,
+    breakdown_scale,
     close_step,
     lanczos_extend,
     next_left,
@@ -196,16 +197,17 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     and raises ``smalldense.NearSingularError`` when B is nearly singular.
     sigma_max is kept as a running maximum so the tolerance never shrinks.
     """
-    scale = max(sigma_max, float(np.abs(B).max(initial=0.0)))
-    harmonic = which == WHICH_SMALLEST and beta_k > BREAKDOWN_TOL * scale
-    res = smalldense.dense_svd(_augmented_projection(B, beta_k) if harmonic
-                               else B)
+    harmonic = which == WHICH_SMALLEST and \
+        beta_k > BREAKDOWN_TOL * breakdown_scale(B, sigma_max)
+    e_last = np.eye(len(B))[-1] if harmonic else None
+    res = smalldense.dense_svd(np.column_stack([B, beta_k * e_last])
+                               if harmonic else B)
     sigma_max = max(sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
     # Basic-slice views: a reordering copy moves later products by roundoff.
     step = 1 if which == WHICH_LARGEST else -1
     X, theta = res.U[:, ::step][:, :t], res.sigmas[::step][:t]
     if harmonic:
-        Wz = smalldense.solve_upper(B, np.column_stack([X, np.eye(len(B))[-1]]))
+        Wz = smalldense.solve_upper(B, np.column_stack([X, e_last]))
         W, z = Wz[:, :-1], Wz[:, -1]
         Y = W / np.linalg.norm(W, axis=0)
         sigmas = np.einsum("ij,ij->j", X, B @ Y)
@@ -217,14 +219,6 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,
                             sigmas=sigmas, X=X, Y=Y, sigma_max=sigma_max,
                             theta=theta, W=W, z=z)
-
-
-def _augmented_projection(B: np.ndarray, beta_k: float) -> np.ndarray:
-    """Row-extended projected matrix [B, beta*e_last] of shape k x (k+1)."""
-    k = B.shape[0]
-    col = np.zeros((k, 1))
-    col[-1, 0] = beta_k
-    return np.hstack([B, col])
 
 
 def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,

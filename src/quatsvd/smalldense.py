@@ -1,10 +1,12 @@
 """Dense kernels for the small projected matrices.
 
-SVD, QR and triangular/bidiagonal solves on matrices of at most a few
-hundred rows.  LAPACK (through numpy/scipy) does the heavy lifting; this
-module adds the deterministic conventions and the guards the restart logic
-relies on.  Explicit matrix inverses are never formed.  Every singularity
-guard, in the solves and in :func:`qr_factor`, raises NearSingularError.
+SVD, QR and triangular solves on matrices of at most a few hundred rows.
+LAPACK (through numpy/scipy) does the heavy lifting; this module adds the
+deterministic conventions and the guards the restart logic relies on, and
+is the only package module that calls a dense factorization or solver.
+Explicit matrix inverses are never formed.  Every triangular solve,
+:func:`bidiag_solve` included, goes through one pivot guard; it and the
+guard in :func:`qr_factor` raise NearSingularError.
 """
 
 from __future__ import annotations
@@ -80,28 +82,20 @@ def qr_factor(C: np.ndarray):
 
 
 def bidiag_solve(alphas: np.ndarray, betas: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve B x = b for upper-bidiagonal B in O(k).
-
-    ``alphas`` is the diagonal (length k), ``betas`` the superdiagonal
-    (length k-1).  Raises :class:`NearSingularError` when any diagonal
-    entry is below 1e-14 of the largest one.  The solver itself uses
-    :func:`solve_upper`; this loop stays only while ``perfbench/layers.py``
+    """Solve B x = b for the upper-bidiagonal B with diagonal ``alphas``
+    (length k) and superdiagonal ``betas`` (length k-1), through
+    :func:`solve_upper` and its guard, which also refuses k = 0.  The
+    solver never calls this; it stays only while ``perfbench/layers.py``
     traces it by name.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     k = alphas.shape[0]
-    if betas.shape[0] != max(k - 1, 0) or b.shape[0] != k:
+    if betas.shape[0] != max(k - 1, 0) or np.shape(b)[0] != k:
         raise ValueError("inconsistent bidiagonal system sizes")
-    amax = np.abs(alphas).max() if k else 0.0
-    if k == 0 or np.abs(alphas).min() <= 1e-14 * amax:
-        raise NearSingularError("near-singular bidiagonal matrix")
-    x = np.empty(k)
-    x[-1] = b[-1] / alphas[-1]
-    for j in range(k - 2, -1, -1):
-        x[j] = (b[j] - betas[j] * x[j + 1]) / alphas[j]
-    return x
+    B = np.diag(alphas)
+    B[:-1, 1:] += np.diag(betas)
+    return solve_upper(B, b)
 
 
 def _guarded_upper_solve(R, b, trans: str) -> np.ndarray:

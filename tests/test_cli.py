@@ -13,7 +13,9 @@ from quatsvd.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNCONVERGED,
+    _options,
     _reconstruction_report,
+    build_parser,
     main,
 )
 from quatsvd.lowrank import RgbImage
@@ -128,6 +130,44 @@ def test_invalid_solver_flags_are_one_line_errors(tmp_path, dense_qmx,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not trip.exists()
+
+
+GEN_DENSE = ["gen", "--kind", "dense", "--m", "5", "--n", "4",
+             "--out", "x.qmx"]
+
+
+@pytest.mark.parametrize("env, argv, name", [
+    ("-3", GEN_DENSE, "QSVD_SEED=-3"),
+    (None, ["gen", "--kind", "sparse", "--n", "8", "--seed", "-1",
+            "--out", "x.mtx"], "--seed=-1"),
+    ("abc", GEN_DENSE, "QSVD_SEED=abc"),
+    ("-3", ["verify", "--input", "missing.qmx"], "QSVD_SEED=-3"),
+])
+def test_bad_seed_is_named_by_every_subcommand(tmp_path, monkeypatch, capsys,
+                                                env, argv, name):
+    if env is None:
+        monkeypatch.delenv("QSVD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSVD_SEED", env)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {name} must be a non-negative integer\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("svd", SolverOptions()), ("approx", SolverOptions(k=30)),
+    ("video", SolverOptions(k=30))])
+def test_solver_flag_defaults_are_the_options_defaults(monkeypatch, command,
+                                                       expected):
+    monkeypatch.delenv("QSVD_SEED", raising=False)
+    required = {"svd": ["--input", "m.qmx", "--out", "t.csv"],
+                "approx": ["--image", "a.ppm", "--out", "b.ppm",
+                           "--report", "r.csv"],
+                "video": ["--frames", "d", "--report", "r.csv"]}[command]
+    args = build_parser().parse_args([command, *required])
+    assert _options(args) == expected
 
 
 def test_usage_and_io_errors(tmp_path):

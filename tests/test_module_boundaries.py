@@ -45,6 +45,70 @@ def test_checker_sees_both_forms():
     assert _private_uses(tree) == ["_fresh_direction", "sd._private"]
 
 
+# Dense factorizations and solvers that only smalldense may call, so that
+# its guards stay the only ones.
+NUMPY_SOLVERS = {"svd", "qr", "solve", "inv"}
+SCIPY_SOLVERS = NUMPY_SOLVERS | {"solve_triangular", "solve_banded",
+                                 "lu_factor", "lu_solve", "cho_factor",
+                                 "cho_solve", "lstsq", "pinv"}
+
+
+def _dense_solver_uses(tree: ast.Module) -> list:
+    """``numpy.linalg`` and ``scipy.linalg`` solvers a module names: as an
+    attribute of the linalg module under any import alias (``np.linalg.svd``,
+    ``sla.inv`` after ``import scipy.linalg as sla``) or by ``from ...
+    import``."""
+    banned = {"numpy.linalg": NUMPY_SOLVERS, "scipy.linalg": SCIPY_SOLVERS}
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:  # ``import scipy.linalg`` binds ``scipy``
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                aliases[alias.asname or alias.name] = full
+                if alias.name in banned.get(node.module, ()):
+                    found.append(full)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            head, dot, rest = ast.unparse(node.value).partition(".")
+            module = aliases.get(head, head) + dot + rest
+            if node.attr in banned.get(module, ()):
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+def test_only_smalldense_calls_a_dense_solver():
+    offenders = {path.name: _dense_solver_uses(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "smalldense.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_solver_checker_sees_every_form():
+    tree = ast.parse("import numpy as np, numpy as xp\n"
+                     "import scipy.linalg\n"
+                     "import scipy.linalg as sla\n"
+                     "from numpy import linalg as la\n"
+                     "from scipy.linalg import block_diag, lu_solve\n"
+                     "a = np.linalg.svd(x) + np.linalg.norm(x)\n"
+                     "b = scipy.linalg.solve_triangular(r, x)\n"
+                     "c = sla.inv(x) + la.qr(x) + block_diag(x)\n"
+                     "d = xp.linalg.solve(a, x)\n")
+    assert sorted(_dense_solver_uses(tree)) == [
+        "numpy.linalg.qr", "numpy.linalg.solve", "numpy.linalg.svd",
+        "scipy.linalg.inv", "scipy.linalg.lu_solve",
+        "scipy.linalg.solve_triangular"]
+    assert sorted(_dense_solver_uses(ast.parse(
+        (PACKAGE / "smalldense.py").read_text()))) == [
+        "numpy.linalg.qr", "numpy.linalg.svd", "scipy.linalg.solve_triangular"]
+
+
 def test_oracles_never_read_the_product_table():
     tree = ast.parse(Path(oracles.__file__).read_text())
     names = {getattr(node, attr) for node in ast.walk(tree)

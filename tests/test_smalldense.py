@@ -151,6 +151,24 @@ class TestBidiagSolve:
             bidiag_solve(np.array([1.0, 1e-16]), np.array([1.0]),
                          np.array([1.0, 1.0]))
 
+    def test_empty_system_is_singular(self):
+        with pytest.raises(NearSingularError):
+            bidiag_solve(np.zeros(0), np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize("betas, b", [(np.ones(3), np.ones(3)),
+                                          (np.ones(1), np.ones(3)),
+                                          (np.ones(2), np.ones(2))])
+    def test_mismatched_sizes_rejected(self, betas, b):
+        with pytest.raises(ValueError, match="inconsistent"):
+            bidiag_solve(np.ones(3), betas, b)
+
+    def test_matches_solve_upper(self, rng):
+        for k in (1, 2, 7):
+            B = random_bidiagonal(rng, k)
+            b = rng.standard_normal(k)
+            x = bidiag_solve(np.diag(B), np.diag(B, 1), b)
+            assert np.array_equal(x, solve_upper(B, b))
+
 
 class TestTriSolve:
     def test_identity(self, rng):
