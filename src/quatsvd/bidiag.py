@@ -21,10 +21,11 @@ the zero.
 
 :class:`KrylovState` is the one factorization state of the package and
 owns its bases, allocated once with ``steps + 1`` slots (the spare one
-holds a harmonic restart's augmentation vector).  The restart drivers in
-:mod:`quatsvd.restart` rewrite it in place to an arrow or triangular
-leading block and hand it back to :func:`lanczos_extend`, which only
-appends bidiagonal trailing rows/columns.
+holds a restart's augmentation vector).  The restart drivers in
+:mod:`quatsvd.restart` rewrite it in place to an arrow leading block (a
+dense last column after a Ritz restart, a dense last row after a harmonic
+one) and hand it back to :func:`lanczos_extend`, which only appends
+bidiagonal trailing rows/columns.
 """
 
 from __future__ import annotations
@@ -59,8 +60,10 @@ class KrylovState:
     """Working state of a (possibly restarted) partial factorization.
 
     ``P`` and ``Q`` are fixed-capacity bases that restarts rewrite in
-    place.  ``B`` is the dense projected matrix (upper triangular), ``f``
-    the continuation residual, and ``beta_last`` = ||f|| is derived from f.
+    place.  ``B`` is the dense projected matrix, upper bidiagonal after an
+    arrow leading block (last column after Ritz, last row after harmonic),
+    ``f`` the continuation residual, and ``beta_last`` = ||f|| is derived
+    from f.
     ``matvecs`` counts products with M and M*, ``deflations`` lists the
     ``(step, "alpha" | "beta")`` breakdowns, and ``sigma_max`` is the
     restart driver's running estimate of the largest singular value.
@@ -148,7 +151,7 @@ def close_step(M: QuatMatrix, state: KrylovState, q: np.ndarray) -> None:
 def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovState:
     """Append standard Lanczos steps until ``B`` has ``to_step`` columns.
 
-    The leading block of ``B`` (arrow or triangular after a restart) is
+    The leading block of ``B`` (an arrow after a restart) is
     left untouched; new coefficients land on the diagonal and first
     superdiagonal.  Breakdowns deflate as described in the module
     docstring.  Raises ``ValueError`` before any matvec when ``to_step``

@@ -1,19 +1,26 @@
 """Implicitly restarted drivers for partial quaternion SVD.
 
 Both restarts are augmented (Baglama & Reichel, SIAM J. Sci. Comput.
-27(1), 2005) and share one step of arrow form, :func:`_augment`.  It
-keeps t directions, the columns of [P, p] Pc and Q Uc for coefficient
-matrices Pc and Uc of the projected problem; takes one Lanczos step from
-an augmentation vector p, whose left vector loses a coupling Q c; sets B
-to the arrow [diag(sigma), col + removed coefficients; 0, alpha], times
-R^-1 when a triangular factor R is given; and re-expands with plain
-steps.  Ritz augmentation targets the k `largest` triplets: from the SVD
-of B it takes Pc = blockdiag(V_t, 1), Uc = U_t, p the normalized
-residual, c = U_t rho and col = rho = beta * (last row of U_t).  Harmonic
-augmentation targets the k `smallest` triplets of a nonsingular matrix:
-Uc = U_t holds the smallest left singular vectors of [B, beta*e_last],
-Pc R is the QR factorization of the harmonic coefficients, p = f/beta,
-c = beta e_last and col = 0.  The vector half of the step, breakdowns
+27(1), 2005) and share one step, :func:`_augment`.  It keeps t
+directions, the columns of [P, p] Pc and Q X_t for an orthonormal
+(k+1) x (t+1) coefficient matrix Pc and the check's retained left
+vectors X_t; takes one Lanczos step from an augmentation vector p, whose
+left vector comes from w = M p - Q s for a coupling s; and sets the
+leading block of B to diag(theta_t, 0) + [col + removed coefficients;
+alpha] times the last row of Pc, before re-expanding with plain steps.
+Ritz augmentation targets the k `largest` triplets: from the SVD of B it
+takes Pc = blockdiag(Y_t, 1), whose last row is e_{t+1}, p the normalized
+residual, s = X_t rho and col = rho = beta * (last row of X_t), so the
+leading block is an arrow with a dense last column.  Harmonic
+augmentation targets the k `smallest` triplets: from the SVD of
+[B, beta*e_last], with its full right basis V', it takes Pc = [V'_t, c],
+the t retained right vectors and the null vector c, with p = f/beta,
+s = beta e_last and col = 0, so the leading block has a dense last row
+(its other off-diagonal entries are the removed coefficients, zero to
+roundoff).  As M [P, p] = Q [B, beta*e_last] + w e_{k+1}', this needs no
+solve with B, and holds for a singular B too.  A harmonic check whose
+beta_last has broken down is a Ritz check, and its restart is the Ritz
+step from a fresh direction.  The vector half of the step, breakdowns
 included, is done by the step helpers of :mod:`quatsvd.bidiag`; a cycle
 here computes only its projected algebra.
 
@@ -21,23 +28,22 @@ Each cycle computes one dense SVD, in :func:`check_convergence`, which
 alone owns the triplets a solve reports.  It takes the SVD of B in
 largest mode and of the row-extended [B, beta*e_last] in harmonic mode,
 and returns unit coefficient vectors x_j and y_j with B y_j parallel to
-x_j: the singular vectors of B, or a harmonic left vector x_j and
-y_j = B^-1 x_j normalized.  Then v_j = P y_j and u_j = Q x_j satisfy
-``M v_j = u_j sigma_j`` with sigma_j = x_j' B y_j (the singular value
-itself for an SVD pair), and the factorization identities give the bound
-``||M* u_j - v_j sigma_j|| = ||B' x_j - sigma_j y_j|| (+) beta_last
-|last component of x_j|``, where (+) is the root sum of squares.  A
+x_j: the singular vectors of B, or a harmonic left vector x_j and y_j
+proportional to c_last V'_{1:k,j} - V'_{last,j} c_{1:k}, for which
+B y_j = c_last theta_j x_j exactly (c is signed so that c_last >= 0; when
+both terms vanish, V'_{1:k,j} itself is a unit singular vector of B).
+Then v_j = P y_j and u_j = Q x_j satisfy ``M v_j = u_j sigma_j`` with
+sigma_j = x_j' B y_j (the singular value itself for an SVD pair), and the
+factorization identities give the bound ``||M* u_j - v_j sigma_j|| =
+||B' x_j - sigma_j y_j|| (+) beta_last |last component of x_j|``, where
+(+) is the root sum of squares.  A
 triplet is accepted once its bound is at most ``delta * sigma_max``,
 sigma_max being a running estimate of the largest singular value.  Once
 beta_last breaks down the projection is exact, harmonic pairs equal Ritz
 pairs, and harmonic mode checks B itself.  The restart of the same cycle
-retains the check's leading columns; a harmonic check's one solve with B
-also gives the restart's W = B^-1 U_t and z = B^-1 e_last.
-The loop state is one :class:`quatsvd.bidiag.KrylovState` per solve,
-which each restart and the final extraction rewrite in place.  A
-harmonic check or restart that meets a (near-)singular matrix raises
-:class:`quatsvd.smalldense.NearSingularError`, from its own guards or a
-solve or QR, and the driver restarts from a perturbed seed vector.
+retains the check's leading columns.  The loop state is one
+:class:`quatsvd.bidiag.KrylovState` per solve, which each restart and the
+final extraction rewrite in place.
 
 Output is bit-identical for a fixed seed and BLAS thread count.  Between
 1 and 2 OpenBLAS threads, six dense solves moved their sigmas by up to
@@ -76,23 +82,13 @@ from .quatlin import (
 WHICH_LARGEST = "largest"
 WHICH_SMALLEST = "smallest"
 
-# Extra retained pairs beyond the unconverged targets, and the number of
-# consecutive aborted harmonic cycles before the matrix is declared singular.
+# Extra retained pairs beyond the unconverged targets.
 RETAIN_BUFFER = 5
-MAX_SINGULAR_RESTARTS = 5
-
-# Harmonic restarts abort when a diagonal entry of the projected matrix
-# falls to this fraction of the state's breakdown scale.
-NEAR_SINGULAR_TOL = 1e-12
 
 # A matrix whose largest entry magnitude lies outside
 # [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled by a power of two,
 # so that sums of squares of its entries neither overflow nor underflow.
 SAFE_EXPONENT = 400
-
-
-class SingularMatrixError(ValueError):
-    """Repeated harmonic failures: the matrix appears to be singular."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,8 @@ class ConvergenceTrace:
 
     def __init__(self):
         self.rows: list = []    # (cycle, j, bound, matvecs), j is 1-based
+        # Always empty; it stays while perfbench/layers.py reads it, until
+        # typed per-cycle records replace it.
         self.events: list = []
 
     def append_cycle(self, cycle: int, bounds, matvecs: int) -> None:
@@ -176,7 +174,9 @@ class ConvergenceCheck:
     in target order, as ``sigmas`` and unit coefficient columns of ``X``
     (left) and ``Y`` (right), with their bounds and flags, and ``theta``,
     the check's SVD values (harmonic ones in harmonic mode).  Only a
-    harmonic check sets ``W = B^-1 X`` and ``z = B^-1 e_last``."""
+    harmonic check sets ``Vh``, the t right singular vectors of
+    [B, beta*e_last] that go with ``theta``, and ``c``, its null vector
+    with ``c[-1] >= 0``."""
 
     flags: np.ndarray
     bounds: np.ndarray
@@ -185,51 +185,51 @@ class ConvergenceCheck:
     Y: np.ndarray
     sigma_max: float
     theta: np.ndarray
-    W: np.ndarray | None = None
-    z: np.ndarray | None = None
+    Vh: np.ndarray | None = None
+    c: np.ndarray | None = None
 
 
 def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
                       which: str = WHICH_LARGEST,
                       sigma_max: float = 0.0) -> ConvergenceCheck:
     """Triplets of the square projected matrix ``B`` with their bounds and
-    flags, as the module docstring describes.  Harmonic mode solves with B
-    and raises ``smalldense.NearSingularError`` when B is nearly singular.
-    sigma_max is kept as a running maximum so the tolerance never shrinks.
+    flags, as the module docstring describes.  sigma_max is kept as a
+    running maximum so the tolerance never shrinks.
     """
     harmonic = which == WHICH_SMALLEST and \
         beta_k > BREAKDOWN_TOL * breakdown_scale(B, sigma_max)
-    e_last = np.eye(len(B))[-1] if harmonic else None
-    res = smalldense.dense_svd(np.column_stack([B, beta_k * e_last])
-                               if harmonic else B)
+    res = smalldense.dense_svd(
+        np.column_stack([B, beta_k * np.eye(len(B))[-1]]) if harmonic else B)
     sigma_max = max(sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
     # Basic-slice views: a reordering copy moves later products by roundoff.
     step = 1 if which == WHICH_LARGEST else -1
     X, theta = res.U[:, ::step][:, :t], res.sigmas[::step][:t]
+    V = res.V[:, :res.sigmas.size][:, ::step][:, :t]
     if harmonic:
-        Wz = smalldense.solve_upper(B, np.column_stack([X, e_last]))
-        W, z = Wz[:, :-1], Wz[:, -1]
-        Y = W / np.linalg.norm(W, axis=0)
+        c = res.V[:, -1] if res.V[-1, -1] >= 0.0 else -res.V[:, -1]
+        Y = c[-1] * V[:-1] - np.outer(c[:-1], V[-1])
+        # Both terms vanish only when V[:-1, j] is a singular vector of B.
+        Y = np.where(np.linalg.norm(Y, axis=0) > 0.0, Y, V[:-1])
+        Y = Y / np.linalg.norm(Y, axis=0)
         sigmas = np.einsum("ij,ij->j", X, B @ Y)
     else:
-        W = z = None
-        Y, sigmas = res.V[:, ::step][:, :t], theta
+        c = None
+        Y, sigmas = V, theta
     bounds = np.hypot(np.linalg.norm(B.T @ X - Y * sigmas, axis=0),
                       beta_k * X[-1])
     return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,
                             sigmas=sigmas, X=X, Y=Y, sigma_max=sigma_max,
-                            theta=theta, W=W, z=z)
+                            theta=theta, Vh=V if harmonic else None, c=c)
 
 
 def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,
              coupling: np.ndarray, Pc: np.ndarray, Uc: np.ndarray,
-             sig: np.ndarray, col: np.ndarray | float,
-             Rc: np.ndarray | None = None) -> KrylovState:
+             sig: np.ndarray, col: np.ndarray | float) -> KrylovState:
     """The augmentation step of both restarts (see the module docstring):
     the new left vector comes from ``M p_aug - Q coupling``, the bases
-    become ``[P, p_aug] Pc`` and ``Q Uc``, and B the arrow [diag(sig), col
-    + removed coefficients; 0, alpha], times ``Rc^-1`` when ``Rc`` is
-    given.  Rewrites ``state`` in place, re-expanded to ``state.steps``."""
+    become ``[P, p_aug] Pc`` and ``Q Uc``, and the leading block of B
+    diag(sig, 0) + [col + removed coefficients; alpha] times ``Pc[-1]``.
+    Rewrites ``state`` in place, re-expanded to ``state.steps``."""
     k = state.steps
     w = structured_matvec(M, p_aug) - state.Q.combine_real(coupling)
     state.matvecs += 1
@@ -238,9 +238,8 @@ def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,
     state.Q.combine_matrix(Uc)
 
     q_new, alpha_new, coeffs = next_left(M, state, w)
-    B = np.diag(np.append(sig, alpha_new))
-    B[:-1, -1] = col + coeffs[:, 0]
-    state.B = B if Rc is None else smalldense.tri_solve_upper(Rc, B)
+    state.B = np.diag(np.append(sig, 0.0)) + \
+        np.outer(np.append(col + coeffs[:, 0], alpha_new), Pc[-1])
     close_step(M, state, q_new)
     return lanczos_extend(M, state, k)
 
@@ -279,31 +278,20 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
                            chk: ConvergenceCheck) -> KrylovState:
     """One harmonic-Ritz restart, re-expanded to ``state.steps`` steps.
 
-    ``chk`` is the harmonic check of ``state``; its t leading harmonic
-    pairs are retained, with their solved coefficients ``chk.W`` and
-    ``chk.z``.  Rewrites ``state`` in place.  Raises
-    ``smalldense.NearSingularError`` when B is nearly singular, beta_last
-    vanishes (then the check was not harmonic) or the QR refuses its
-    matrix; the solver then discards ``state`` and restarts from a
-    perturbed seed vector.
+    ``chk`` is the smallest-mode check of ``state``; its t leading
+    harmonic pairs are retained through ``chk.Vh`` and ``chk.c``.  A check
+    that was not harmonic (beta_last broken down) takes the Ritz step with
+    a fresh direction.  Rewrites ``state`` in place and returns it.
     """
     k = state.steps
     if not 1 <= t < k:
         raise ValueError(f"retained count t={t} out of range 1..{k - 1}")
+    if chk.c is None:
+        return ritz_augment_cycle(M, state, t, chk)
     beta_k = state.beta_last
-    if np.abs(np.diag(state.B)).min() <= NEAR_SINGULAR_TOL * state.scale:
-        raise smalldense.NearSingularError("projected matrix nearly singular")
-    if beta_k <= BREAKDOWN_TOL * state.scale:
-        raise smalldense.NearSingularError(
-            "zero residual: invariant subspace found")
-
-    C = np.zeros((k + 1, t + 1))
-    C[:k, :t] = chk.W[:, :t] * chk.theta[:t]
-    C[:k, t] = -beta_k * chk.z
-    C[k, t] = 1.0
-    Qc, Rc = smalldense.qr_factor(C)
     return _augment(M, state, state.f * (1.0 / beta_k), beta_k * np.eye(k)[-1],
-                    Qc, chk.X[:, :t], chk.theta[:t], 0.0, Rc)
+                    np.column_stack([chk.Vh[:, :t], chk.c]), chk.X[:, :t],
+                    chk.theta[:t], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +358,25 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     if opts.k >= m_b and m_b < min(m, n):
         raise ValueError(f"need k < m_b: k={opts.k}, m_b={m_b}")
 
-    rng = np.random.default_rng(opts.seed)
     trace = ConvergenceTrace()
-    state = _initial_state(M, rng, m_b)
+    state = _initial_state(M, np.random.default_rng(opts.seed), m_b)
     augment = harmonic_augment_cycle if opts.which == WHICH_SMALLEST \
         else ritz_augment_cycle
     retained = _retained_count(opts.k, m_b)
-    singular_restarts = 0
     cycle = 0
     while True:
-        try:
-            # The check covers the retained pairs; the first k are targets.
-            chk = check_convergence(state.B, state.beta_last, opts.delta,
-                                    max(retained, opts.k), which=opts.which,
-                                    sigma_max=state.sigma_max)
-            state.sigma_max = chk.sigma_max
-            trace.append_cycle(cycle, chk.bounds[:opts.k], state.matvecs)
-            # With m_b = n the right basis spans the column space: the
-            # projection is exact and no direction is left to restart with.
-            if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
-                return _extract_triplets(state, chk, opts.which, opts.k), trace
-            cycle += 1
-            state = augment(M, state, retained, chk)
-        except smalldense.NearSingularError as exc:
-            singular_restarts += 1
-            trace.events.append(f"before cycle {cycle}: {exc}; restarting "
-                                "from a perturbed seed vector")
-            if singular_restarts > MAX_SINGULAR_RESTARTS:
-                raise SingularMatrixError(
-                    "harmonic mode kept hitting a singular projection; "
-                    "matrix appears to be singular") from exc
-            state = _initial_state(M, rng, m_b, state.matvecs,
-                                   state.sigma_max)
+        # The check covers the retained pairs; the first k are targets.
+        chk = check_convergence(state.B, state.beta_last, opts.delta,
+                                max(retained, opts.k), which=opts.which,
+                                sigma_max=state.sigma_max)
+        state.sigma_max = chk.sigma_max
+        trace.append_cycle(cycle, chk.bounds[:opts.k], state.matvecs)
+        # With m_b = n the right basis spans the column space: the
+        # projection is exact and no direction is left to restart with.
+        if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
+            return _extract_triplets(state, chk, opts.which, opts.k), trace
+        cycle += 1
+        state = augment(M, state, retained, chk)
 
 
 def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
@@ -414,14 +389,11 @@ def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
     return QuatMatrix(*(scale(b) for b in M.blocks))
 
 
-def _initial_state(M: QuatMatrix, rng: np.random.Generator, m_b: int,
-                   matvecs: int = 0, sigma_max: float = 0.0) -> KrylovState:
-    """Factorization of ``m_b`` steps from a random start vector; a fresh
-    restart carries the matvec count and sigma_max of the state it drops."""
-    state = start_state(M, random_unit_vector(M.cols, rng), rng, m_b)
-    state.matvecs = matvecs
-    state.sigma_max = sigma_max
-    return lanczos_extend(M, state, m_b)
+def _initial_state(M: QuatMatrix, rng: np.random.Generator,
+                   m_b: int) -> KrylovState:
+    """Factorization of ``m_b`` steps from a random start vector."""
+    return lanczos_extend(M, start_state(M, random_unit_vector(M.cols, rng),
+                                         rng, m_b), m_b)
 
 
 def verify_residual(M: QuatMatrix, T: TripletSet) -> float:

@@ -1,12 +1,13 @@
 """Dense kernels for the small projected matrices.
 
-SVD, QR and triangular solves on matrices of at most a few hundred rows.
-LAPACK (through numpy/scipy) does the heavy lifting; this module adds the
-deterministic conventions and the guards the restart logic relies on, and
-is the only package module that calls a dense factorization or solver.
-Explicit matrix inverses are never formed.  Every triangular solve,
-:func:`bidiag_solve` included, goes through one pivot guard; it and the
-guard in :func:`qr_factor` raise NearSingularError.
+The solver's one dense kernel is :func:`dense_svd`, which returns the full
+right singular basis, so that the null vector of a wide matrix comes with
+its SVD.  LAPACK (through numpy/scipy) does the heavy lifting; this module
+adds the deterministic conventions, and is the only package module that
+calls a dense factorization or solver.  The QR factorization and the
+triangular solves below share one pivot guard and raise
+NearSingularError; the solver calls none of them, and they stay only
+while ``perfbench/layers.py`` traces them by name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ class NearSingularError(ValueError):
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD A = U @ diag(sigmas) @ V.T with sigmas descending."""
+    """SVD A = U @ diag(sigmas) @ V[:, :r].T with r = len(sigmas) and
+    sigmas descending: U is thin (r columns) and V is the full square
+    right basis, whose columns past r span the null space of a wide A."""
 
     U: np.ndarray
     sigmas: np.ndarray
@@ -45,18 +48,19 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
 
 
 def dense_svd(A: np.ndarray) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
+    """SVD with thin U, full V and a deterministic sign convention.
 
     Singular values are sorted descending (LAPACK order; ties keep their
     original order).  Each left singular vector is normalized so that its
-    first entry above 1e-12 of the column max is positive.
+    first entry above 1e-12 of the column max is positive, and its right
+    vector flips with it; the null-space columns of V keep LAPACK's signs.
     """
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in SVD input")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = np.linalg.svd(A)
     V = Vt.T.copy()
-    U = U.copy()
+    U = U[:, :s.size].copy()
     _fix_signs(U, V)
     return SvdResult(U=U, sigmas=s, V=V)
 
@@ -65,7 +69,8 @@ def qr_factor(C: np.ndarray):
     """QR factorization C = Q @ R with R's diagonal non-negative.
 
     Raises :class:`NearSingularError` when a diagonal entry of R falls
-    below 1e-14 times the Frobenius norm of C.
+    below 1e-14 times the Frobenius norm of C.  The solver never calls
+    this; it stays only while ``perfbench/layers.py`` traces it by name.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.shape[0] < C.shape[1]:
@@ -110,11 +115,15 @@ def _guarded_upper_solve(R, b, trans: str) -> np.ndarray:
 
 
 def solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve R x = b for square upper-triangular R (b may be a matrix)."""
+    """Solve R x = b for square upper-triangular R (b may be a matrix).
+    The solver never calls this; it stays only while ``perfbench/layers.py``
+    traces it by name."""
     return _guarded_upper_solve(R, b, trans="N")
 
 
 def tri_solve_upper(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve X @ R = B for square upper-triangular R, without inverting R."""
+    """Solve X @ R = B for square upper-triangular R, without inverting R.
+    The solver never calls this; it stays only while ``perfbench/layers.py``
+    traces it by name."""
     # X R = B  <=>  R.T X.T = B.T
     return _guarded_upper_solve(R, np.asarray(B).T, trans="T").T

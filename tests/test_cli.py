@@ -72,6 +72,20 @@ def test_svd_smallest_from_mtx_blocks(tmp_path):
                     "--out", trip]) == EXIT_ERROR
 
 
+def test_svd_smallest_of_rank_deficient_matrix(tmp_path):
+    # A singular projected matrix is no error: the harmonic restart never
+    # solves with it.
+    from conftest import matrix_from_triplets_expansion, synthetic_triplets
+
+    sig = [(0.5, 0.25, 0.1)[i % 3] * (1.0 + 1e-8 * i) for i in range(11)]
+    path = tmp_path / "rank11.qmx"
+    qio.write_qmx(matrix_from_triplets_expansion(
+        synthetic_triplets(np.random.default_rng(2), 19, 12, sig)), path)
+    rc = run(["svd", "--input", path, "--k", "2", "--which", "smallest",
+              "--mb", "8", "--seed", "0", "--out", tmp_path / "t.csv"])
+    assert rc in (EXIT_OK, EXIT_UNCONVERGED)
+
+
 def test_determinism_byte_identical(tmp_path, dense_qmx):
     outs = []
     for tag in ("a", "b"):

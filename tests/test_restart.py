@@ -15,7 +15,6 @@ from quatsvd.quatlin import (
     vec_norm,
 )
 from quatsvd.restart import (
-    SingularMatrixError,
     SolverOptions,
     check_convergence,
     harmonic_augment_cycle,
@@ -24,7 +23,6 @@ from quatsvd.restart import (
     verify_residual,
     _initial_state,
 )
-from quatsvd.smalldense import NearSingularError
 
 from conftest import (
     dedup_singular_values,
@@ -56,10 +54,10 @@ def harmonic_cycle(M, state, t):
 
 
 def harmonic_fields(B, beta_k, t):
-    """Retained harmonic values, left vectors and solved coefficients
-    W = B^-1 U_t and z = B^-1 e_last of the row-extended [B, beta*e_last]."""
+    """Retained harmonic values, left and right singular vectors U_t and
+    V'_t, and the null vector c of the row-extended [B, beta*e_last]."""
     chk = check_convergence(B, beta_k, 1e-10, t, which="smallest")
-    return chk.theta, chk.X, chk.W, chk.z
+    return chk.theta, chk.X, chk.Vh, chk.c
 
 
 def _padded_basis(sub, total, offset):
@@ -133,15 +131,24 @@ class TestCheckConvergence:
 
     def test_harmonic_pairs_are_exact_in_one_direction(self, rng):
         # u = Q x_j and v = P y_j with B y_j parallel to x_j: M v = u sigma
-        # to roundoff, and the bound is the adjoint residual.
+        # to roundoff, and the bound is the adjoint residual.  The check
+        # keeps the harmonic right vectors and the null vector of
+        # [B, beta*e_last], an orthonormal set.
         M = rand_qmat(rng, 22, 16)
         F = lanczos_bidiag(M, random_unit_vector(16, rng), 9, rng)
         chk = check_convergence(F.B, F.beta_last, 1e-10, 4, which="smallest")
-        assert chk.W.shape == (9, 4) and chk.z.shape == (9,)
+        assert chk.Vh.shape == (10, 4) and chk.c.shape == (10,)
         Baug = np.column_stack([F.B, F.beta_last * np.eye(9)[-1]])
         assert np.allclose(chk.theta,
                            np.linalg.svd(Baug, compute_uv=False)[::-1][:4])
         sigma1 = np.linalg.svd(F.B, compute_uv=False)[0]
+        Pc = np.column_stack([chk.Vh, chk.c])
+        assert np.abs(Pc.T @ Pc - np.eye(5)).max() <= 1e-14
+        assert np.linalg.norm(Baug @ chk.Vh - chk.X * chk.theta) <= \
+            1e-14 * sigma1
+        assert np.linalg.norm(Baug @ chk.c) <= 1e-14 * sigma1
+        assert chk.c[-1] >= 0.0
+        assert np.all(chk.sigmas >= 0.0)
         for j in range(4):
             u = F.Q.combine_real(chk.X[:, j])
             v = F.P.combine_real(chk.Y[:, j])
@@ -155,10 +162,19 @@ class TestCheckConvergence:
         # With beta_k broken down, harmonic pairs are Ritz pairs of B.
         chk = check_convergence(np.diag([3.0, 2.0, 1.0]), 0.0, 1e-10, 3,
                                 which="smallest")
-        assert chk.W is None and chk.z is None
+        assert chk.Vh is None and chk.c is None
         assert np.array_equal(chk.sigmas, [1.0, 2.0, 3.0])
         assert chk.theta is chk.sigmas
         assert np.all(chk.flags)
+
+    def test_harmonic_check_of_singular_projection(self):
+        # B y = 0 has a solution, so the check needs no solve with B: the
+        # zero singular value comes out exactly, with finite bounds.
+        chk = check_convergence(np.diag([2.0, 0.0, 1.0]), 1.0, 1e-10, 2,
+                                which="smallest")
+        assert np.allclose(chk.sigmas, [0.0, 1.0], atol=1e-15)
+        assert np.all(np.isfinite(chk.bounds))
+        assert np.abs(np.diag([2.0, 0.0, 1.0]) @ chk.Y[:, 0]).max() <= 1e-15
 
 
 class _AugmentCycleChecks:
@@ -264,21 +280,27 @@ class TestHarmonicCycle(_AugmentCycleChecks):
     exhausted_case = ((6, 4), 3, 2, False, [(2, "alpha")], [2.5, 1.0, 0.0])
 
     def test_projected_row_matrix_trivial(self):
-        # One-step projection [3, 4]: singular value 5, solved harmonic
-        # coefficient u / 3.
-        sig, U_t, W, z = harmonic_fields(np.array([[3.0]]), 4.0, 1)
+        # One-step projection [3, 4]: singular value 5 with right vector
+        # [3, 4] / 5, null vector [-4, 3] / 5 and harmonic right vector 1.
+        sig, U_t, V_t, c = harmonic_fields(np.array([[3.0]]), 4.0, 1)
         assert sig[0] == pytest.approx(5.0, rel=1e-15)
-        assert abs(W[0, 0]) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert z[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert np.allclose(np.abs(V_t[:, 0]), [0.6, 0.8], rtol=1e-15)
+        assert np.allclose(c, [-0.8, 0.6], rtol=1e-15)
+        chk = check_convergence(np.array([[3.0]]), 4.0, 1e-10, 1,
+                                which="smallest")
+        assert abs(chk.Y[0, 0]) == 1.0
+        assert chk.sigmas[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_identity_projection_small_beta_matches_ritz(self):
-        # With B = I and beta -> 0 the harmonic coefficients coincide with
-        # the Ritz vectors and the scaled residual reduces to p_{k+1}.
+        # With B = I and beta -> 0 the harmonic right vectors coincide with
+        # the Ritz vectors, and the null vector, which brings in p_{k+1},
+        # tends to e_last.
         B = np.eye(4)
-        sig, U_t, W, z = harmonic_fields(B, 1e-13, 4)
-        assert np.allclose(np.abs(W), np.abs(U_t), atol=1e-12)
+        sig, U_t, V_t, c = harmonic_fields(B, 1e-13, 4)
+        assert np.allclose(np.abs(V_t[:4]), np.abs(U_t), atol=1e-12)
+        assert np.abs(V_t[4]).max() <= 1e-12
+        assert np.allclose(c, np.eye(5)[-1], atol=1e-12)
         assert np.allclose(sig, 1.0, atol=1e-12)
-        assert np.linalg.norm(1e-13 * z) <= 1e-12  # hr residual correction
 
     def test_harmonic_eigen_identity(self, rng):
         # Retained pairs are eigenpairs of the row-extended Gram matrix.
@@ -292,20 +314,27 @@ class TestHarmonicCycle(_AugmentCycleChecks):
             r = G @ U_t[:, j] - sig[j] ** 2 * U_t[:, j]
             assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(G)
 
-    def test_projection_stays_upper_triangular(self, rng):
+    def test_projection_keeps_arrow_form(self, rng):
+        # The leading (t+1) block is diagonal plus one dense last row (the
+        # removed coefficients above it are roundoff), and the Lanczos
+        # steps after it append an upper bidiagonal part.
         M = rand_qmat(rng, 25, 25)
         state = make_state(M, 10)
+        t = 4
         for _ in range(3):
-            state = harmonic_cycle(M, state, 4)
-            assert np.abs(np.tril(state.B, -1)).max() == 0.0
+            state = harmonic_cycle(M, state, t)
+            lead = state.B[:t, :t + 1].copy()
+            lead[range(t), range(t)] = 0.0
+            assert np.abs(lead).max() <= 1e-13 * state.sigma_max
+            assert np.all(state.B[t, :t] != 0.0)
+            rest = state.B.copy()
+            rest[:t + 1, :t + 1] = 0.0
+            assert np.array_equal(rest, np.diag(np.diag(rest)) +
+                                  np.diag(np.diag(rest, 1), 1))
+            errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+            assert errs["direct"] <= 1e-11 * state.sigma_max
+            assert errs["adjoint"] <= 1e-11 * state.sigma_max
 
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known defect: B has a singular value of "
-                              "1.7e-14 but diagonal entries above 6e-6, so "
-                              "the near-singular guard passes and the "
-                              "restart's solve leaves the factorization off "
-                              "by about 1e-3")
     def test_restart_keeps_factorization_of_rank_deficient_matrix(self):
         sig = [(0.5, 0.25, 0.1)[i % 3] * (1.0 + 1e-8 * i) for i in range(11)]
         M = matrix_from_triplets_expansion(
@@ -410,6 +439,40 @@ class TestSolver:
         assert np.all(out.sigmas <= 1e-10)
         assert verify_residual(M, out) <= 1e-12 * 5.0
 
+    def test_smallest_of_rank_deficient_matrix(self):
+        # B inherits a singular value near 1e-14 from the matrix's null
+        # space; the harmonic restarts never solve with it, and the zero
+        # singular value converges.
+        sig = [(0.5, 0.25, 0.1)[i % 3] * (1.0 + 1e-8 * i) for i in range(11)]
+        M = matrix_from_triplets_expansion(
+            synthetic_triplets(np.random.default_rng(2), 19, 12, sig))
+        out, _ = solve_partial_svd(
+            M, SolverOptions(k=2, which="smallest", m_b=8, seed=0))
+        assert out.all_converged
+        assert np.allclose(out.sigmas, [0.0, 0.1], atol=1e-8)
+        assert verify_residual(M, out) <= 1e-12 * 0.5
+
+    def test_harmonic_right_vector_of_zero_norm(self):
+        # Real diagonal input: some retained harmonic pair has a right
+        # vector whose last entry vanishes along with the null vector's,
+        # so the check takes the right singular vector itself (a division
+        # by the zero norm would warn, which the suite makes an error).
+        Z = np.zeros((8, 8))
+        M = QuatMatrix(np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.5, 4.0, 0.0]),
+                       Z, Z, Z)
+        out, _ = solve_partial_svd(
+            M, SolverOptions(k=2, which="smallest", m_b=4, maxit=20, seed=0))
+        assert np.all(np.isfinite(out.sigmas))
+        assert np.all(np.isfinite(out.bounds))
+        for j, sigma in enumerate(out.sigmas):
+            u, v = out.U.data[j], out.V.data[j]
+            assert vec_norm(structured_matvec(M, v) - u * sigma) <= 1e-13
+            true = vec_norm(structured_matvec(M, u, adjoint=True) - v * sigma)
+            assert out.bounds[j] >= true - 1e-13
+            if out.converged[j]:
+                assert min(abs(sigma - d) for d in (0.0, 0.5)) <= \
+                    out.bounds[j] + 1e-13
+
     def test_deflation_when_draws_lie_in_the_range(self):
         # A rank-11 matrix built from the solver's own seed: the solver's
         # random fresh directions all lie in its range, and deflation must
@@ -421,18 +484,6 @@ class TestSolver:
             M, SolverOptions(k=2, which="smallest", m_b=12, maxit=0, seed=1))
         assert out.all_converged
         assert np.allclose(out.sigmas, [0.0, 0.1], atol=1e-12)
-
-    def test_near_singular_projection_guard(self, rng):
-        # A diagonal entry the check's triangular solve still accepts
-        # (above 1e-14 of the largest diagonal entry) but below the
-        # restart's NEAR_SINGULAR_TOL * scale: only the restart refuses it.
-        M = rand_qmat(rng, 16, 16)
-        state = make_state(M, 8)
-        state.B[3, 3] = 1e-13 * state.scale  # poison the projected matrix
-        chk = state_check(state, 3, "smallest")
-        assert chk.W is not None
-        with pytest.raises(NearSingularError):
-            harmonic_augment_cycle(M, state, 3, chk)
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_full_right_basis_stops_without_restart(self, rng, which):
@@ -446,34 +497,6 @@ class TestSolver:
         assert trace.cycles == 1 and not trace.events
         want = true_vals[:2] if which == "largest" else true_vals[::-1][:2]
         assert np.abs(T.sigmas - want).max() <= 1e-12 * true_vals[0]
-
-    def test_repeated_harmonic_failures_escalate(self, rng, monkeypatch):
-        import quatsvd.restart as restart_mod
-
-        def always_fails(M, state, t, chk):
-            raise NearSingularError("forced")
-
-        monkeypatch.setattr(restart_mod, "harmonic_augment_cycle",
-                            always_fails)
-        M = rand_qmat(rng, 16, 16)
-        with pytest.raises(SingularMatrixError):
-            restart_mod.solve_partial_svd(
-                M, SolverOptions(k=2, which="smallest", m_b=8,
-                                 delta=1e-16, seed=0))
-
-    def test_singular_harmonic_check_escalates(self, rng, monkeypatch):
-        # A check whose solve refuses B restarts from a perturbed seed like
-        # a failed restart; NearSingularError never escapes the solver.
-        import quatsvd.smalldense as smalldense_mod
-
-        def refuses(R, b):
-            raise NearSingularError("forced")
-
-        monkeypatch.setattr(smalldense_mod, "solve_upper", refuses)
-        M = rand_qmat(rng, 16, 16)
-        with pytest.raises(SingularMatrixError):
-            solve_partial_svd(M, SolverOptions(k=2, which="smallest", m_b=8,
-                                               seed=0))
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_one_dense_svd_per_cycle(self, rng, monkeypatch, which):
@@ -495,24 +518,22 @@ class TestSolver:
         assert trace.cycles > 1
         assert len(calls) == trace.cycles
 
-    def test_one_solve_with_b_per_harmonic_cycle(self, rng, monkeypatch):
-        # The check's one solve gives both its right vectors and the
-        # coefficients the harmonic restart retains.
+    def test_no_dense_solve_in_either_mode(self, rng, monkeypatch):
+        # Both checks and both restarts take everything from the check's
+        # SVD: no QR and no triangular solve, even in harmonic mode.
         import quatsvd.smalldense as smalldense_mod
 
-        calls = []
-        real_solve = smalldense_mod.solve_upper
+        def refuses(*args):
+            raise AssertionError("the solver made a dense solve")
 
-        def counting_solve(R, b):
-            calls.append(np.shape(b))
-            return real_solve(R, b)
-
-        monkeypatch.setattr(smalldense_mod, "solve_upper", counting_solve)
+        for name in ("qr_factor", "solve_upper", "tri_solve_upper",
+                     "bidiag_solve"):
+            monkeypatch.setattr(smalldense_mod, name, refuses)
         M = rand_qmat(rng, 40, 30)
-        _, trace = solve_partial_svd(
-            M, SolverOptions(k=4, which="smallest", m_b=10, seed=5))
-        assert trace.cycles > 1 and not trace.events
-        assert len(calls) == trace.cycles
+        for which in ("largest", "smallest"):
+            T, trace = solve_partial_svd(
+                M, SolverOptions(k=4, which=which, m_b=10, seed=5))
+            assert trace.cycles > 1 and T.all_converged
 
     def test_scaled_near_overflow(self, rng):
         M0 = rand_qmat(rng, 30, 30)

@@ -57,15 +57,20 @@ class TestDenseSvd:
                                rtol=1e-12, atol=1e-12)
 
     def test_reconstruction_and_orthogonality(self, rng):
-        for m, n in [(1, 1), (5, 3), (3, 5), (12, 12), (40, 17), (25, 40)]:
+        # U is thin and V full: on wide input its trailing columns are an
+        # orthonormal basis of the null space.
+        for m, n in [(1, 1), (5, 3), (3, 5), (12, 12), (40, 17), (25, 40),
+                     (8, 9)]:
             A = rng.standard_normal((m, n))
             res = dense_svd(A)
             normA = np.linalg.norm(A)
-            recon = res.U @ np.diag(res.sigmas) @ res.V.T
-            assert np.linalg.norm(recon - A) <= 1e-13 * normA
             r = res.sigmas.size
+            assert res.U.shape == (m, r) and res.V.shape == (n, n)
+            recon = res.U @ np.diag(res.sigmas) @ res.V[:, :r].T
+            assert np.linalg.norm(recon - A) <= 1e-13 * normA
             assert np.abs(res.U.T @ res.U - np.eye(r)).max() <= 1e-13
-            assert np.abs(res.V.T @ res.V - np.eye(r)).max() <= 1e-13
+            assert np.abs(res.V.T @ res.V - np.eye(n)).max() <= 1e-13
+            assert np.linalg.norm(A @ res.V[:, r:]) <= 1e-13 * normA
             assert np.all(np.diff(res.sigmas) <= 1e-14 * res.sigmas[0])
 
     def test_bidiagonal_12_reconstruction(self, rng):
@@ -96,27 +101,6 @@ class TestQrFactor:
         assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-13
         assert np.all(np.diag(R) >= 0.0)
         assert np.linalg.norm(Q @ R - C) <= 1e-13 * np.linalg.norm(C)
-
-    def test_harmonic_coefficient_matrix_gram(self, rng):
-        # The QR input of a harmonic restart: solved coefficients of the
-        # row-extended projected matrix of a genuine factorization.
-        from quatsvd.bidiag import lanczos_bidiag
-        from quatsvd.quatlin import random_unit_vector
-        from quatsvd.restart import check_convergence
-        from conftest import rand_qmat
-
-        M = rand_qmat(rng, 14, 14)
-        F = lanczos_bidiag(M, random_unit_vector(14, rng), 8, rng)
-        beta_k = F.beta_last
-        t = 3
-        chk = check_convergence(F.B, beta_k, 1e-10, t, which="smallest")
-        sig, W, z = chk.theta, chk.W, chk.z
-        C = np.zeros((9, t + 1))
-        C[:8, :t] = W * sig[None, :]
-        C[:8, t] = -beta_k * z
-        C[8, t] = 1.0
-        Q, R = qr_factor(C)
-        assert np.abs(Q.T @ Q - np.eye(t + 1)).max() <= 1e-13
 
     def test_rank_deficient_signaled(self):
         C = np.ones((4, 2))
