@@ -12,8 +12,8 @@ are orthonormal in the quaternion inner product and satisfy
 with B_k upper bidiagonal (alphas on the diagonal, betas above) and f the
 residual vector orthogonal to P_k.
 
-The vector half of every step, in :func:`lanczos_extend` and in both
-restarts, is three helpers: :func:`next_right`, :func:`next_left` and
+The vector half of every step, in :func:`lanczos_extend` and in the
+restart step, is three helpers: :func:`next_right`, :func:`next_left` and
 :func:`close_step`.  They hold the one breakdown rule: a norm at or below
 ``BREAKDOWN_TOL`` times the state's :attr:`KrylovState.scale` deflates to
 a fresh random unit vector orthogonal to the current basis, and B_k keeps

@@ -1,49 +1,45 @@
 """Implicitly restarted drivers for partial quaternion SVD.
 
-Both restarts are augmented (Baglama & Reichel, SIAM J. Sci. Comput.
-27(1), 2005) and share one step, :func:`_augment`.  It keeps t
-directions, the columns of [P, p] Pc and Q X_t for an orthonormal
-(k+1) x (t+1) coefficient matrix Pc and the check's retained left
-vectors X_t; takes one Lanczos step from an augmentation vector p, whose
-left vector comes from w = M p - Q s for a coupling s; and sets the
-leading block of B to diag(theta_t, 0) + [col + removed coefficients;
-alpha] times the last row of Pc, before re-expanding with plain steps.
-Ritz augmentation targets the k `largest` triplets: from the SVD of B it
-takes Pc = blockdiag(Y_t, 1), whose last row is e_{t+1}, p the normalized
-residual, s = X_t rho and col = rho = beta * (last row of X_t), so the
-leading block is an arrow with a dense last column.  Harmonic
-augmentation targets the k `smallest` triplets: from the SVD of
-[B, beta*e_last], with its full right basis V', it takes Pc = [V'_t, c],
-the t retained right vectors and the null vector c, with p = f/beta,
-s = beta e_last and col = 0, so the leading block has a dense last row
-(its other off-diagonal entries are the removed coefficients, zero to
-roundoff).  As M [P, p] = Q [B, beta*e_last] + w e_{k+1}', this needs no
-solve with B, and holds for a singular B too.  A harmonic check whose
-beta_last has broken down is a Ritz check, and its restart is the Ritz
-step from a fresh direction.  The vector half of the step, breakdowns
-included, is done by the step helpers of :mod:`quatsvd.bidiag`; a cycle
-here computes only its projected algebra.
+Each cycle computes one dense SVD, in :func:`check_convergence`, the only
+code here that depends on the mode.  It alone owns the triplets a solve
+reports and the right coefficients its restart keeps.  It takes the SVD
+of B in `largest` mode and of the row-extended [B, beta*e_last] in
+`smallest` (harmonic) mode, and returns unit coefficient vectors x_j and
+y_j with B y_j parallel to x_j: the singular vectors of B, or a harmonic
+left vector x_j and y_j proportional to c_last V'_{1:k,j} -
+V'_{last,j} c_{1:k}, for which B y_j = c_last theta_j x_j exactly.  Here
+V' is the full right basis of [B, beta*e_last] and c its null vector,
+signed so that c_last >= 0; when both terms vanish, V'_{1:k,j} itself is
+a unit singular vector of B.  Then v_j = P y_j and u_j = Q x_j satisfy
+``M v_j = u_j sigma_j`` with sigma_j = x_j' B y_j (the singular value
+itself for an SVD pair), and the factorization identities give the bound
+``||M* u_j - v_j sigma_j|| = ||B' x_j - sigma_j y_j|| (+) beta_last |last
+component of x_j|``, where (+) is the root sum of squares.  A triplet is
+accepted once its bound is at most ``delta * sigma_max``, sigma_max being
+a running estimate of the largest singular value.  Once beta_last breaks
+down the projection is exact, harmonic pairs equal Ritz pairs, and
+harmonic mode checks B itself.
 
-Each cycle computes one dense SVD, in :func:`check_convergence`, which
-alone owns the triplets a solve reports.  It takes the SVD of B in
-largest mode and of the row-extended [B, beta*e_last] in harmonic mode,
-and returns unit coefficient vectors x_j and y_j with B y_j parallel to
-x_j: the singular vectors of B, or a harmonic left vector x_j and y_j
-proportional to c_last V'_{1:k,j} - V'_{last,j} c_{1:k}, for which
-B y_j = c_last theta_j x_j exactly (c is signed so that c_last >= 0; when
-both terms vanish, V'_{1:k,j} itself is a unit singular vector of B).
-Then v_j = P y_j and u_j = Q x_j satisfy ``M v_j = u_j sigma_j`` with
-sigma_j = x_j' B y_j (the singular value itself for an SVD pair), and the
-factorization identities give the bound ``||M* u_j - v_j sigma_j|| =
-||B' x_j - sigma_j y_j|| (+) beta_last |last component of x_j|``, where
-(+) is the root sum of squares.  A
-triplet is accepted once its bound is at most ``delta * sigma_max``,
-sigma_max being a running estimate of the largest singular value.  Once
-beta_last breaks down the projection is exact, harmonic pairs equal Ritz
-pairs, and harmonic mode checks B itself.  The restart of the same cycle
-retains the check's leading columns.  The loop state is one
-:class:`quatsvd.bidiag.KrylovState` per solve, which each restart and the
-final extraction rewrite in place.
+The check also returns Pc, the orthonormal (k+1) x (t+1) coefficients of
+[P, p] that the restart keeps: blockdiag(Y_t, 1) after a Ritz check, and
+[V'_t, c] after a harmonic one.  Both modes then take one augmented step
+(Baglama & Reichel, SIAM J. Sci. Comput. 27(1), 2005), :func:`restart_cycle`,
+which keeps the columns of [P, p] Pc and Q X_t, p being the next right
+vector: f/beta, or a fresh direction with beta = 0 once f has broken
+down.  As M [P, p] = Q [B, beta*e_last] + w e_{k+1}' with w orthogonal to
+Q, and [B, beta*e_last] Pc = [X_t theta_t, g], the step needs no solve
+with B and holds for a singular B too.  Here g = [B, beta*e_last] Pc[:, -1]
+is beta*e_last after a Ritz check and zero to roundoff after a harmonic
+one.  With col = X_t' g, the new left vector comes from w = M p -
+Q (beta*e_last - g + X_t col), and the leading block of B becomes
+diag(theta_t, 0), plus col in its last column, plus [removed coefficients;
+alpha] times the last row of Pc.  That is an arrow with a dense last
+column after a Ritz check, and a dense last row after a harmonic one.
+The step then re-expands with plain Lanczos steps.  The vector half of
+the step, breakdowns included, is done by the step helpers of
+:mod:`quatsvd.bidiag`; a cycle here computes only its projected algebra.
+The loop state is one :class:`quatsvd.bidiag.KrylovState` per solve,
+which each restart and the final extraction rewrite in place.
 
 Output is bit-identical for a fixed seed and BLAS thread count.  Between
 1 and 2 OpenBLAS threads, six dense solves moved their sigmas by up to
@@ -172,11 +168,9 @@ class TripletSet:
 class ConvergenceCheck:
     """Outcome of :func:`check_convergence`: the first t projected triplets
     in target order, as ``sigmas`` and unit coefficient columns of ``X``
-    (left) and ``Y`` (right), with their bounds and flags, and ``theta``,
-    the check's SVD values (harmonic ones in harmonic mode).  Only a
-    harmonic check sets ``Vh``, the t right singular vectors of
-    [B, beta*e_last] that go with ``theta``, and ``c``, its null vector
-    with ``c[-1] >= 0``."""
+    (left) and ``Y`` (right), with their bounds and flags; ``theta``, the
+    check's SVD values (harmonic ones in harmonic mode); and ``Pc``, the
+    orthonormal (k+1) x (t+1) right coefficients a restart keeps."""
 
     flags: np.ndarray
     bounds: np.ndarray
@@ -185,16 +179,16 @@ class ConvergenceCheck:
     Y: np.ndarray
     sigma_max: float
     theta: np.ndarray
-    Vh: np.ndarray | None = None
-    c: np.ndarray | None = None
+    Pc: np.ndarray
 
 
 def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
                       which: str = WHICH_LARGEST,
                       sigma_max: float = 0.0) -> ConvergenceCheck:
     """Triplets of the square projected matrix ``B`` with their bounds and
-    flags, as the module docstring describes.  sigma_max is kept as a
-    running maximum so the tolerance never shrinks.
+    flags, and the restart's coefficients, as the module docstring
+    describes.  sigma_max is kept as a running maximum so the tolerance
+    never shrinks.
     """
     harmonic = which == WHICH_SMALLEST and \
         beta_k > BREAKDOWN_TOL * breakdown_scale(B, sigma_max)
@@ -212,86 +206,65 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
         Y = np.where(np.linalg.norm(Y, axis=0) > 0.0, Y, V[:-1])
         Y = Y / np.linalg.norm(Y, axis=0)
         sigmas = np.einsum("ij,ij->j", X, B @ Y)
+        Pc = np.column_stack([V, c])
     else:
-        c = None
         Y, sigmas = V, theta
+        Pc = block_diag(Y, 1.0)
     bounds = np.hypot(np.linalg.norm(B.T @ X - Y * sigmas, axis=0),
                       beta_k * X[-1])
     return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,
                             sigmas=sigmas, X=X, Y=Y, sigma_max=sigma_max,
-                            theta=theta, Vh=V if harmonic else None, c=c)
+                            theta=theta, Pc=Pc)
 
 
-def _augment(M: QuatMatrix, state: KrylovState, p_aug: np.ndarray,
-             coupling: np.ndarray, Pc: np.ndarray, Uc: np.ndarray,
-             sig: np.ndarray, col: np.ndarray | float) -> KrylovState:
-    """The augmentation step of both restarts (see the module docstring):
-    the new left vector comes from ``M p_aug - Q coupling``, the bases
-    become ``[P, p_aug] Pc`` and ``Q Uc``, and the leading block of B
-    diag(sig, 0) + [col + removed coefficients; alpha] times ``Pc[-1]``.
-    Rewrites ``state`` in place, re-expanded to ``state.steps``."""
-    k = state.steps
-    w = structured_matvec(M, p_aug) - state.Q.combine_real(coupling)
-    state.matvecs += 1
-    state.P.append(p_aug)
-    state.P.combine_matrix(Pc)
-    state.Q.combine_matrix(Uc)
-
-    q_new, alpha_new, coeffs = next_left(M, state, w)
-    state.B = np.diag(np.append(sig, 0.0)) + \
-        np.outer(np.append(col + coeffs[:, 0], alpha_new), Pc[-1])
-    close_step(M, state, q_new)
-    return lanczos_extend(M, state, k)
-
-
-# ---------------------------------------------------------------------------
-# Ritz augmentation (largest triplets)
-# ---------------------------------------------------------------------------
-
-def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
-                       chk: ConvergenceCheck) -> KrylovState:
-    """One Ritz-augmented restart, re-expanded to ``state.steps`` steps.
-
-    ``chk`` is the largest-mode check of ``state``; its t leading Ritz
-    pairs are retained, and the augmentation vector is the residual.
-    Rewrites ``state`` in place and returns it.
+def restart_cycle(M: QuatMatrix, state: KrylovState, t: int,
+                  chk: ConvergenceCheck) -> KrylovState:
+    """One augmented restart that keeps the t leading columns of ``chk``,
+    the last check of ``state``, re-expanded to ``state.steps`` steps (see
+    the module docstring).  Rewrites ``state`` in place and returns it.
     """
     k = state.steps
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
     # On an exact invariant subspace the fresh direction must avoid the
-    # whole basis, so it is drawn before P is overwritten.
-    p_aug, beta_k = next_right(M, state)
-    if beta_k == 0.0:
+    # whole basis, so it is drawn before P is overwritten.  A harmonic
+    # check tests beta against the scale before its SVD raised sigma_max;
+    # a beta between the two scales keeps [V'_t, c] with a fresh p, which
+    # moves the factorization by O(beta) <= BREAKDOWN_TOL * scale.
+    p, beta = next_right(M, state)
+    if beta == 0.0:
         state.deflations.append((t, "beta"))
-    U_t = chk.X[:, :t]
-    rho = beta_k * U_t[-1]
-    return _augment(M, state, p_aug, U_t @ rho, block_diag(chk.Y[:, :t], 1.0),
-                    U_t, chk.theta[:t], rho)
+    Pc = np.column_stack([chk.Pc[:, :t], chk.Pc[:, -1]])
+    X_t = chk.X[:, :t]
+    beta_e = beta * np.eye(k)[-1]
+    g = np.column_stack([state.B, beta_e]) @ Pc[:, -1]
+    col = X_t.T @ g
+    w = structured_matvec(M, p) - state.Q.combine_real(beta_e - g + X_t @ col)
+    state.matvecs += 1
+    state.P.append(p)
+    state.P.combine_matrix(Pc)
+    state.Q.combine_matrix(X_t)
+
+    q, alpha, coeffs = next_left(M, state, w)
+    state.B = np.diag(np.append(chk.theta[:t], 0.0))
+    state.B[:t, t] = col
+    state.B += np.outer(np.append(coeffs[:, 0], alpha), Pc[-1])
+    close_step(M, state, q)
+    return lanczos_extend(M, state, k)
 
 
-# ---------------------------------------------------------------------------
-# harmonic augmentation (smallest triplets)
-# ---------------------------------------------------------------------------
+def ritz_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
+                       chk: ConvergenceCheck) -> KrylovState:
+    """:func:`restart_cycle`.  The solver never calls this; it stays only
+    while ``perfbench/layers.py`` traces it by name."""
+    return restart_cycle(M, state, t, chk)
+
 
 def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
                            chk: ConvergenceCheck) -> KrylovState:
-    """One harmonic-Ritz restart, re-expanded to ``state.steps`` steps.
-
-    ``chk`` is the smallest-mode check of ``state``; its t leading
-    harmonic pairs are retained through ``chk.Vh`` and ``chk.c``.  A check
-    that was not harmonic (beta_last broken down) takes the Ritz step with
-    a fresh direction.  Rewrites ``state`` in place and returns it.
-    """
-    k = state.steps
-    if not 1 <= t < k:
-        raise ValueError(f"retained count t={t} out of range 1..{k - 1}")
-    if chk.c is None:
-        return ritz_augment_cycle(M, state, t, chk)
-    beta_k = state.beta_last
-    return _augment(M, state, state.f * (1.0 / beta_k), beta_k * np.eye(k)[-1],
-                    np.column_stack([chk.Vh[:, :t], chk.c]), chk.X[:, :t],
-                    chk.theta[:t], 0.0)
+    """:func:`restart_cycle`.  The solver never calls this; it stays only
+    while ``perfbench/layers.py`` traces it by name."""
+    return restart_cycle(M, state, t, chk)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +333,6 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
 
     trace = ConvergenceTrace()
     state = _initial_state(M, np.random.default_rng(opts.seed), m_b)
-    augment = harmonic_augment_cycle if opts.which == WHICH_SMALLEST \
-        else ritz_augment_cycle
     retained = _retained_count(opts.k, m_b)
     cycle = 0
     while True:
@@ -376,7 +347,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
             return _extract_triplets(state, chk, opts.which, opts.k), trace
         cycle += 1
-        state = augment(M, state, retained, chk)
+        state = restart_cycle(M, state, retained, chk)
 
 
 def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:

@@ -1,8 +1,9 @@
-"""Restarted drivers: convergence testing, both augmentation cycles, the
-solver loop and residual verification."""
+"""Restarted drivers: convergence testing, the one restart step after a
+check of either mode, the solver loop and residual verification."""
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from quatsvd import io as qio
 from quatsvd.bidiag import factorization_errors, lanczos_bidiag
@@ -17,8 +18,7 @@ from quatsvd.quatlin import (
 from quatsvd.restart import (
     SolverOptions,
     check_convergence,
-    harmonic_augment_cycle,
-    ritz_augment_cycle,
+    restart_cycle,
     solve_partial_svd,
     verify_residual,
     _initial_state,
@@ -45,19 +45,18 @@ def state_check(state, t, which):
 
 
 def ritz_cycle(M, state, t):
-    return ritz_augment_cycle(M, state, t, state_check(state, t, "largest"))
+    return restart_cycle(M, state, t, state_check(state, t, "largest"))
 
 
 def harmonic_cycle(M, state, t):
-    return harmonic_augment_cycle(M, state, t,
-                                  state_check(state, t, "smallest"))
+    return restart_cycle(M, state, t, state_check(state, t, "smallest"))
 
 
 def harmonic_fields(B, beta_k, t):
     """Retained harmonic values, left and right singular vectors U_t and
     V'_t, and the null vector c of the row-extended [B, beta*e_last]."""
     chk = check_convergence(B, beta_k, 1e-10, t, which="smallest")
-    return chk.theta, chk.X, chk.Vh, chk.c
+    return chk.theta, chk.X, chk.Pc[:, :-1], chk.Pc[:, -1]
 
 
 def _padded_basis(sub, total, offset):
@@ -132,22 +131,22 @@ class TestCheckConvergence:
     def test_harmonic_pairs_are_exact_in_one_direction(self, rng):
         # u = Q x_j and v = P y_j with B y_j parallel to x_j: M v = u sigma
         # to roundoff, and the bound is the adjoint residual.  The check
-        # keeps the harmonic right vectors and the null vector of
-        # [B, beta*e_last], an orthonormal set.
+        # keeps Pc = [V'_t, c], the harmonic right vectors and the null
+        # vector of [B, beta*e_last], an orthonormal set.
         M = rand_qmat(rng, 22, 16)
         F = lanczos_bidiag(M, random_unit_vector(16, rng), 9, rng)
         chk = check_convergence(F.B, F.beta_last, 1e-10, 4, which="smallest")
-        assert chk.Vh.shape == (10, 4) and chk.c.shape == (10,)
+        assert chk.Pc.shape == (10, 5)
         Baug = np.column_stack([F.B, F.beta_last * np.eye(9)[-1]])
         assert np.allclose(chk.theta,
                            np.linalg.svd(Baug, compute_uv=False)[::-1][:4])
         sigma1 = np.linalg.svd(F.B, compute_uv=False)[0]
-        Pc = np.column_stack([chk.Vh, chk.c])
+        Pc = chk.Pc
         assert np.abs(Pc.T @ Pc - np.eye(5)).max() <= 1e-14
-        assert np.linalg.norm(Baug @ chk.Vh - chk.X * chk.theta) <= \
+        assert np.linalg.norm(Baug @ Pc[:, :-1] - chk.X * chk.theta) <= \
             1e-14 * sigma1
-        assert np.linalg.norm(Baug @ chk.c) <= 1e-14 * sigma1
-        assert chk.c[-1] >= 0.0
+        assert np.linalg.norm(Baug @ Pc[:, -1]) <= 1e-14 * sigma1
+        assert Pc[-1, -1] >= 0.0
         assert np.all(chk.sigmas >= 0.0)
         for j in range(4):
             u = F.Q.combine_real(chk.X[:, j])
@@ -159,10 +158,11 @@ class TestCheckConvergence:
                                                 abs=1e-12 * sigma1)
 
     def test_harmonic_check_of_exact_projection_is_square(self):
-        # With beta_k broken down, harmonic pairs are Ritz pairs of B.
+        # With beta_k broken down, harmonic pairs are Ritz pairs of B, and
+        # the restart keeps the Ritz coefficients.
         chk = check_convergence(np.diag([3.0, 2.0, 1.0]), 0.0, 1e-10, 3,
                                 which="smallest")
-        assert chk.Vh is None and chk.c is None
+        assert np.array_equal(chk.Pc, block_diag(chk.Y, 1.0))
         assert np.array_equal(chk.sigmas, [1.0, 2.0, 3.0])
         assert chk.theta is chk.sigmas
         assert np.all(chk.flags)
@@ -178,9 +178,9 @@ class TestCheckConvergence:
 
 
 class _AugmentCycleChecks:
-    """Checks shared by both restarts, which take one augmentation step.
+    """Checks of the one restart step after a check of either mode.
 
-    Each subclass names its cycle and its test matrices, and inherits
+    Each subclass names its mode's cycle and its test matrices, and inherits
     these tests under its own name.  ``exhausted_case`` is (shape, m_b,
     t, residual vanishes, deflation records, spectrum of the new B) for
     a rank-3 matrix with singular values 4, 2.5 and 1.
@@ -231,6 +231,16 @@ class _AugmentCycleChecks:
         got = np.linalg.svd(out.B, compute_uv=False)
         assert np.allclose(got, spectrum, atol=1e-11)
 
+    def test_degenerate_t0_is_plain_restart(self, rng):
+        M = rand_qmat(rng, 20, 14)
+        state = make_state(M, 8)
+        out = self.cycle(M, state, 0)
+        assert out.steps == 8
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert max(errs["direct"], errs["adjoint"]) <= 1e-11 * out.sigma_max
+        # t=0 leaves no arrow block: the new projection is plain bidiagonal.
+        assert np.abs(np.triu(out.B, 2)).max() == 0.0
+
 
 class TestRitzCycle(_AugmentCycleChecks):
     cycle = staticmethod(ritz_cycle)
@@ -240,16 +250,6 @@ class TestRitzCycle(_AugmentCycleChecks):
     # beta deflation as well.
     exhausted_case = ((10, 8), 5, 3, True, [(3, "beta"), (3, "alpha")],
                       [4.0, 2.5, 1.0, 0.0, 0.0])
-
-    def test_degenerate_t0_is_plain_restart(self, rng):
-        M = rand_qmat(rng, 20, 14)
-        state = make_state(M, 8)
-        out = ritz_cycle(M, state, 0)
-        assert out.steps == 8
-        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
-        assert max(errs["direct"], errs["adjoint"]) <= 1e-11 * out.sigma_max
-        # t=0 leaves no arrow block: the new projection is plain bidiagonal.
-        assert np.abs(np.triu(out.B, 2)).max() == 0.0
 
     def test_exact_invariant_subspace_keeps_ritz_pairs(self, rng):
         # Block-structured matrix explored from inside one block: the
@@ -343,6 +343,54 @@ class TestHarmonicCycle(_AugmentCycleChecks):
         errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
         assert errs["direct"] <= 1e-11 * state.sigma_max
         assert errs["adjoint"] <= 1e-11 * state.sigma_max
+
+    def test_beta_between_the_two_breakdown_scales(self):
+        # The check decides that beta has not broken down against the scale
+        # before its SVD, and the restart's next_right against the updated
+        # sigma_max.  A beta between the two keeps the harmonic Pc but
+        # restarts from a fresh direction; the factorization still holds.
+        from quatsvd.bidiag import BREAKDOWN_TOL, KrylovState, breakdown_scale
+        from quatsvd.quatlin import CompactBasis
+
+        n, k, t, beta = 12, 6, 3, 1.5e-14
+        rng = np.random.default_rng(4)
+        P, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # max|B| = 1 and sigma_1(B) = 2 cos(pi / 13), about 1.94.
+        B = np.eye(k) + np.eye(k, k=1)
+        f = beta * P[:, k]
+        # M P_k = Q_k B and M' Q_k = P_k B' + f e_k', plus a block on the
+        # complements to re-expand into.
+        M0 = Q[:, :k] @ B @ P[:, :k].T + np.outer(Q[:, k - 1], f) + \
+            Q[:, k:] @ rng.standard_normal((n - k, n - k)) @ P[:, k:].T
+
+        def compact(x):
+            out = np.zeros((n, 4))
+            out[:, 0] = x
+            return out
+
+        Z = np.zeros((n, n))
+        M = QuatMatrix(M0, Z, Z, Z)
+        state = KrylovState(P=CompactBasis(n, k + 1), Q=CompactBasis(n, k + 1),
+                            B=B, f=compact(f), rng=rng)
+        for j in range(k):
+            state.P.append(compact(P[:, j]))
+            state.Q.append(compact(Q[:, j]))
+        errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+        assert max(errs["direct"], errs["adjoint"]) <= 1e-14
+
+        chk = state_check(state, t, "smallest")
+        assert BREAKDOWN_TOL * breakdown_scale(B, 0.0) < state.beta_last <= \
+            BREAKDOWN_TOL * breakdown_scale(B, chk.sigma_max)
+        assert not np.array_equal(chk.Pc, block_diag(chk.Y, 1.0))
+        state.sigma_max = chk.sigma_max
+        out = restart_cycle(M, state, t, chk)
+        assert (t, "beta") in out.deflations
+        errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
+        assert errs["direct"] <= 1e-11 * out.sigma_max
+        assert errs["adjoint"] <= 1e-11 * out.sigma_max
+        assert errs["P_orth"] <= 1e-12
+        assert errs["Q_orth"] <= 1e-12
 
 
 class TestSolver:
@@ -501,26 +549,39 @@ class TestSolver:
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_one_dense_svd_per_cycle(self, rng, monkeypatch, which):
         # The check's SVD drives the restart of the same cycle and the
-        # reported triplets, in both modes.
+        # reported triplets, in both modes, and every cycle after the first
+        # takes the one restart step.
+        import quatsvd.restart as restart_mod
         import quatsvd.smalldense as smalldense_mod
 
-        calls = []
+        calls, restarts = [], []
         real_svd = smalldense_mod.dense_svd
 
         def counting_svd(A):
             calls.append(A.shape)
             return real_svd(A)
 
+        def counting_restart(*args):
+            restarts.append(args[2])
+            return restart_cycle(*args)
+
+        def refuses(*args):
+            raise AssertionError("the driver called a per-mode restart")
+
         monkeypatch.setattr(smalldense_mod, "dense_svd", counting_svd)
+        monkeypatch.setattr(restart_mod, "restart_cycle", counting_restart)
+        for name in ("ritz_augment_cycle", "harmonic_augment_cycle"):
+            monkeypatch.setattr(restart_mod, name, refuses)
         M = rand_qmat(rng, 40, 30)
         _, trace = solve_partial_svd(
             M, SolverOptions(k=4, which=which, m_b=10, seed=5))
         assert trace.cycles > 1
         assert len(calls) == trace.cycles
+        assert len(restarts) == trace.cycles - 1
 
     def test_no_dense_solve_in_either_mode(self, rng, monkeypatch):
-        # Both checks and both restarts take everything from the check's
-        # SVD: no QR and no triangular solve, even in harmonic mode.
+        # Both checks and the restart step take everything from the
+        # check's SVD: no QR and no triangular solve, even in harmonic mode.
         import quatsvd.smalldense as smalldense_mod
 
         def refuses(*args):
