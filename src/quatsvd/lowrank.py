@@ -61,8 +61,10 @@ def image_to_quat(img: RgbImage) -> QuatMatrix:
 def quat_to_image(M: QuatMatrix) -> RgbImage:
     """Decode the i/j/k components back to channels, clamped to [0, 255].
 
-    The real component is discarded (it is roundoff for reconstructions of
-    pure quaternion matrices).
+    The real component is discarded.  In a truncated reconstruction of a
+    pure quaternion matrix it is not roundoff, but the image's real part
+    is zero, so dropping it (like the clamp) can only bring the result
+    closer to the image.
     """
     _, r, g, b = M.dense_blocks()
     clip = lambda c: np.clip(c, 0.0, 255.0)

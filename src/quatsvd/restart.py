@@ -62,10 +62,10 @@ from .bidiag import (
     KrylovState,
     breakdown_scale,
     close_step,
+    lanczos_bidiag,
     lanczos_extend,
     next_left,
     next_right,
-    start_state,
 )
 from .quatlin import (
     CompactBasis,
@@ -146,8 +146,9 @@ class TripletSet:
     ``sigmas`` is descending in largest mode and ascending in smallest
     mode.  ``M v_j = u_j sigma_j`` holds to roundoff, ``bounds[j]`` is
     ||M* u_j - v_j sigma_j|| to roundoff, and ``converged[j]`` says whether
-    that bound met the tolerance.  Smallest mode solves a wide M through
-    its adjoint, which swaps the two equations' roles.
+    that bound met the tolerance.  A wide M is solved through its adjoint
+    in smallest mode, and in largest mode when m_b equals its row count;
+    that swaps the two equations' roles.
     """
 
     sigmas: np.ndarray
@@ -227,10 +228,7 @@ def restart_cycle(M: QuatMatrix, state: KrylovState, t: int,
     if not 0 <= t < k:
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
     # On an exact invariant subspace the fresh direction must avoid the
-    # whole basis, so it is drawn before P is overwritten.  A harmonic
-    # check tests beta against the scale before its SVD raised sigma_max;
-    # a beta between the two scales keeps [V'_t, c] with a fresh p, which
-    # moves the factorization by O(beta) <= BREAKDOWN_TOL * scale.
+    # whole basis, so it is drawn before P is overwritten.
     p, beta = next_right(M, state)
     if beta == 0.0:
         state.deflations.append((t, "beta"))
@@ -321,18 +319,20 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         return replace(triplets, sigmas=np.ldexp(triplets.sigmas, e),
                        bounds=np.ldexp(triplets.bounds, e)), trace
 
-    if opts.which == WHICH_SMALLEST and m < n:
-        # Work on the adjoint so the projected matrix tracks the nonzero
-        # spectrum, then swap the vector roles back.
-        triplets, trace = solve_partial_svd(M.conjugate_transpose(), opts)
-        return replace(triplets, U=triplets.V, V=triplets.U), trace
-
     m_b = opts.resolved_m_b(m, n)
     if opts.k >= m_b and m_b < min(m, n):
         raise ValueError(f"need k < m_b: k={opts.k}, m_b={m_b}")
+    if m < n and (opts.which == WHICH_SMALLEST or m_b == m):
+        # Work on the adjoint, then swap the vector roles back.  In smallest
+        # mode its projected matrix tracks the nonzero spectrum; with
+        # m_b = m its right basis spans the whole space, so the exact
+        # projection below stops after one check.
+        triplets, trace = solve_partial_svd(M.conjugate_transpose(), opts)
+        return replace(triplets, U=triplets.V, V=triplets.U), trace
 
     trace = ConvergenceTrace()
-    state = _initial_state(M, np.random.default_rng(opts.seed), m_b)
+    rng = np.random.default_rng(opts.seed)
+    state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
     retained = _retained_count(opts.k, m_b)
     cycle = 0
     while True:
@@ -340,14 +340,15 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         chk = check_convergence(state.B, state.beta_last, opts.delta,
                                 max(retained, opts.k), which=opts.which,
                                 sigma_max=state.sigma_max)
-        state.sigma_max = chk.sigma_max
         trace.append_cycle(cycle, chk.bounds[:opts.k], state.matvecs)
         # With m_b = n the right basis spans the column space: the
         # projection is exact and no direction is left to restart with.
         if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
             return _extract_triplets(state, chk, opts.which, opts.k), trace
         cycle += 1
+        # The restart sees the sigma_max its check was given.
         state = restart_cycle(M, state, retained, chk)
+        state.sigma_max = chk.sigma_max
 
 
 def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
@@ -358,13 +359,6 @@ def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
                                  shape=b.shape)
         return np.ldexp(b, e)
     return QuatMatrix(*(scale(b) for b in M.blocks))
-
-
-def _initial_state(M: QuatMatrix, rng: np.random.Generator,
-                   m_b: int) -> KrylovState:
-    """Factorization of ``m_b`` steps from a random start vector."""
-    return lanczos_extend(M, start_state(M, random_unit_vector(M.cols, rng),
-                                         rng, m_b), m_b)
 
 
 def verify_residual(M: QuatMatrix, T: TripletSet) -> float:

@@ -86,6 +86,21 @@ def test_svd_smallest_of_rank_deficient_matrix(tmp_path):
     assert rc in (EXIT_OK, EXIT_UNCONVERGED)
 
 
+def test_svd_of_single_row_matrix(tmp_path):
+    # A 1 x n matrix has one triplet, found through its adjoint in one
+    # cycle; largest mode once raised on it.
+    path = tmp_path / "row.qmx"
+    qio.write_qmx(QuatMatrix(*np.random.default_rng(5).standard_normal(
+        (4, 1, 7))), path)
+    trip = tmp_path / "t.csv"
+    rc = run(["svd", "--input", path, "--k", "1", "--out", trip])
+    assert rc == EXIT_OK
+    _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
+    true_vals, _ = dedup_singular_values(qio.read_qmx(path))
+    assert conv.all() and sig.size == 1
+    assert abs(sig[0] - true_vals[0]) <= 1e-12 * true_vals[0]
+
+
 def test_determinism_byte_identical(tmp_path, dense_qmx):
     outs = []
     for tag in ("a", "b"):

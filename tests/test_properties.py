@@ -29,7 +29,6 @@ from quatsvd.quatlin import (
 )
 from quatsvd.restart import (
     SolverOptions,
-    _initial_state,
     check_convergence,
     restart_cycle,
 )
@@ -97,14 +96,14 @@ def test_dot_all_matches_quat_dot_loop(n, k, seed):
 def _restart_twice(M, rng, m_b, t, harmonic):
     """Two restart cycles on one state, each retaining the t leading
     columns of a check_convergence, as the solver driver does."""
-    state = _initial_state(M, rng, m_b)
+    state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
     workspace = state.P.data, state.Q.data
     for _ in range(2):
         chk = check_convergence(state.B, state.beta_last, 1e-10, t,
                                 which="smallest" if harmonic else "largest",
                                 sigma_max=state.sigma_max)
-        state.sigma_max = chk.sigma_max
         assert restart_cycle(M, state, t, chk) is state
+        state.sigma_max = chk.sigma_max
     assert state.steps == m_b
     assert all(np.shares_memory(a, b) for a, b in
                zip((state.P.data, state.Q.data), workspace))
@@ -177,13 +176,24 @@ def _rank_deficient(n, seed):
     return matrix_from_triplets_expansion(T)
 
 
+def _wide(m, n, seed):
+    """m x n matrix with singular values from 1 down to 0.1."""
+    T = synthetic_triplets(np.random.default_rng(seed), m, n,
+                           np.logspace(0, -1, m))
+    return matrix_from_triplets_expansion(T)
+
+
 @st.composite
 def solve_cases(draw):
-    """A graded or clustered spectrum on a tall, wide or square matrix,
-    of full rank or exactly rank deficient by 1 to 4; options that make
-    the solver restart; and the retention buffer."""
-    m, n = draw(st.integers(12, 30)), draw(st.integers(12, 30))
-    r = min(m, n) - draw(st.integers(0, 4))
+    """A graded or clustered spectrum on a tall, wide or square matrix
+    whose short side may be 1, of full rank or exactly rank deficient by
+    up to 4; options that make the solver restart unless m_b reaches the
+    short side; and the retention buffer."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(12, 30))
+    if draw(st.booleans()):
+        m, n = n, m
+    short = min(m, n)
+    r = short - draw(st.integers(0, min(4, short - 1)))
     if draw(st.booleans()):
         sigmas = np.logspace(0, -draw(st.floats(0, 12)), r)
     else:
@@ -194,10 +204,10 @@ def solve_cases(draw):
                            for i in range(r)])
     rng = np.random.default_rng(draw(SEEDS))
     M = matrix_from_triplets_expansion(synthetic_triplets(rng, m, n, sigmas))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(3, short)))
     opts = SolverOptions(k=k, which=draw(st.sampled_from(["largest",
                                                           "smallest"])),
-                         m_b=draw(st.integers(k + 2, min(m, n))),
+                         m_b=draw(st.integers(min(k + 2, short), short)),
                          maxit=draw(st.integers(0, 30)),
                          delta=draw(st.sampled_from([1e-12, 1e-10, 1e-6])),
                          seed=draw(st.integers(0, 3)))
@@ -212,6 +222,10 @@ def solve_cases(draw):
                                                   maxit=50, seed=0), 15))
 @example((_rank_deficient(16, 0), SolverOptions(k=2, which="smallest",
                                                 m_b=10, seed=0), 5))
+# Wide inputs whose m_b reaches the row count take the adjoint in largest
+# mode too; a 1 x n input once raised there.
+@example((_wide(1, 20, 0), SolverOptions(k=1, seed=0), 5))
+@example((_wide(3, 50, 1), SolverOptions(k=2, seed=0), 5))
 def test_flags_and_bounds_are_honest(case):
     M, opts, buffer = case
     checks = []
@@ -232,7 +246,8 @@ def test_flags_and_bounds_are_honest(case):
     sigma_max = checks[-1].sigma_max
     assert np.array_equal(T.converged, T.bounds <= opts.delta * sigma_max)
     U, V = T.U.data, T.V.data
-    if opts.which == "smallest" and M.rows < M.cols:
+    if M.rows < M.cols and (opts.which == "smallest" or
+                            opts.resolved_m_b(M.rows, M.cols) == M.rows):
         # Solved through the adjoint, which swaps the roles of U and V.
         M, U, V = M.conjugate_transpose(), V, U
     for j, sigma in enumerate(T.sigmas):
@@ -246,6 +261,8 @@ def test_flags_and_bounds_are_honest(case):
 
 @SETTINGS
 @given(solve_cases())
+@example((_wide(1, 20, 0), SolverOptions(k=1, seed=0), 5))
+@example((_wide(3, 50, 1), SolverOptions(k=2, seed=0), 5))
 def test_solves_are_deterministic(case):
     # Two solves with the same options are byte-equal, in both modes.
     M, opts, buffer = case

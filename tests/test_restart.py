@@ -21,7 +21,6 @@ from quatsvd.restart import (
     restart_cycle,
     solve_partial_svd,
     verify_residual,
-    _initial_state,
 )
 
 from conftest import (
@@ -34,7 +33,8 @@ from oracles import Quaternion, scalar_matrix
 
 
 def make_state(M, m_b, seed=3):
-    state = _initial_state(M, np.random.default_rng(seed), m_b)
+    rng = np.random.default_rng(seed)
+    state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
     state.sigma_max = float(np.linalg.svd(state.B, compute_uv=False)[0])
     return state
 
@@ -345,10 +345,11 @@ class TestHarmonicCycle(_AugmentCycleChecks):
         assert errs["adjoint"] <= 1e-11 * state.sigma_max
 
     def test_beta_between_the_two_breakdown_scales(self):
-        # The check decides that beta has not broken down against the scale
-        # before its SVD, and the restart's next_right against the updated
-        # sigma_max.  A beta between the two keeps the harmonic Pc but
-        # restarts from a fresh direction; the factorization still holds.
+        # A beta above the breakdown scale before the check's SVD, but not
+        # above the one after it raised sigma_max.  The driver stores the
+        # raised sigma_max only after the restart, so the check and the
+        # restart's next_right measure beta against one scale: a harmonic
+        # check is followed by p = f / beta, not a fresh direction.
         from quatsvd.bidiag import BREAKDOWN_TOL, KrylovState, breakdown_scale
         from quatsvd.quatlin import CompactBasis
 
@@ -383,9 +384,9 @@ class TestHarmonicCycle(_AugmentCycleChecks):
         assert BREAKDOWN_TOL * breakdown_scale(B, 0.0) < state.beta_last <= \
             BREAKDOWN_TOL * breakdown_scale(B, chk.sigma_max)
         assert not np.array_equal(chk.Pc, block_diag(chk.Y, 1.0))
-        state.sigma_max = chk.sigma_max
         out = restart_cycle(M, state, t, chk)
-        assert (t, "beta") in out.deflations
+        out.sigma_max = chk.sigma_max
+        assert (t, "beta") not in out.deflations
         errs = factorization_errors(M, out.P, out.Q, out.B, out.f)
         assert errs["direct"] <= 1e-11 * out.sigma_max
         assert errs["adjoint"] <= 1e-11 * out.sigma_max
@@ -535,33 +536,40 @@ class TestSolver:
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_full_right_basis_stops_without_restart(self, rng, which):
-        # m_b = n leaves no direction outside the right basis; a tolerance
-        # below roundoff must not make the solver restart anyway.
-        M = rand_qmat(rng, 6, 4)
-        true_vals, _ = dedup_singular_values(M)
-        T, trace = solve_partial_svd(
-            M, SolverOptions(k=2, which=which, delta=1e-300, maxit=8,
-                             seed=0))
-        assert trace.cycles == 1 and not trace.events
-        want = true_vals[:2] if which == "largest" else true_vals[::-1][:2]
-        assert np.abs(T.sigmas - want).max() <= 1e-12 * true_vals[0]
+        # m_b = min(m, n) leaves no direction outside the right basis (a
+        # wide matrix's, through its adjoint); a tolerance below roundoff
+        # must not make the solver restart anyway.
+        for m, n, k in [(6, 4, 2), (4, 6, 2), (1, 6, 1)]:
+            M = rand_qmat(rng, m, n)
+            true_vals, _ = dedup_singular_values(M)
+            T, trace = solve_partial_svd(
+                M, SolverOptions(k=k, which=which, delta=1e-300, maxit=8,
+                                 seed=0))
+            assert trace.cycles == 1 and not trace.events
+            want = true_vals[:k] if which == "largest" else true_vals[::-1][:k]
+            assert np.abs(T.sigmas - want).max() <= 1e-12 * true_vals[0]
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     def test_one_dense_svd_per_cycle(self, rng, monkeypatch, which):
         # The check's SVD drives the restart of the same cycle and the
         # reported triplets, in both modes, and every cycle after the first
-        # takes the one restart step.
+        # takes the one restart step, at the breakdown scale of its check.
         import quatsvd.restart as restart_mod
         import quatsvd.smalldense as smalldense_mod
 
-        calls, restarts = [], []
+        calls, sigma_maxes, restarts = [], [], []
         real_svd = smalldense_mod.dense_svd
 
         def counting_svd(A):
             calls.append(A.shape)
             return real_svd(A)
 
+        def recording_check(*args, **kwargs):
+            sigma_maxes.append(kwargs["sigma_max"])
+            return check_convergence(*args, **kwargs)
+
         def counting_restart(*args):
+            assert args[1].sigma_max == sigma_maxes[-1]
             restarts.append(args[2])
             return restart_cycle(*args)
 
@@ -569,6 +577,7 @@ class TestSolver:
             raise AssertionError("the driver called a per-mode restart")
 
         monkeypatch.setattr(smalldense_mod, "dense_svd", counting_svd)
+        monkeypatch.setattr(restart_mod, "check_convergence", recording_check)
         monkeypatch.setattr(restart_mod, "restart_cycle", counting_restart)
         for name in ("ritz_augment_cycle", "harmonic_augment_cycle"):
             monkeypatch.setattr(restart_mod, name, refuses)
