@@ -153,26 +153,99 @@ class TestMatvec:
                            atol=1e-14)
 
     @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("pure", [False, True])
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_panels_match_expanded_counterpart(self, rng, monkeypatch,
+                                               adjoint, pure, height):
+        from quatsvd import quatlin
+        M = rand_qmat(rng, 8, 5)
+        if pure:
+            M = QuatMatrix(np.zeros((8, 5)), *M.blocks[1:])
+        # Budgets just under height + 1 panel rows: 8 rows in panels of
+        # 3 end with 2, and 5 columns in panels of 2 or 3 end with 1 or 2.
+        contracted = 8 if adjoint else 5
+        monkeypatch.setattr(quatlin, "_PANEL_MACS",
+                            4 * contracted * (height + 1) - 1)
+        x = random_unit_vector(contracted, rng)
+        y = structured_matvec(M, x, adjoint=adjoint)
+        E = expand_real_counterpart(M)
+        E = E.T if adjoint else E
+        want = E @ expand_vector(x)
+        scale = np.abs(want).max()
+        assert np.abs(expand_vector(y) - want).max() <= 1e-13 * max(scale, 1.0)
+
+    def test_strided_channel_views_stored_contiguous(self, rng):
+        pix = rng.uniform(0, 255, (12, 9, 3))
+        views = [pix[..., c] for c in range(3)]
+        copies = [np.ascontiguousarray(v) for v in views]
+        assert not any(v.flags.c_contiguous for v in views)
+        M = QuatMatrix(views[0], *views)
+        assert all(b.flags.c_contiguous for b in M.blocks)
+        C = QuatMatrix(copies[0], *copies)
+        for adjoint, n in ((False, 9), (True, 12)):
+            x = random_unit_vector(n, rng)
+            assert np.array_equal(structured_matvec(M, x, adjoint=adjoint),
+                                  structured_matvec(C, x, adjoint=adjoint))
+        # Contiguous float64 blocks are stored as given, not copied.
+        assert all(b is c for b, c in zip(C.blocks[1:], copies))
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_dense_matvec_copies_no_block(self, rng, adjoint):
+        import tracemalloc
+        M = rand_qmat(rng, 256, 512)
+        x = random_unit_vector(256 if adjoint else 512, rng)
+        structured_matvec(M, x, adjoint=adjoint)
+        tracemalloc.start()
+        try:
+            structured_matvec(M, x, adjoint=adjoint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M.blocks[0].nbytes
+
+    @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_pure_quaternion_takes_three_block_products(self, rng, adjoint,
-                                                        sparse):
+                                                        sparse, monkeypatch):
         import scipy.sparse as sp
-        calls = []
+        from quatsvd import quatlin
+        # Panels of 7 rows (5 panels, the last of 2) or 4 columns (5).
+        monkeypatch.setattr(quatlin, "_PANEL_MACS", 7 * 4 * 20)
+        products = []
 
-        class Counted:
-            """A block that counts the products taken with it."""
-            __array_ufunc__ = None      # ndarray @ Counted defers to us
+        class Recorded:
+            """A dense block read only through slices (panels); counts
+            the slices and how often each entry is read."""
+            __array_ufunc__ = None      # no ndarray product with the block
 
             def __init__(self, block):
                 self.block = block
+                self.reads = np.zeros(block.shape, dtype=int)
+
+            def __getitem__(self, key):
+                products.append(1)
+                self.reads[key] += 1
+                return self.block[key]
+
+        class RecordedCsr(sp.csr_matrix):
+            """A sparse block that counts its whole-block products."""
 
             def __matmul__(self, x):
-                calls.append(1)
-                return self.block @ x
+                products.append(1)
+                self.reads += 1
+                return super().__matmul__(x)
 
             def __rmatmul__(self, x):
-                calls.append(1)
-                return x @ self.block
+                products.append(1)
+                self.reads += 1
+                return super().__rmatmul__(x)
+
+        def record(block):
+            if not sp.issparse(block):
+                return Recorded(block)
+            out = RecordedCsr(block)
+            out.reads = np.zeros(block.shape, dtype=int)
+            return out
 
         channels = [np.where(rng.random((30, 20)) < 0.05,
                              rng.uniform(0, 255, (30, 20)), 0.0)
@@ -184,9 +257,12 @@ class TestMatvec:
         want = expand_real_counterpart(M)
         want = want.T if adjoint else want
         x = random_unit_vector(30 if adjoint else 20, rng)
-        M.blocks = tuple(Counted(b) for b in M.blocks)
+        M.blocks = tuple(record(b) for b in M.blocks)
         y = structured_matvec(M, x, adjoint=adjoint)
-        assert len(calls) == 3
+        # M0 is never read; each channel is read once, entry by entry.
+        assert not M.blocks[0].reads.any()
+        assert all((b.reads == 1).all() for b in M.blocks[1:])
+        assert len(products) == (3 if sparse else 3 * 5)
         assert np.allclose(expand_vector(y), want @ expand_vector(x),
                            atol=1e-12)
 
@@ -252,6 +328,17 @@ class TestMatvec:
         dense = QuatMatrix(*[np.zeros(shape)] * 4)
         assert (M.rows, M.cols) == (dense.rows, dense.cols) == shape
         assert all(b.shape == shape for b in M.dense_blocks())
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_dense_matvec(self, shape):
+        # No panel height is derived from an empty contraction.
+        M = QuatMatrix(*[np.zeros(shape)] * 4)
+        m, n = shape
+        assert np.array_equal(structured_matvec(M, np.zeros((n, 4))),
+                              np.zeros((m, 4)))
+        assert np.array_equal(
+            structured_matvec(M, np.zeros((m, 4)), adjoint=True),
+            np.zeros((n, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sparse", [False, True])
