@@ -1,12 +1,13 @@
 """Structure-preserving partial SVD of quaternion matrices.
 
 Quaternion matrices are kept as four real blocks (the compact form of
-their JRS-symmetric real counterparts), and a quaternion column vector is
-an (n, 4) float64 array.  Partial Lanczos bidiagonalization with Ritz- or
-harmonic-Ritz augmented restarting computes the k largest or smallest
-singular triplets; helper modules cover low-rank color-image
-reconstruction, file formats and a CLI.  The package exports the user
-API; the kernels are imported from their modules.
+their JRS-symmetric real counterparts), a quaternion column vector is an
+(n, 4) float64 array, and a set of k vectors is a (k, n, 4) array.
+Partial Lanczos bidiagonalization with Ritz- or harmonic-Ritz augmented
+restarting computes the k largest or smallest singular triplets; helper
+modules cover low-rank color-image reconstruction, file formats and a
+CLI.  The package exports the user API; the kernels are imported from
+their modules.
 """
 
 from .lowrank import (

@@ -223,14 +223,14 @@ def basis_orthogonality_error(basis: CompactBasis) -> float:
     return worst
 
 
-def factorization_errors(M: QuatMatrix, P: CompactBasis, Q: CompactBasis,
-                         B: np.ndarray, f: np.ndarray) -> dict:
-    """Frobenius residuals of the two factorization identities.
+def factorization_errors(M: QuatMatrix, state: KrylovState) -> dict:
+    """Frobenius residuals of the factorization identities of ``state``.
 
     Returns ``direct`` = ||M P - Q B||_F, ``adjoint`` =
-    ||M* Q - P B' - f e_last'||_F and ``f_orth`` = max_i |p_i* . f|,
-    all in compact arithmetic.
+    ||M* Q - P B' - f e_last'||_F, ``f_orth`` = max_i |p_i* . f| and the
+    basis errors ``P_orth`` and ``Q_orth``, all in compact arithmetic.
     """
+    P, Q, B, f = state.P, state.Q, state.B, state.f
     s = len(P)
     direct = 0.0
     adjoint = 0.0

@@ -221,7 +221,7 @@ def _cmd_verify(args) -> int:
     k = min(20, M.rows, M.cols)
     F = lanczos_bidiag(M, random_unit_vector(M.cols, rng), k, rng)
     alphas, betas = np.diag(F.B), np.diag(F.B, 1)
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
+    errs = factorization_errors(M, F)
     scale = max(float(np.abs(alphas).max()), 1e-300)
     report("Lanczos basis orthogonality <= 1e-12",
            max(errs["P_orth"], errs["Q_orth"]) <= 1e-12,

@@ -270,6 +270,8 @@ def read_image_ppm(path) -> RgbImage:
         raw = fh.read()
     if raw[:2] != b"P6":
         raise MalformedFileError(path, 0, "wrong magic, expected P6")
+    if not raw[2:3].isspace():
+        raise MalformedFileError(path, 2, "expected whitespace after P6")
     pos = 2
     values = []
     for _ in range(3):
@@ -335,14 +337,8 @@ def read_qmx(path) -> QuatMatrix:
     if len(raw) != need:
         raise MalformedFileError(path, min(len(raw), need),
                                  f"expected {need} bytes, file has {len(raw)}")
-    blocks = []
-    pos = 24
-    for _ in range(4):
-        size = rows * cols * 8
-        arr = np.frombuffer(raw[pos:pos + size], dtype="<f8")
-        blocks.append(arr.reshape(rows, cols).astype(np.float64))
-        pos += size
-    return QuatMatrix(*blocks)
+    blocks = np.frombuffer(raw, "<f8", offset=24).reshape(4, rows, cols)
+    return QuatMatrix(*blocks.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

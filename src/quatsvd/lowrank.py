@@ -73,9 +73,11 @@ def quat_to_image(M: QuatMatrix) -> RgbImage:
 
 def low_rank_approx(T: TripletSet, k: int) -> QuatMatrix:
     """Rank-k reconstruction U_k diag(sigma_1..k) V_k* from triplets."""
+    if k < 0:
+        raise ValueError(f"k={k} must be non-negative")
     if k > len(T):
         raise ValueError(f"k={k} exceeds the {len(T)} available triplets")
-    return weighted_outer(T.U.data[:k], T.V.data[:k], T.sigmas[:k])
+    return weighted_outer(T.U[:k], T.V[:k], T.sigmas[:k])
 
 
 def psnr(F: RgbImage, Fk: RgbImage) -> float:

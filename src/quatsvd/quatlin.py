@@ -12,7 +12,8 @@ which is invariant under conjugation by the three structure matrices J, R
 and S (see :func:`structure_matrices`).  Only the first block row is ever
 materialized.  A quaternion column vector is an (n, 4) float64 array, the
 first block row of its counterpart (:func:`expand_vector`), with columns in
-the same component order (0, 2, 1, 3); :class:`CompactBasis` stacks them.
+the same component order (0, 2, 1, 3).  A set of k vectors is a (k, n, 4)
+array; :class:`CompactBasis` is the Krylov workspace that stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
 conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
@@ -104,12 +105,10 @@ class QuatMatrix:
     __slots__ = ("rows", "cols", "blocks", "max_abs")
 
     def __init__(self, M0, M1, M2, M3):
-        first = (M0.tocsr() if sp.issparse(M0)
-                 else np.ascontiguousarray(M0, dtype=np.float64))
-        if first.ndim != 2:
+        if np.ndim(M0) != 2:
             raise ValueError("blocks must be 2-d")
-        rows, cols = first.shape
-        blocks = [first] + [_as_block(b, rows, cols) for b in (M1, M2, M3)]
+        rows, cols = np.shape(M0)
+        blocks = [_as_block(b, rows, cols) for b in (M0, M1, M2, M3)]
         max_abs = []
         for i, b in enumerate(blocks):
             data = b.data if sp.issparse(b) else b
@@ -136,7 +135,7 @@ class QuatMatrix:
     def conjugate_transpose(self) -> "QuatMatrix":
         """The quaternion adjoint M* = M0' - M1'*i - M2'*j - M3'*k."""
         b0, b1, b2, b3 = self.blocks
-        t = lambda b: (b.T.tocsr() if sp.issparse(b) else b.T.copy())
+        t = lambda b: b.T.tocsr() if sp.issparse(b) else b.T
         return QuatMatrix(t(b0), -t(b1), -t(b2), -t(b3))
 
     def frobenius_norm(self) -> float:
@@ -282,13 +281,6 @@ class CompactBasis:
             raise ValueError(f"basis is full ({self.capacity} vectors)")
         self._buf[self._size] = v
         self._size += 1
-
-    def copy(self) -> "CompactBasis":
-        """The current vectors in a new basis of capacity ``len(self)``."""
-        out = CompactBasis(self.n, self._size)
-        out._buf[:] = self.data
-        out._size = self._size
-        return out
 
     def _flat(self) -> np.ndarray:
         """The basis as a contiguous (k, 4n) view, one vector per row."""

@@ -68,7 +68,6 @@ from .bidiag import (
     next_right,
 )
 from .quatlin import (
-    CompactBasis,
     QuatMatrix,
     random_unit_vector,
     structured_matvec,
@@ -143,6 +142,8 @@ class ConvergenceTrace:
 class TripletSet:
     """Approximate singular triplets with their residual bounds.
 
+    ``U`` and ``V`` are float64 arrays of shape (k, m, 4) and (k, n, 4):
+    ``U[j]`` and ``V[j]`` are the compact vectors u_j and v_j.
     ``sigmas`` is descending in largest mode and ascending in smallest
     mode.  ``M v_j = u_j sigma_j`` holds to roundoff, ``bounds[j]`` is
     ||M* u_j - v_j sigma_j|| to roundoff, and ``converged[j]`` says whether
@@ -152,8 +153,8 @@ class TripletSet:
     """
 
     sigmas: np.ndarray
-    U: CompactBasis
-    V: CompactBasis
+    U: np.ndarray
+    V: np.ndarray
     bounds: np.ndarray
     converged: np.ndarray
 
@@ -282,14 +283,14 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
                       which: str, k: int) -> TripletSet:
     """Reported triplets u_j = Q x_j and v_j = P y_j of the k leading
     columns of ``chk``, the last check of ``state``.  The bases are
-    combined in the state's workspace and copied out to k slots, so the
-    result does not keep it alive."""
+    combined in the state's workspace and copied out as (k, n, 4) arrays,
+    so the result does not keep it alive."""
     # Sorted by value; equal values by bound, then by position.
     sigmas = chk.sigmas[:k]
     perm = np.lexsort((np.arange(sigmas.size), chk.bounds[:k],
                        -sigmas if which == WHICH_LARGEST else sigmas))
-    U = state.Q.combine_matrix(chk.X[:, perm]).copy()
-    V = state.P.combine_matrix(chk.Y[:, perm]).copy()
+    U = state.Q.combine_matrix(chk.X[:, perm]).data.copy()
+    V = state.P.combine_matrix(chk.Y[:, perm]).data.copy()
     return TripletSet(sigmas=chk.sigmas[perm], U=U, V=V,
                       bounds=chk.bounds[perm], converged=chk.flags[perm])
 
@@ -365,7 +366,6 @@ def verify_residual(M: QuatMatrix, T: TripletSet) -> float:
     """||M V - U Sigma||_F over the triplet set, in compact arithmetic."""
     total = 0.0
     for j in range(len(T)):
-        err = structured_matvec(M, T.V.data[j]) - \
-            T.U.data[j] * float(T.sigmas[j])
+        err = structured_matvec(M, T.V[j]) - T.U[j] * float(T.sigmas[j])
         total += vec_norm(err) ** 2
     return float(np.sqrt(total))

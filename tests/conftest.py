@@ -75,8 +75,8 @@ def synthetic_triplets(rng, m, n, sigmas):
     """Exact TripletSet with prescribed singular values."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     k = sigmas.size
-    U = orthonormal_basis(rng, m, k)
-    V = orthonormal_basis(rng, n, k)
+    U = orthonormal_basis(rng, m, k).data
+    V = orthonormal_basis(rng, n, k).data
     return TripletSet(sigmas=sigmas, U=U, V=V, bounds=np.zeros(k),
                       converged=np.ones(k, dtype=bool))
 
@@ -84,11 +84,11 @@ def synthetic_triplets(rng, m, n, sigmas):
 def matrix_from_triplets_expansion(T):
     """Quaternion matrix sum_j u_j sigma_j v_j*, assembled through the
     expanded real counterpart (independent of the compact low-rank path)."""
-    m, n = T.U.n, T.V.n
+    m, n = T.U.shape[1], T.V.shape[1]
     E = np.zeros((4 * m, 4 * n))
     for j in range(len(T)):
-        Eu = expand_vector(T.U.data[j])
-        Ev = expand_vector(T.V.data[j])
+        Eu = expand_vector(T.U[j])
+        Ev = expand_vector(T.V[j])
         E += float(T.sigmas[j]) * (Eu @ Ev.T)
     b0 = E[:m, :n]
     b2 = E[:m, n:2 * n]

@@ -49,7 +49,7 @@ def test_real_diagonal_breaks_down_and_deflates():
 def test_random_factorization_identities(rng):
     M = rand_qmat(rng, 30, 20)
     F = lanczos_bidiag(M, random_unit_vector(20, rng), 10, rng)
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
+    errs = factorization_errors(M, F)
     scale = float(np.abs(np.diag(F.B)).max())
     assert errs["P_orth"] <= 1e-12
     assert errs["Q_orth"] <= 1e-12
@@ -77,7 +77,7 @@ def test_extend_zero_residual_deflates(rng):
     M = matrix_from_triplets_expansion(T)
     F = lanczos_bidiag(M, random_unit_vector(5, rng), 4, rng)
     assert F.deflations, "expected a deflation on a rank-2 matrix"
-    errs = factorization_errors(M, F.P, F.Q, F.B, F.f)
+    errs = factorization_errors(M, F)
     assert errs["direct"] <= 1e-12 * 3.0
     assert errs["adjoint"] <= 1e-12 * 3.0
     got = np.sort(np.linalg.svd(F.B, compute_uv=False))[::-1]

@@ -337,6 +337,15 @@ class TestPpm:
         with pytest.raises(qio.MalformedFileError, match="magic"):
             qio.read_image_ppm(path)
 
+    def test_magic_must_be_followed_by_whitespace(self, tmp_path):
+        # Without the check the tokenizer read the 1 of "P61" as the width.
+        path = tmp_path / "p61.ppm"
+        path.write_bytes(b"P61 1 255\n" + b"\x00" * 3)
+        with pytest.raises(qio.MalformedFileError,
+                           match="byte 2: expected whitespace") as exc:
+            qio.read_image_ppm(path)
+        assert exc.value.offset == 2
+
     def test_truncated_payload_names_offset(self, tmp_path):
         path = tmp_path / "tr.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x01\x02")
@@ -346,12 +355,14 @@ class TestPpm:
 
 class TestQmx:
     def test_round_trip(self, tmp_path, rng):
-        M = rand_qmat(rng, 6, 4)
-        path = tmp_path / "m.qmx"
-        qio.write_qmx(M, path)
-        back = qio.read_qmx(path)
-        for a, b in zip(M.dense_blocks(), back.dense_blocks()):
-            assert np.array_equal(a, b)
+        for shape in ((6, 4), (0, 3)):
+            M = rand_qmat(rng, *shape)
+            path = tmp_path / "m.qmx"
+            qio.write_qmx(M, path)
+            back = qio.read_qmx(path)
+            assert (back.rows, back.cols) == shape
+            for a, b in zip(M.dense_blocks(), back.dense_blocks()):
+                assert b.shape == shape and np.array_equal(a, b)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.qmx"

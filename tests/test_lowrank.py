@@ -117,6 +117,14 @@ class TestLowRankApprox:
         with pytest.raises(ValueError):
             low_rank_approx(T, 3)
 
+    @pytest.mark.parametrize("k", [-1, -4])
+    def test_negative_k_rejected(self, rng, k):
+        # A negative k would slice the triplets from the end: -1 gave a
+        # rank-3 rebuild of four triplets and -4 the zero matrix.
+        T = synthetic_triplets(rng, 8, 6, [5.0, 3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            low_rank_approx(T, k)
+
 
 class TestPsnr:
     def test_identical_is_infinite(self, rng):

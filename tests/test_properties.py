@@ -107,7 +107,7 @@ def _restart_twice(M, rng, m_b, t, harmonic):
     assert state.steps == m_b
     assert all(np.shares_memory(a, b) for a, b in
                zip((state.P.data, state.Q.data), workspace))
-    errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+    errs = factorization_errors(M, state)
     assert errs["direct"] <= 1e-11 * state.sigma_max
     assert errs["adjoint"] <= 1e-11 * state.sigma_max
     assert errs["P_orth"] <= 1e-12
@@ -155,7 +155,7 @@ def test_graded_spectrum_keeps_both_bases_orthogonal(drawn, data):
     m_b = data.draw(st.integers(2, M.cols - 1), label="m_b")
     t = data.draw(st.integers(0, m_b - 1), label="t")
     state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
-    errs = factorization_errors(M, state.P, state.Q, state.B, state.f)
+    errs = factorization_errors(M, state)
     assert errs["P_orth"] <= 1e-12
     assert errs["Q_orth"] <= 1e-12
     _restart_twice(M, rng, m_b, t, harmonic=False)
@@ -245,7 +245,7 @@ def test_flags_and_bounds_are_honest(case):
     roundoff = 1e-11 * s[0]
     sigma_max = checks[-1].sigma_max
     assert np.array_equal(T.converged, T.bounds <= opts.delta * sigma_max)
-    U, V = T.U.data, T.V.data
+    U, V = T.U, T.V
     if M.rows < M.cols and (opts.which == "smallest" or
                             opts.resolved_m_b(M.rows, M.cols) == M.rows):
         # Solved through the adjoint, which swaps the roles of U and V.
@@ -274,7 +274,7 @@ def test_solves_are_deterministic(case):
                 for _ in range(2)]
             for a, b in [(T1.sigmas, T2.sigmas), (T1.bounds, T2.bounds),
                          (T1.converged, T2.converged),
-                         (T1.U.data, T2.U.data), (T1.V.data, T2.V.data)]:
+                         (T1.U, T2.U), (T1.V, T2.V)]:
                 assert a.tobytes() == b.tobytes()
             assert repr(trace1.rows) == repr(trace2.rows)
 

@@ -351,6 +351,27 @@ class TestMatvec:
         with pytest.raises(ValueError, match="block M2"):
             QuatMatrix(*blocks)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_blocks_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            QuatMatrix(*[np.zeros(shape)] * 4)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_conjugate_transpose(self, rng, sparse):
+        import scipy.sparse as sp
+        if sparse:
+            blocks = [sp.random(7, 5, density=0.2, random_state=rng)
+                      for _ in range(4)]
+        else:
+            blocks = [rng.standard_normal((7, 5)) for _ in range(4)]
+        M = QuatMatrix(*blocks)
+        Mt = M.conjugate_transpose()
+        assert (Mt.rows, Mt.cols, Mt.is_sparse) == (5, 7, sparse)
+        if not sparse:
+            assert all(b.flags.c_contiguous for b in Mt.blocks)
+        assert np.array_equal(expand_real_counterpart(Mt),
+                              expand_real_counterpart(M).T)
+
 
 class TestQuatDot:
     def test_self_dot_is_unit(self, rng):
