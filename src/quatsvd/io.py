@@ -333,6 +333,10 @@ def read_qmx(path) -> QuatMatrix:
     if len(raw) < 24:
         raise MalformedFileError(path, len(raw), "truncated dimensions")
     rows, cols = struct.unpack("<QQ", raw[8:24])
+    # numpy forms an array only if its nonzero dimensions' byte product
+    # fits an intp, even when another dimension is 0 and it holds nothing.
+    if 4 * max(rows, 1) * max(cols, 1) * 8 > np.iinfo(np.intp).max:
+        raise MalformedFileError(path, 8, f"dimensions {rows}x{cols} too large")
     need = 24 + 4 * rows * cols * 8
     if len(raw) != need:
         raise MalformedFileError(path, min(len(raw), need),

@@ -17,15 +17,20 @@ array; :class:`CompactBasis` is the Krylov workspace that stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
 conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
-calls on the storage, mixed by that table.  Dense blocks are stored
-C-contiguous and multiplied in row (or, for the adjoint, column) panels
-of at most ``_PANEL_MACS`` multiply-adds: a product that small takes
-OpenBLAS's small-matrix path, while a whole-block product with a 4-column
-operand first packs the block and runs at about half the speed.  The oracles
+calls on the storage, mixed by that table.  The oracles
 (:func:`expand_real_counterpart`, :func:`expand_vector`,
 :func:`structure_matrices`, and the scalar product and inner product in
 the test suite's ``oracles`` module) are written out by hand and never
 read it.
+
+A matrix with a sparse block also keeps its nonzero blocks interleaved
+column by column in one CSR, so a sparse matvec is one scipy product in
+either direction.  Dense blocks are stored C-contiguous and multiplied in
+row (or, for the adjoint, column) panels of at most ``_PANEL_MACS``
+multiply-adds: a product that small takes OpenBLAS's small-matrix path,
+while a whole-block product with a 4-column operand first packs the block
+and runs at about half the speed.  A basis is combined in panels of the
+same size.
 """
 
 from __future__ import annotations
@@ -58,16 +63,26 @@ QUAT_TABLE = _hamilton_table()
 QUAT_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # conj(e_a) * e_b, for adjoint products and conjugate-linear inner products.
 _CONJ_TABLE = QUAT_CONJ[:, None, None] * QUAT_TABLE
+# The tables laid out for one GEMM each: x @ _DIRECT_MIX holds e_a x in
+# columns 4a..4a+3, and a (n, 16) array of sixteen products z[:, 4a + b]
+# of storage columns a and b mixes to its quaternion sum as
+# z @ _CONJ_MIX (conj(e_a) e_b) or z @ _QUAT_MIX (e_a e_b).
+_DIRECT_MIX = QUAT_TABLE.transpose(1, 0, 2).reshape(4, 16)
+_CONJ_MIX = _CONJ_TABLE.reshape(16, 4)
+_QUAT_MIX = QUAT_TABLE.reshape(16, 4)
 
 # Density threshold below which sparse blocks keep a sparse matvec path.
 SPARSE_DENSITY_LIMIT = 0.25
 
-# Multiply-adds per panel product of a dense block in structured_matvec.
-# Budget sweep, one 768x1024 block of the image_rank input, OpenBLAS 0.3.31
-# (SkylakeX kernel) at 1 thread: the direct and adjoint products took 2.51
-# and 2.18 ms as whole-block GEMMs, 1.21 and 1.53 ms in panels for any
-# budget from 2**19 to 10**6, and 2.37 and 4.55 ms at 2**20, where OpenBLAS
-# leaves its small-matrix path and packs every panel.
+# Multiply-adds per panel product: of a dense block in structured_matvec,
+# and of a basis in CompactBasis.combine_quat.  Budget sweep, one 768x1024
+# block of the image_rank input, OpenBLAS 0.3.31 (SkylakeX kernel) at 1
+# thread: the direct and adjoint products took 2.51 and 2.18 ms as
+# whole-block GEMMs, 1.21 and 1.53 ms in panels for any budget from 2**19
+# to 10**6, and 2.37 and 4.55 ms at 2**20, where OpenBLAS leaves its
+# small-matrix path and packs every panel.  In combine_quat, at n=5000 and
+# k=40, the (4n, k) x (k, 4) product took 0.36 ms in panels against 0.67
+# ms as one GEMM (best of 7; the tensordot it replaced took 0.77 ms).
 _PANEL_MACS = 2 ** 19
 
 # A Gram-Schmidt pass that leaves at most this fraction of its input's
@@ -98,11 +113,13 @@ class QuatMatrix:
     ``SPARSE_DENSITY_LIMIT``, otherwise they are densified up front.
     NaN or infinite entries are rejected with a ``ValueError`` naming the
     block.  ``max_abs[i]`` is the largest entry magnitude of block Mi, so a
-    block with ``max_abs[i] == 0`` is all zeros.  Instances are immutable by
-    convention: no method mutates the blocks.
+    block with ``max_abs[i] == 0`` is all zeros.  A matrix that keeps a
+    sparse block also holds its nonzero blocks interleaved in one CSR
+    (:func:`_interleave`), which is what :func:`structured_matvec` reads.
+    Instances are immutable by convention: no method mutates the blocks.
     """
 
-    __slots__ = ("rows", "cols", "blocks", "max_abs")
+    __slots__ = ("rows", "cols", "blocks", "max_abs", "_stacked")
 
     def __init__(self, M0, M1, M2, M3):
         if np.ndim(M0) != 2:
@@ -127,6 +144,7 @@ class QuatMatrix:
         self.cols = int(cols)
         self.blocks = tuple(blocks)
         self.max_abs = tuple(max_abs)
+        self._stacked = _interleave(blocks, max_abs) if self.is_sparse else None
 
     @property
     def is_sparse(self) -> bool:
@@ -154,6 +172,38 @@ class QuatMatrix:
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
         return f"QuatMatrix({self.rows}x{self.cols}, {kind})"
+
+
+def _interleave(blocks, max_abs) -> sp.csr_matrix:
+    """The m-by-4n CSR whose column 4t + a is column t of block
+    ``STORAGE_ORDER[a]``; all-zero blocks, stored zeros and all, add no
+    entries.  Interleaving puts the four blocks' reads of x[t] on one
+    cache line, and the transpose is a CSC view of the same arrays."""
+    rows, cols = blocks[0].shape
+    parts = [(a, sp.csr_matrix(blocks[s]))
+             for a, s in enumerate(STORAGE_ORDER) if max_abs[s]]
+    nnz = sum(b.nnz for _, b in parts)
+    idx = np.int32 if max(4 * cols, nnz) < 2 ** 31 else np.int64
+    # The output arrays are made before the per-block temporaries, which
+    # are then freed above them (sp.hstack copies its inputs first, and on
+    # sparse_ritz that kept about 2.4 MB more resident).
+    data, indices = np.empty(nnz), np.empty(nnz, idx)
+    indptr = np.zeros(rows + 1, idx)
+    for _, b in parts:
+        indptr[1:] += np.diff(b.indptr)
+    np.cumsum(indptr, out=indptr)
+    # Each block's row i goes after that row's entries from earlier blocks.
+    free = indptr[:-1].copy()
+    for a, b in parts:
+        n_row = np.diff(b.indptr)
+        dest = np.repeat(free - b.indptr[:-1], n_row)
+        dest += np.arange(b.nnz, dtype=dest.dtype)
+        data[dest] = b.data
+        indices[dest] = b.indices * 4 + a
+        free += n_row
+    H = sp.csr_matrix((data, indices, indptr), shape=(rows, 4 * cols))
+    H.sort_indices()
+    return H
 
 
 def expand_real_counterpart(M: QuatMatrix) -> np.ndarray:
@@ -210,15 +260,23 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
     (conj(e_a) x for the adjoint), a signed column permutation of x and so
     exact.  The 4m-by-4n counterpart is never materialized, and a pure
     quaternion matrix (zero M0, as images are encoded) reads three blocks.
-    A sparse block takes one scipy product.  A dense block is read in row
-    panels (column panels for the adjoint), views into the block, of at
-    most ``_PANEL_MACS`` multiply-adds each: a whole-block GEMM with a
-    4-column operand packs the block first and takes about twice as long.
-    ``adjoint=True`` corresponds to multiplying by the transpose of the
-    real counterpart.
+    A matrix with a sparse block takes one scipy product with its
+    interleaved CSR H (:func:`_interleave`): H.Y, where row 4t + a of Y is
+    y_a[t]; for the adjoint, H'.x through the CSC view of H, whose row
+    4t + a is (b_a'.x)[t], then mixed by conj(e_a) in one small GEMM.  A
+    dense block is read in row panels (column panels for the adjoint),
+    views into the block, of at most ``_PANEL_MACS`` multiply-adds each: a
+    whole-block GEMM with a 4-column operand packs the block first and
+    takes about twice as long.  ``adjoint=True`` corresponds to
+    multiplying by the transpose of the real counterpart.
     """
     n = M.rows if adjoint else M.cols
     check_compact(x, n, "matvec operand")
+    H = M._stacked
+    if H is not None:
+        if adjoint:
+            return (H.T @ x).reshape(-1, 16) @ _CONJ_MIX
+        return H @ (x @ _DIRECT_MIX).reshape(-1, 4)
     table = _CONJ_TABLE if adjoint else QUAT_TABLE
     out = np.zeros((M.cols if adjoint else M.rows, 4))
     h = max(1, _PANEL_MACS // max(4 * n, 1))
@@ -226,9 +284,7 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
         if not M.max_abs[s]:
             continue
         b, y = M.blocks[s], x @ table[a]
-        if sp.issparse(b):
-            out += (y.T @ b).T if adjoint else b @ y
-        elif adjoint:
+        if adjoint:
             for j in range(0, M.cols, h):
                 out[j:j + h] += b[:, j:j + h].T @ y
         else:
@@ -294,14 +350,22 @@ class CompactBasis:
         # (a, b) of G[i, a, b] conj(e_a) e_b.  STORAGE_ORDER is its own
         # inverse, so it also maps storage columns back to (w, x, y, z).
         G = np.matmul(self.data.transpose(0, 2, 1), r)
-        return (G.reshape(-1, 16) @ _CONJ_TABLE.reshape(16, 4))[:, STORAGE_ORDER]
+        return (G.reshape(-1, 16) @ _CONJ_MIX)[:, STORAGE_ORDER]
 
     def combine_quat(self, coeffs: np.ndarray) -> np.ndarray:
         """Right-linear combination sum_i v_i * q_i for quaternion
-        coefficients given as a (k, 4) component array."""
-        # parts[b] = sum_i q_i[b] v_i; the sum is sum_b parts[b] * e_b.
-        parts = (coeffs[:, STORAGE_ORDER].T @ self._flat()).reshape(4, self.n, 4)
-        return np.tensordot(parts, QUAT_TABLE, axes=((0, 2), (1, 0)))
+        coefficients given as a (k, 4) component array.
+
+        P[4t + a, b] = sum_i v_i[t, a] q_i[b] is one GEMM on the storage,
+        taken in panels of the 4n axis of at most ``_PANEL_MACS``
+        multiply-adds; entry t of the sum is sum_ab P[4t + a, b] e_a e_b.
+        """
+        flat, q = self._flat(), coeffs[:, STORAGE_ORDER]
+        P = np.empty((4 * self.n, 4))
+        h = max(1, _PANEL_MACS // max(4 * self._size, 1))
+        for i in range(0, 4 * self.n, h):
+            np.matmul(flat[:, i:i + h].T, q, out=P[i:i + h])
+        return P.reshape(self.n, 16) @ _QUAT_MIX
 
     def combine_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Real linear combination sum_i coeffs[i] * v_i."""

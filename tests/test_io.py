@@ -1,5 +1,6 @@
 """Readers and writers: strictness, round trips, determinism."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -377,6 +378,17 @@ class TestQmx:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(qio.MalformedFileError):
             qio.read_qmx(path)
+
+    @pytest.mark.parametrize("cols", [2 ** 62, 2 ** 63])
+    def test_header_too_large_for_an_array(self, tmp_path, cols):
+        # 0 rows need no payload, so only the dimensions are wrong: numpy
+        # refuses the empty (4, 0, cols) array as too big.
+        path = tmp_path / "huge.qmx"
+        path.write_bytes(qio.QMX_MAGIC + struct.pack("<QQ", 0, cols))
+        with pytest.raises(qio.MalformedFileError,
+                           match=f"byte 8: dimensions 0x{cols} too large") as exc:
+            qio.read_qmx(path)
+        assert exc.value.offset == 8
 
 
 class TestCsv:

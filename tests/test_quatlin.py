@@ -6,6 +6,7 @@ import pytest
 from quatsvd.quatlin import (
     QUAT_CONJ,
     QUAT_TABLE,
+    STORAGE_ORDER,
     CompactBasis,
     QuatMatrix,
     expand_real_counterpart,
@@ -152,6 +153,54 @@ class TestMatvec:
                            structured_matvec(Md, xa, adjoint=True),
                            atol=1e-14)
 
+    @staticmethod
+    def _assert_matches_counterpart(M, rng):
+        E = expand_real_counterpart(M)
+        for adjoint, n in ((False, M.cols), (True, M.rows)):
+            x = random_unit_vector(n, rng)
+            got = expand_vector(structured_matvec(M, x, adjoint=adjoint))
+            want = (E.T if adjoint else E) @ expand_vector(x)
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+    @pytest.mark.parametrize("dense_block", [0, 1, 2, 3])
+    def test_interleaved_csr_holds_dense_blocks_of_a_sparse_matrix(
+            self, rng, dense_block):
+        import scipy.sparse as sp
+        blocks = [sp.random(20, 15, density=0.05, format="csr",
+                            random_state=rng, data_rvs=rng.standard_normal)
+                  for _ in range(4)]
+        # A dense zero M0 with sparse M1-M3 ...
+        M = QuatMatrix(np.zeros((20, 15)), *blocks[1:])
+        assert isinstance(M.blocks[0], np.ndarray) and M.max_abs[0] == 0.0
+        assert M._stacked.nnz == sum(b.nnz for b in blocks[1:])
+        self._assert_matches_counterpart(M, rng)
+        # ... and one dense nonzero block, kept dense below the limit.
+        blocks[dense_block] = blocks[dense_block].toarray()
+        M = QuatMatrix(*blocks)
+        assert isinstance(M.blocks[dense_block], np.ndarray) and M.is_sparse
+        assert M._stacked.nnz == sum(np.count_nonzero(b) if i == dense_block
+                                     else b.nnz for i, b in enumerate(blocks))
+        # Column 4t + a is column t of block STORAGE_ORDER[a], in order.
+        assert M._stacked.has_sorted_indices
+        for a, s in enumerate(STORAGE_ORDER):
+            assert np.array_equal(M._stacked[:, a::4].toarray(),
+                                  M.dense_blocks()[s])
+        self._assert_matches_counterpart(M, rng)
+
+    @pytest.mark.parametrize("m,n", [(1, 12), (12, 1)])
+    def test_interleaved_csr_on_a_single_row_or_column(self, rng, m, n):
+        import scipy.sparse as sp
+        # Two entries per block keep the density under the sparse limit.
+        blocks = []
+        for _ in range(4):
+            at = rng.choice(max(m, n), 2, replace=False)
+            rows, cols = (0 * at, at) if m == 1 else (at, 0 * at)
+            blocks.append(sp.csr_matrix((rng.standard_normal(2), (rows, cols)),
+                                        shape=(m, n)))
+        M = QuatMatrix(*blocks)
+        assert M.is_sparse and M._stacked.shape == (m, 4 * n)
+        self._assert_matches_counterpart(M, rng)
+
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("pure", [False, True])
     @pytest.mark.parametrize("height", [1, 2, 3])
@@ -227,42 +276,51 @@ class TestMatvec:
                 self.reads[key] += 1
                 return self.block[key]
 
-        class RecordedCsr(sp.csr_matrix):
-            """A sparse block that counts its whole-block products."""
+        class Counted:
+            """The interleaved CSR, or its transpose: records the format
+            of each scipy product taken with it."""
+
+            def __init__(self, H):
+                self.H = H
+
+            @property
+            def T(self):
+                return Counted(self.H.T)
 
             def __matmul__(self, x):
-                products.append(1)
-                self.reads += 1
-                return super().__matmul__(x)
-
-            def __rmatmul__(self, x):
-                products.append(1)
-                self.reads += 1
-                return super().__rmatmul__(x)
-
-        def record(block):
-            if not sp.issparse(block):
-                return Recorded(block)
-            out = RecordedCsr(block)
-            out.reads = np.zeros(block.shape, dtype=int)
-            return out
+                products.append(self.H.format)
+                return self.H @ x
 
         channels = [np.where(rng.random((30, 20)) < 0.05,
                              rng.uniform(0, 255, (30, 20)), 0.0)
                     for _ in range(3)]
+        M0 = np.zeros((30, 20))
         if sparse:
             channels = [sp.csr_matrix(c) for c in channels]
-        M = QuatMatrix(np.zeros((30, 20)), *channels)
+            # A zero block that still stores two zeros.
+            M0 = sp.csr_matrix(([0.0, 0.0], ([1, 2], [3, 4])), shape=(30, 20))
+        M = QuatMatrix(M0, *channels)
         assert M.is_sparse == sparse and M.max_abs[0] == 0.0
         want = expand_real_counterpart(M)
         want = want.T if adjoint else want
         x = random_unit_vector(30 if adjoint else 20, rng)
-        M.blocks = tuple(record(b) for b in M.blocks)
-        y = structured_matvec(M, x, adjoint=adjoint)
-        # M0 is never read; each channel is read once, entry by entry.
-        assert not M.blocks[0].reads.any()
-        assert all((b.reads == 1).all() for b in M.blocks[1:])
-        assert len(products) == (3 if sparse else 3 * 5)
+        if sparse:
+            # The three channels' entries alone, interleaved in one CSR
+            # whose transpose shares its arrays.
+            H = M._stacked
+            assert H.nnz == sum(c.nnz for c in channels)
+            assert np.shares_memory(H.T.data, H.data)
+            M._stacked = Counted(H)
+            y = structured_matvec(M, x, adjoint=adjoint)
+            # One scipy product per call: the CSC view for the adjoint.
+            assert products == ["csc" if adjoint else "csr"]
+        else:
+            M.blocks = tuple(Recorded(b) for b in M.blocks)
+            y = structured_matvec(M, x, adjoint=adjoint)
+            # M0 is never read; each channel is read once, entry by entry.
+            assert not M.blocks[0].reads.any()
+            assert all((b.reads == 1).all() for b in M.blocks[1:])
+            assert len(products) == 3 * 5
         assert np.allclose(expand_vector(y), want @ expand_vector(x),
                            atol=1e-12)
 
@@ -511,6 +569,24 @@ class TestCompactBasis:
         want = sum(expand_vector(v) @ expand_vector(
                        from_quaternion(Quaternion(*q)))
                    for v, q in zip(basis.data, coeffs))
+        assert np.abs(expand_vector(got) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [0, 1, 4, "shrunk"])
+    def test_combine_quat_panels_match_expanded_sum(self, rng, monkeypatch, k):
+        from quatsvd import quatlin
+        basis = CompactBasis(7, 4)
+        for _ in range(4 if k == "shrunk" else k):
+            basis.append(rng.standard_normal((7, 4)))
+        if k == "shrunk":
+            basis.combine_matrix(rng.standard_normal((4, 2)))
+        size = len(basis)
+        # 4n = 28 rows of the product in panels of 5: five, then one of 3.
+        monkeypatch.setattr(quatlin, "_PANEL_MACS", 5 * max(4 * size, 1))
+        coeffs = rng.standard_normal((size, 4))
+        got = basis.combine_quat(coeffs)
+        want = sum((expand_vector(v) @ expand_vector(
+                        from_quaternion(Quaternion(*q)))
+                    for v, q in zip(basis.data, coeffs)), np.zeros((28, 4)))
         assert np.abs(expand_vector(got) - want).max() <= 1e-13
 
     def test_append_length_check(self, rng):

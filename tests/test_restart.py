@@ -1,6 +1,8 @@
 """Restarted drivers: convergence testing, the one restart step after a
 check of either mode, the solver loop and residual verification."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -642,6 +644,37 @@ class TestSolver:
         assert np.array_equal(T.converged, T0.converged)
         assert np.array_equal(T.U, T0.U)
         assert np.array_equal(T.V, T0.V)
+
+    @pytest.mark.parametrize("which", ["largest", "smallest"])
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_scaled_sparse_input_against_the_oracle(self, monkeypatch,
+                                                    which, e):
+        # The solve runs on a rebuilt matrix, M scaled back by 2**-e, whose
+        # interleaved CSR is its own; its flags and sigmas hold against
+        # the singular values of the unscaled counterpart.
+        import quatsvd.restart as restart
+        M0 = QuatMatrix(*[qio.gen_sparse_block(60, seed=i, diagonal_shift=3.0)
+                          for i in range(4)])
+        M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
+        assert M.is_sparse
+        rebuilt, scaled = [], restart._scaled
+
+        def recording_scaled(A, exponent):
+            rebuilt.append(scaled(A, exponent))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(restart, "_scaled", recording_scaled)
+        T, _ = solve_partial_svd(M, SolverOptions(k=3, which=which, seed=1))
+        (S,) = rebuilt
+        shift = math.frexp(max(M.max_abs))[1]
+        assert S._stacked is not M._stacked
+        assert np.array_equal(S._stacked.data, np.ldexp(M._stacked.data, -shift))
+        s, _ = dedup_singular_values(M0)
+        want = s[:3] if which == "largest" else s[::-1][:3]
+        assert T.all_converged
+        sigmas = np.ldexp(T.sigmas, -e)
+        assert np.abs(sigmas - want).max() <= (np.ldexp(T.bounds, -e).max()
+                                               + 1e-12 * s[0])
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="known defect: smallest mode stalls on a "
