@@ -342,7 +342,7 @@ def read_qmx(path) -> QuatMatrix:
         raise MalformedFileError(path, min(len(raw), need),
                                  f"expected {need} bytes, file has {len(raw)}")
     blocks = np.frombuffer(raw, "<f8", offset=24).reshape(4, rows, cols)
-    return QuatMatrix(*blocks.astype(np.float64))
+    return QuatMatrix(*blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,8 @@ class RgbImage:
 
 def image_to_quat(img: RgbImage) -> QuatMatrix:
     """Encode an image as a pure quaternion matrix R*i + G*j + B*k."""
-    r, g, b = (np.asarray(c, dtype=np.float64) for c in img.channels())
     # Untouched np.zeros pages stay off RSS; matvecs skip the zero block.
-    return QuatMatrix(np.zeros(r.shape), r, g, b)
+    return QuatMatrix(np.zeros(img.R.shape), *img.channels())
 
 
 def quat_to_image(M: QuatMatrix) -> RgbImage:
@@ -129,15 +128,12 @@ def stack_frames(frames: list) -> QuatMatrix:
 
 def unstack_frames(M: QuatMatrix, frame_height: int) -> list:
     """Split a stacked reconstruction back into per-frame images."""
-    if M.rows % frame_height:
-        raise ValueError("row count is not a multiple of the frame height")
+    if frame_height < 1 or M.rows % frame_height:
+        raise ValueError(f"frame height {frame_height} does not divide the "
+                         f"{M.rows} rows into frames")
     img = quat_to_image(M)
-    l = M.rows // frame_height
-    out = []
-    for s in range(l):
-        rows = slice(s * frame_height, (s + 1) * frame_height)
-        out.append(RgbImage(R=img.R[rows], G=img.G[rows], B=img.B[rows]))
-    return out
+    return [RgbImage(*(c[s:s + frame_height] for c in img.channels()))
+            for s in range(0, M.rows, frame_height)]
 
 
 def mean_center_samples(samples: list) -> QuatMatrix:

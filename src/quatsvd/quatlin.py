@@ -23,14 +23,17 @@ calls on the storage, mixed by that table.  The oracles
 the test suite's ``oracles`` module) are written out by hand and never
 read it.
 
-A matrix with a sparse block also keeps its nonzero blocks interleaved
+:class:`QuatMatrix` alone decides how a block is stored: as a C-contiguous
+float64 array or a float64 CSR with sorted indices and no duplicates;
+boolean and integer blocks are converted and other dtypes rejected.  A
+matrix with a sparse block also keeps its nonzero blocks interleaved
 column by column in one CSR, so a sparse matvec is one scipy product in
-either direction.  Dense blocks are stored C-contiguous and multiplied in
-row (or, for the adjoint, column) panels of at most ``_PANEL_MACS``
-multiply-adds: a product that small takes OpenBLAS's small-matrix path,
-while a whole-block product with a 4-column operand first packs the block
-and runs at about half the speed.  A basis is combined in panels of the
-same size.
+either direction.  Dense blocks are multiplied in row (or, for the
+adjoint, column) panels of at most ``_PANEL_MACS`` multiply-adds: a
+product that small takes OpenBLAS's small-matrix path, while a
+whole-block product with a 4-column operand first packs the block and
+runs at about half the speed.  A basis is combined in panels of the same
+size.
 """
 
 from __future__ import annotations
@@ -94,27 +97,44 @@ _DGKS_ETA = 1.0 / math.sqrt(2.0)
 # matrices
 # ---------------------------------------------------------------------------
 
-def _as_block(block, rows: int, cols: int):
-    if sp.issparse(block):
-        if block.shape != (rows, cols):
-            raise ValueError(f"block shape {block.shape} != ({rows}, {cols})")
-        return block.tocsr()
-    arr = np.ascontiguousarray(block, dtype=np.float64)
-    if arr.shape != (rows, cols):
-        raise ValueError(f"block shape {arr.shape} != ({rows}, {cols})")
-    return arr
+def _as_block(block, rows: int, cols: int, name: str):
+    """Block ``name`` in the normal form :class:`QuatMatrix` describes, and
+    its largest entry magnitude."""
+    sparse = sp.issparse(block)
+    block = block if sparse else np.asarray(block)
+    if block.dtype.kind not in "biuf":
+        raise ValueError(f"block {name} has dtype {block.dtype}, not real")
+    if block.shape != (rows, cols):
+        raise ValueError(f"block {name} shape {block.shape} != ({rows}, {cols})")
+    if sparse:
+        b = sp.csr_matrix(block, dtype=np.float64)
+        if not b.has_canonical_format:     # never sort the caller's arrays
+            b = b.copy()
+            b.sum_duplicates()
+        data = b.data
+    else:
+        b = data = np.ascontiguousarray(block, dtype=np.float64)
+    # max and min propagate NaN and reach any infinity, so the one pass
+    # that finds the magnitude also checks finiteness.
+    hi, lo = float(data.max(initial=0.0)), float(data.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError(f"block {name} has NaN or infinite entries")
+    return b, max(hi, -lo)
 
 
 class QuatMatrix:
     """Quaternion m-by-n matrix held as four real blocks M0..M3.
 
-    Blocks may be dense ndarrays or ``scipy.sparse`` matrices; sparse blocks
-    are kept sparse when the overall density is below
+    Blocks may be arrays or ``scipy.sparse`` matrices of boolean, integer
+    or real dtype, stored in one normal form: a C-contiguous float64 array,
+    or a float64 CSR with sorted indices and duplicates summed (on a copy:
+    the caller's matrix is never changed).  Any other dtype, and NaN or
+    infinite entries, raise a ``ValueError`` naming the block.  Sparse
+    blocks stay sparse when the overall density is below
     ``SPARSE_DENSITY_LIMIT``, otherwise they are densified up front.
-    NaN or infinite entries are rejected with a ``ValueError`` naming the
-    block.  ``max_abs[i]`` is the largest entry magnitude of block Mi, so a
-    block with ``max_abs[i] == 0`` is all zeros.  A matrix that keeps a
-    sparse block also holds its nonzero blocks interleaved in one CSR
+    ``max_abs[i]`` is the largest entry magnitude of block Mi, so a block
+    with ``max_abs[i] == 0`` is all zeros.  A matrix that keeps a sparse
+    block also holds its nonzero blocks interleaved in one CSR
     (:func:`_interleave`), which is what :func:`structured_matvec` reads.
     Instances are immutable by convention: no method mutates the blocks.
     """
@@ -125,36 +145,35 @@ class QuatMatrix:
         if np.ndim(M0) != 2:
             raise ValueError("blocks must be 2-d")
         rows, cols = np.shape(M0)
-        blocks = [_as_block(b, rows, cols) for b in (M0, M1, M2, M3)]
-        max_abs = []
-        for i, b in enumerate(blocks):
-            data = b.data if sp.issparse(b) else b
-            # max and min propagate NaN and reach any infinity, so the one
-            # pass that finds the magnitude also checks finiteness.
-            hi, lo = float(data.max(initial=0.0)), float(data.min(initial=0.0))
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise ValueError(f"block M{i} has NaN or infinite entries")
-            max_abs.append(max(hi, -lo))
+        blocks, max_abs = zip(*(_as_block(b, rows, cols, f"M{i}")
+                                for i, b in enumerate((M0, M1, M2, M3))))
+        self._stacked = None
         if any(sp.issparse(b) for b in blocks):
             nnz = sum(b.nnz if sp.issparse(b) else np.count_nonzero(b)
                       for b in blocks)
             if nnz >= SPARSE_DENSITY_LIMIT * 4 * rows * cols:
                 blocks = [b.toarray() if sp.issparse(b) else b for b in blocks]
+            else:
+                self._stacked = _interleave(blocks, max_abs)
         self.rows = int(rows)
         self.cols = int(cols)
         self.blocks = tuple(blocks)
-        self.max_abs = tuple(max_abs)
-        self._stacked = _interleave(blocks, max_abs) if self.is_sparse else None
+        self.max_abs = max_abs
 
     @property
     def is_sparse(self) -> bool:
-        return any(sp.issparse(b) for b in self.blocks)
+        return self._stacked is not None
 
     def conjugate_transpose(self) -> "QuatMatrix":
         """The quaternion adjoint M* = M0' - M1'*i - M2'*j - M3'*k."""
         b0, b1, b2, b3 = self.blocks
-        t = lambda b: b.T.tocsr() if sp.issparse(b) else b.T
-        return QuatMatrix(t(b0), -t(b1), -t(b2), -t(b3))
+        return QuatMatrix(b0.T, -b1.T, -b2.T, -b3.T)
+
+    def scaled(self, e: int) -> "QuatMatrix":
+        """M times 2**e, exact unless an entry leaves the normal range."""
+        return QuatMatrix(*(
+            sp.csr_matrix((np.ldexp(b.data, e), b.indices, b.indptr), b.shape)
+            if sp.issparse(b) else np.ldexp(b, e) for b in self.blocks))
 
     def frobenius_norm(self) -> float:
         """Frobenius norm, summed with the largest entry scaled into

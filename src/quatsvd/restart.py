@@ -53,7 +53,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from . import smalldense
@@ -302,8 +301,8 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     ``opts.maxit`` restarts the best current approximations are returned
     with their ``converged`` flags showing which triplets met the
     tolerance.  A matrix whose largest entry magnitude lies outside
-    [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved times a power of two,
-    and the singular values and bounds are scaled back.
+    [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled into [1/2, 1)
+    by :meth:`QuatMatrix.scaled`, and the values and bounds scaled back.
     """
     m, n = M.rows, M.cols
     if opts.k > min(m, n):
@@ -314,7 +313,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         # Solve M 2**-e, whose largest entry lies in [1/2, 1), and scale
         # the singular values and bounds back; the vectors are the same.
         e = math.frexp(peak)[1]
-        triplets, trace = solve_partial_svd(_scaled(M, -e), opts)
+        triplets, trace = solve_partial_svd(M.scaled(-e), opts)
         trace.rows = [(cycle, j, float(np.ldexp(bound, e)), matvecs)
                       for cycle, j, bound, matvecs in trace.rows]
         return replace(triplets, sigmas=np.ldexp(triplets.sigmas, e),
@@ -350,16 +349,6 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         # The restart sees the sigma_max its check was given.
         state = restart_cycle(M, state, retained, chk)
         state.sigma_max = chk.sigma_max
-
-
-def _scaled(M: QuatMatrix, e: int) -> QuatMatrix:
-    """M times 2**e, exact unless an entry leaves the normal range."""
-    def scale(b):
-        if sp.issparse(b):
-            return sp.csr_matrix((np.ldexp(b.data, e), b.indices, b.indptr),
-                                 shape=b.shape)
-        return np.ldexp(b, e)
-    return QuatMatrix(*(scale(b) for b in M.blocks))
 
 
 def verify_residual(M: QuatMatrix, T: TripletSet) -> float:

@@ -112,6 +112,19 @@ class TestLowRankApprox:
             tail = math.sqrt(float((true_vals[k:] ** 2).sum()))
             assert diff == pytest.approx(tail, rel=1e-10, abs=1e-10)
 
+    def test_truncated_rebuild_of_pure_quaternion_has_a_real_part(self):
+        # quat_to_image drops the real block of a rebuild; it is of the
+        # order of the i, j and k blocks, not roundoff.
+        rng = np.random.default_rng(0)
+        M = QuatMatrix(np.zeros((20, 15)),
+                       *(rng.standard_normal((20, 15)) for _ in range(3)))
+        T, _ = solve_partial_svd(M, SolverOptions(k=7, seed=1))
+        assert T.all_converged
+        for rank in (1, 3, 7):
+            peaks = [np.abs(b).max()
+                     for b in low_rank_approx(T, rank).dense_blocks()]
+            assert 0.9 <= peaks[0] and 0.25 * max(peaks[1:]) <= peaks[0]
+
     def test_k_too_large(self, rng):
         T = synthetic_triplets(rng, 6, 5, [2.0, 1.0])
         with pytest.raises(ValueError):
@@ -272,6 +285,12 @@ class TestFrames:
     def test_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             stack_frames([random_image(rng, 3, 4), random_image(rng, 3, 5)])
+
+    @pytest.mark.parametrize("height", [0, -2, 5])
+    def test_frame_height_must_divide_the_rows(self, rng, height):
+        A = stack_frames([random_image(rng, 3, 4), random_image(rng, 3, 4)])
+        with pytest.raises(ValueError, match="frame height"):
+            unstack_frames(A, height)
 
 
 class TestMeanCenter:

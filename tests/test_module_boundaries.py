@@ -45,6 +45,51 @@ def test_checker_sees_both_forms():
     assert _private_uses(tree) == ["_fresh_direction", "sd._private"]
 
 
+def _sparse_imports(tree: ast.Module) -> list:
+    """Modules under ``scipy.sparse`` a module imports, in any form:
+    ``import scipy.sparse as sp``, ``from scipy import sparse``, ``from
+    scipy.sparse.linalg import svds``, or ``scipy.sparse`` reached as an
+    attribute after ``import scipy``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith("scipy.sparse")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.sparse"):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names
+                          if a.name == "sparse"]
+        elif isinstance(node, ast.Attribute) and node.attr == "sparse" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "scipy":
+            found.append("scipy.sparse")
+    return found
+
+
+def test_only_quatlin_and_io_touch_scipy_sparse():
+    # quatlin decides how a block is stored and io reads and writes sparse
+    # files; every other module sees sparse storage only through them.
+    offenders = {path.name: _sparse_imports(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name not in ("quatlin.py", "io.py")}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_sparse_checker_sees_every_form():
+    tree = ast.parse("import numpy as np, scipy.sparse as sp\n"
+                     "import scipy\n"
+                     "from scipy import linalg, sparse\n"
+                     "from scipy.sparse.linalg import svds\n"
+                     "x = scipy.sparse.csr_matrix(a) + scipy.linalg.norm(a)\n")
+    assert sorted(_sparse_imports(tree)) == [
+        "scipy.sparse", "scipy.sparse", "scipy.sparse", "scipy.sparse.linalg"]
+    for name in ("quatlin.py", "io.py"):
+        assert _sparse_imports(ast.parse((PACKAGE / name).read_text())) == [
+            "scipy.sparse"]
+
+
 # Dense factorizations and solvers that only smalldense may call, so that
 # its guards stay the only ones.
 NUMPY_SOLVERS = {"svd", "qr", "solve", "inv"}

@@ -1,5 +1,7 @@
 """Quaternion arithmetic and compact storage against the expansion oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quatsvd.quatlin import (
 
 from conftest import (
     basis_of,
+    dedup_singular_values,
     from_components,
     from_quaternion,
     orthonormal_basis,
@@ -409,6 +412,64 @@ class TestMatvec:
         with pytest.raises(ValueError, match="block M2"):
             QuatMatrix(*blocks)
 
+    @pytest.mark.parametrize("sparse,dtype", [
+        (False, np.complex128), (True, np.complex128), (False, np.str_),
+        (False, object)])
+    def test_non_real_dtype_rejected(self, sparse, dtype):
+        # A complex block is not silently cut to its real part (dense) or
+        # kept complex (sparse).
+        import scipy.sparse as sp
+        blocks = [np.eye(4) for _ in range(4)]
+        blocks[0] = (np.eye(4) * (1 + 2j)).astype(dtype)
+        if sparse:
+            blocks = [sp.csr_matrix(b) for b in blocks]
+        with pytest.raises(ValueError, match="block M0"):
+            QuatMatrix(*blocks)
+
+    def test_sparse_duplicates_are_summed_on_a_copy(self):
+        import scipy.sparse as sp
+        data, indices, indptr = (np.array([0.6, 0.6, 1.0]), np.array([0, 0, 1]),
+                                 np.array([0, 2, 3]))
+        M0 = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+        before = [a.copy() for a in (M0.data, M0.indices, M0.indptr)]
+        M = QuatMatrix(M0, *[sp.csr_matrix((2, 2))] * 3)
+        assert M.is_sparse and M.blocks[0].has_canonical_format
+        assert M.max_abs[0] == 1.2
+        assert M.frobenius_norm() == pytest.approx(math.sqrt(1.2 ** 2 + 1.0))
+        for a, b in zip((M0.data, M0.indices, M0.indptr), before):
+            assert np.array_equal(a, b)
+
+    def test_canonical_float64_csr_is_not_copied(self, rng):
+        import scipy.sparse as sp
+        blocks = [sp.random(30, 20, density=0.05, format="csr",
+                            random_state=rng) for _ in range(4)]
+        M = QuatMatrix(*blocks)
+        assert M.is_sparse
+        for b, kept in zip(blocks, M.blocks):
+            assert np.shares_memory(b.data, kept.data)
+            assert np.shares_memory(b.indices, kept.indices)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.int64])
+    def test_bool_and_int_sparse_blocks_are_stored_as_float64(self, rng,
+                                                              dtype):
+        # A wide matrix is solved in smallest mode through its conjugate
+        # transpose, which negates three blocks: a boolean CSR cannot be.
+        import scipy.sparse as sp
+        from quatsvd.restart import SolverOptions, solve_partial_svd
+        blocks = [sp.csr_matrix(rng.random((6, 9)) < 0.15, dtype=dtype)
+                  for _ in range(4)]
+        M = QuatMatrix(*blocks)
+        assert M.is_sparse and M._stacked.dtype == np.float64
+        assert all(b.dtype == np.float64 for b in M.blocks)
+        want = QuatMatrix(*[b.toarray().astype(np.float64) for b in blocks])
+        assert np.array_equal(expand_real_counterpart(M),
+                              expand_real_counterpart(want))
+        T, _ = solve_partial_svd(M, SolverOptions(k=2, which="smallest",
+                                                  seed=1))
+        s, _ = dedup_singular_values(want)
+        assert T.all_converged
+        assert np.allclose(T.sigmas, s[::-1][:2], atol=1e-10)
+
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
     def test_blocks_must_be_2d(self, shape):
         with pytest.raises(ValueError, match="2-d"):
@@ -425,7 +486,10 @@ class TestMatvec:
         M = QuatMatrix(*blocks)
         Mt = M.conjugate_transpose()
         assert (Mt.rows, Mt.cols, Mt.is_sparse) == (5, 7, sparse)
-        if not sparse:
+        if sparse:
+            assert all(b.format == "csr" and b.has_canonical_format
+                       for b in Mt.blocks)
+        else:
             assert all(b.flags.c_contiguous for b in Mt.blocks)
         assert np.array_equal(expand_real_counterpart(Mt),
                               expand_real_counterpart(M).T)

@@ -652,18 +652,17 @@ class TestSolver:
         # The solve runs on a rebuilt matrix, M scaled back by 2**-e, whose
         # interleaved CSR is its own; its flags and sigmas hold against
         # the singular values of the unscaled counterpart.
-        import quatsvd.restart as restart
         M0 = QuatMatrix(*[qio.gen_sparse_block(60, seed=i, diagonal_shift=3.0)
                           for i in range(4)])
         M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
         assert M.is_sparse
-        rebuilt, scaled = [], restart._scaled
+        rebuilt, scaled = [], QuatMatrix.scaled
 
         def recording_scaled(A, exponent):
             rebuilt.append(scaled(A, exponent))
             return rebuilt[-1]
 
-        monkeypatch.setattr(restart, "_scaled", recording_scaled)
+        monkeypatch.setattr(QuatMatrix, "scaled", recording_scaled)
         T, _ = solve_partial_svd(M, SolverOptions(k=3, which=which, seed=1))
         (S,) = rebuilt
         shift = math.frexp(max(M.max_abs))[1]
