@@ -214,13 +214,14 @@ def lanczos_bidiag(M: QuatMatrix, p1: np.ndarray, k: int,
 # ---------------------------------------------------------------------------
 
 def basis_orthogonality_error(basis: CompactBasis) -> float:
-    """max_ij |b_i* . b_j - delta_ij| over all quaternion components."""
+    """max_ij |b_i* . b_j - delta_ij| over all components, NaN if any is."""
     worst = 0.0
     for i in range(len(basis)):
         dots = basis.dot_all(basis.data[i])
         dots[i, 0] -= 1.0
-        worst = max(worst, float(np.abs(dots).max()))
-    return worst
+        # np.maximum keeps a NaN, where the builtin max may drop it.
+        worst = np.maximum(worst, np.abs(dots).max())
+    return float(worst)
 
 
 def factorization_errors(M: QuatMatrix, state: KrylovState) -> dict:

@@ -9,19 +9,19 @@ real blocks.  Its real counterpart is the 4m-by-4n block matrix
     [ -M3   M1  -M2   M0 ]
 
 which is invariant under conjugation by the three structure matrices J, R
-and S (see :func:`structure_matrices`).  Only the first block row is ever
-materialized.  A quaternion column vector is an (n, 4) float64 array, the
-first block row of its counterpart (:func:`expand_vector`), with columns in
-the same component order (0, 2, 1, 3).  A set of k vectors is a (k, n, 4)
-array; :class:`CompactBasis` is the Krylov workspace that stacks them.
+and S (``structure_matrices`` in the test suite's ``oracles`` module).
+Only the first block row is ever materialized.  A quaternion column
+vector is an (n, 4) float64 array, the first block row of its
+counterpart (:func:`expand_vector`), with columns in the same component
+order (0, 2, 1, 3).  A set of k vectors is a (k, n, 4) array;
+:class:`CompactBasis` is the Krylov workspace that stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
 conjugation signs :data:`QUAT_CONJ`; every compact kernel is a few BLAS
 calls on the storage, mixed by that table.  The oracles
-(:func:`expand_real_counterpart`, :func:`expand_vector`,
-:func:`structure_matrices`, and the scalar product and inner product in
-the test suite's ``oracles`` module) are written out by hand and never
-read it.
+(:func:`expand_real_counterpart`, :func:`expand_vector`, and the
+structure matrices, scalar product and inner product in the test suite's
+``oracles`` module) are written out by hand and never read it.
 
 :class:`QuatMatrix` alone decides how a block is stored: as a C-contiguous
 float64 array or a float64 CSR with sorted indices and no duplicates;
@@ -234,16 +234,6 @@ def expand_real_counterpart(M: QuatMatrix) -> np.ndarray:
         [-b1, -b3, b0, b2],
         [-b3, b1, -b2, b0],
     ])
-
-
-def structure_matrices(n: int) -> tuple:
-    """The skew-symmetric structure matrices (J_n, R_n, S_n) of size 4n."""
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    J = np.block([[Z, Z, -I, Z], [Z, Z, Z, -I], [I, Z, Z, Z], [Z, I, Z, Z]])
-    R = np.block([[Z, -I, Z, Z], [I, Z, Z, Z], [Z, Z, Z, I], [Z, Z, -I, Z]])
-    S = np.block([[Z, Z, Z, -I], [Z, Z, I, Z], [Z, -I, Z, Z], [I, Z, Z, Z]])
-    return J, R, S
 
 
 # ---------------------------------------------------------------------------

@@ -294,25 +294,33 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
                       bounds=chk.bounds[perm], converged=chk.flags[perm])
 
 
+def safe_range_exponent(M: QuatMatrix) -> int:
+    """The e that ``M`` is solved scaled by 2**-e: 0 inside the safe range
+    (see SAFE_EXPONENT), else the e that brings max|M| into [1/2, 1)."""
+    peak = max(M.max_abs)
+    if not peak or 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
+        return 0
+    return math.frexp(peak)[1]
+
+
 def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     """Compute the k largest or smallest singular triplets of ``M``.
 
     Returns ``(TripletSet, ConvergenceTrace)``.  On non-convergence after
     ``opts.maxit`` restarts the best current approximations are returned
     with their ``converged`` flags showing which triplets met the
-    tolerance.  A matrix whose largest entry magnitude lies outside
-    [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled into [1/2, 1)
-    by :meth:`QuatMatrix.scaled`, and the values and bounds scaled back.
+    tolerance.  A matrix outside the safe range is solved scaled by
+    2**-:func:`safe_range_exponent` (:meth:`QuatMatrix.scaled`), and the
+    values and bounds scaled back.
     """
     m, n = M.rows, M.cols
     if opts.k > min(m, n):
         raise ValueError(f"k={opts.k} out of range 1..{min(m, n)}")
 
-    peak = max(M.max_abs)
-    if peak and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
-        # Solve M 2**-e, whose largest entry lies in [1/2, 1), and scale
-        # the singular values and bounds back; the vectors are the same.
-        e = math.frexp(peak)[1]
+    e = safe_range_exponent(M)
+    if e:
+        # Solve M 2**-e and scale the singular values and bounds back; the
+        # vectors are the same.
         triplets, trace = solve_partial_svd(M.scaled(-e), opts)
         trace.rows = [(cycle, j, float(np.ldexp(bound, e)), matvecs)
                       for cycle, j, bound, matvecs in trace.rows]
@@ -352,9 +360,12 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
 
 
 def verify_residual(M: QuatMatrix, T: TripletSet) -> float:
-    """||M V - U Sigma||_F over the triplet set, in compact arithmetic."""
+    """||M V - U Sigma||_F over the triplet set, in compact arithmetic.
+    Residuals are scaled as :meth:`QuatMatrix.frobenius_norm` scales M, so
+    that no square overflows or underflows."""
+    e = math.frexp(max(M.max_abs))[1]
     total = 0.0
     for j in range(len(T)):
         err = structured_matvec(M, T.V[j]) - T.U[j] * float(T.sigmas[j])
-        total += vec_norm(err) ** 2
-    return float(np.sqrt(total))
+        total += vec_norm(np.ldexp(err, -e)) ** 2
+    return math.ldexp(math.sqrt(total), e)

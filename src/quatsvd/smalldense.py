@@ -39,8 +39,6 @@ def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
     for j in range(U.shape[1]):
         col = U[:, j]
         scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
         i0 = int(np.argmax(np.abs(col) > 1e-12 * scale))
         if col[i0] < 0.0:
             U[:, j] = -col

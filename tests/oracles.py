@@ -1,10 +1,11 @@
 """Hand-written quaternion oracles for the test suite.
 
 A scalar type with the Hamilton product written out term by term, the
-inner product of two compact vectors written out per component, and
-small matrix builders.  None of them reads ``quatlin.QUAT_TABLE``, so
-the table-driven kernels are checked against an independent statement
-of the multiplication rule.
+inner product of two compact vectors written out per component, the
+structure matrices of the real counterpart, and small matrix builders.
+None of them reads ``quatlin.QUAT_TABLE``, so the table-driven kernels
+are checked against an independent statement of the multiplication
+rule.
 """
 
 import math
@@ -73,3 +74,13 @@ def zero_matrix(rows: int, cols: int) -> QuatMatrix:
     """The rows-by-cols zero quaternion matrix."""
     z = np.zeros((rows, cols))
     return QuatMatrix(z, z.copy(), z.copy(), z.copy())
+
+
+def structure_matrices(n: int) -> tuple:
+    """The skew-symmetric structure matrices (J_n, R_n, S_n) of size 4n."""
+    I = np.eye(n)
+    Z = np.zeros((n, n))
+    J = np.block([[Z, Z, -I, Z], [Z, Z, Z, -I], [I, Z, Z, Z], [Z, I, Z, Z]])
+    R = np.block([[Z, -I, Z, Z], [I, Z, Z, Z], [Z, Z, Z, I], [Z, Z, -I, Z]])
+    S = np.block([[Z, Z, Z, -I], [Z, Z, I, Z], [Z, -I, Z, Z], [I, Z, Z, Z]])
+    return J, R, S

@@ -17,6 +17,7 @@ from quatsvd.quatlin import (
 )
 
 from conftest import (
+    basis_of,
     dedup_singular_values,
     from_components,
     from_quaternion,
@@ -164,6 +165,17 @@ def test_orthogonality_after_many_steps(rng):
     F = lanczos_bidiag(M, random_unit_vector(50, rng), 40, rng)
     assert basis_orthogonality_error(F.P) <= 1e-12
     assert basis_orthogonality_error(F.Q) <= 1e-12
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_orthogonality_error_keeps_nan(position):
+    # The builtin max drops a NaN that comes second, which reported 0.0
+    # for a basis holding garbage.
+    zero = np.zeros(3)
+    vectors = [from_components(e, zero, zero, zero) for e in np.eye(3)]
+    assert basis_orthogonality_error(basis_of(vectors)) == 0.0
+    vectors[position] = np.full((3, 4), np.nan)
+    assert np.isnan(basis_orthogonality_error(basis_of(vectors)))
 
 
 def test_fresh_direction_fallback_orthogonalizes_one_vector(rng, monkeypatch):

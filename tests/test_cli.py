@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quatsvd import io as qio
 from quatsvd.cli import (
@@ -292,11 +294,11 @@ def test_verify_passes_on_generated_matrix(tmp_path, dense_qmx, capsys):
     assert run(["verify", "--input", dense_qmx]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 3
 
 
 def test_verify_of_sparse_blocks_stays_sparse(tmp_path, capsys):
-    # The structure checks use a 20x20 corner; densifying the whole
+    # The compact-kernel check uses a 20x20 corner; densifying the whole
     # matrix first would cost four n x n float64 blocks.
     import tracemalloc
 
@@ -313,8 +315,87 @@ def test_verify_of_sparse_blocks_stays_sparse(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     out = capsys.readouterr().out
-    assert rc == EXIT_OK and out.count("PASS") == 5
+    assert rc == EXIT_OK and out.count("PASS") == 3
     assert peak <= n * n * 8
+
+
+def _scaled_input(tmp_path, sparse, factor):
+    """--input for a 60x60 sparse matrix as four .mtx blocks, or a 30x25
+    dense one as a .qmx, with every entry multiplied by ``factor``."""
+    if sparse:
+        paths = []
+        for i in range(4):
+            b = qio.gen_sparse_block(60, seed=i, diagonal_shift=3.0 * (i == 0))
+            paths.append(tmp_path / f"s{i}.mtx")
+            qio.write_matrix_market(
+                sp.coo_matrix((b.data * factor, (b.row, b.col)), b.shape),
+                paths[-1])
+        return ",".join(map(str, paths))
+    rng = np.random.default_rng(0)
+    path = tmp_path / "d.qmx"
+    qio.write_qmx(QuatMatrix(*(rng.standard_normal((30, 25)) * factor
+                               for _ in range(4))), path)
+    return path
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_verify_at_any_scale(tmp_path, capsys, sparse):
+    # Each bound scales with the matrix, and a matrix outside the safe
+    # range is checked scaled by a power of two, as the solver runs it.
+    lines = {}
+    for factor in (2.0 ** -600, 1e-6, 1.0, 1e6, 2.0 ** 600):
+        spec = _scaled_input(tmp_path, sparse, factor)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["verify", "--input", spec])
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK, out
+        lines[factor] = out.splitlines()
+        assert len(lines[factor]) == 3
+        assert all(line.startswith("PASS  ") for line in lines[factor])
+    assert lines[2.0 ** 600] == lines[2.0 ** -600]
+
+
+def test_verify_fails_a_wrong_compact_matvec(dense_qmx, monkeypatch, capsys):
+    import quatsvd.cli as cli
+
+    exact = cli.structured_matvec
+    monkeypatch.setattr(cli, "structured_matvec",
+                        lambda M, x: exact(M, x) * (1.0 + 1e-6))
+    assert run(["verify", "--input", dense_qmx]) == EXIT_ERROR
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first.startswith("FAIL  compact matvec")
+    assert len(rest) == 2 and all(line.startswith("PASS  ") for line in rest)
+
+
+def test_svd_without_n_takes_the_smallest_block_order(tmp_path):
+    blocks = [qio.gen_sparse_block(n, seed=i, diagonal_shift=3.0 * (i == 0))
+              for i, n in enumerate((32, 30, 31, 33))]
+    paths = [tmp_path / f"b{i}.mtx" for i in range(4)]
+    for b, path in zip(blocks, paths):
+        qio.write_matrix_market(b, path)
+    trip = tmp_path / "t.csv"
+    rc = run(["svd", "--input", ",".join(map(str, paths)), "--k", "3",
+              "--seed", "2", "--out", trip])
+    assert rc == EXIT_OK
+    true_vals, _ = dedup_singular_values(qio.assemble_jrs_blocks(*blocks, n=30))
+    _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
+    assert conv.all()
+    assert np.abs(sig - true_vals[:3]).max() <= 1e-8 * true_vals[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["svd", "--input", "a.mtx,b.mtx,c.mtx", "--out", "t.csv"],
+     "expected a .qmx path or four comma-separated .mtx paths"),
+    (["video", "--frames", ".", "--report", "r.csv"], "no .ppm frames in ."),
+])
+def test_bad_input_specs_are_one_line_errors(tmp_path, monkeypatch, capsys,
+                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_console_entry_point(tmp_path):

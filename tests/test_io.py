@@ -9,10 +9,11 @@ import scipy.sparse as sp
 
 from quatsvd import io as qio
 from quatsvd.lowrank import RgbImage
-from quatsvd.quatlin import expand_real_counterpart, structure_matrices
+from quatsvd.quatlin import expand_real_counterpart
 from quatsvd.restart import ConvergenceTrace, SolverOptions, solve_partial_svd
 
 from conftest import rand_qmat, triplets_of
+from oracles import structure_matrices
 
 
 class TestMatrixMarket:
@@ -113,6 +114,14 @@ class TestMatrixMarket:
         path.write_text(f"{head}{entry}\n", encoding="latin-1")
         with pytest.raises(qio.MalformedFileError,
                            match=f"byte {len(head)}: bad entry line"):
+            qio.read_matrix_market(path)
+
+    def test_missing_size_line(self, tmp_path):
+        path = tmp_path / "nosize.mtx"
+        text = "%%MatrixMarket matrix coordinate real general\n% c\n\n"
+        path.write_text(text)
+        with pytest.raises(qio.MalformedFileError,
+                           match=f"byte {len(text) + 1}: missing size line"):
             qio.read_matrix_market(path)
 
     def test_empty_matrix(self, tmp_path):
@@ -347,6 +356,20 @@ class TestPpm:
             qio.read_image_ppm(path)
         assert exc.value.offset == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n2 2", "byte 6: truncated header"),
+        (b"P6\n2 # c\n", "byte 9: truncated header"),
+        (b"P6\n2 x 255\n", "byte 5: bad header integer"),
+        (b"P6\n2 2 2.5\n", "byte 7: bad header integer"),
+        (b"P6\n1 1 65535\n\x00\x00\x00", "byte 12: unsupported maxval 65535"),
+        (b"P6\n0 2 255\n", "byte 10: non-positive dimensions"),
+    ])
+    def test_bad_header_names_offset(self, tmp_path, data, message):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(data)
+        with pytest.raises(qio.MalformedFileError, match=message):
+            qio.read_image_ppm(path)
+
     def test_truncated_payload_names_offset(self, tmp_path):
         path = tmp_path / "tr.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x01\x02")
@@ -369,6 +392,13 @@ class TestQmx:
         path = tmp_path / "bad.qmx"
         path.write_bytes(b"NOTQMX00" + b"\x00" * 16)
         with pytest.raises(qio.MalformedFileError, match="magic"):
+            qio.read_qmx(path)
+
+    def test_shorter_than_its_dimensions(self, tmp_path):
+        path = tmp_path / "short.qmx"
+        path.write_bytes(qio.QMX_MAGIC + struct.pack("<Q", 3))
+        with pytest.raises(qio.MalformedFileError,
+                           match="byte 16: truncated dimensions"):
             qio.read_qmx(path)
 
     def test_truncated(self, tmp_path, rng):

@@ -46,6 +46,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("shapes, message", [
+    (((3, 4), (3, 4), (4, 3)), "channel shapes differ"),
+    (((12,),) * 3, "channels must be 2-d"),
+    (((2, 3, 4),) * 3, "channels must be 2-d"),
+])
+def test_rgb_image_rejects_bad_channels(shapes, message):
+    with pytest.raises(ValueError, match=message):
+        RgbImage(*(np.zeros(s) for s in shapes))
+
+
 class TestImageEncoding:
     def test_black_image_is_zero_matrix(self):
         img = RgbImage(*(np.zeros((3, 4)) for _ in range(3)))
@@ -286,6 +296,10 @@ class TestFrames:
         with pytest.raises(ValueError):
             stack_frames([random_image(rng, 3, 4), random_image(rng, 3, 5)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no frames"):
+            stack_frames([])
+
     @pytest.mark.parametrize("height", [0, -2, 5])
     def test_frame_height_must_divide_the_rows(self, rng, height):
         A = stack_frames([random_image(rng, 3, 4), random_image(rng, 3, 4)])
@@ -316,3 +330,8 @@ class TestMeanCenter:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_center_samples([])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3)])
+    def test_size_mismatch(self, rng, shape):
+        with pytest.raises(ValueError, match="sample dimensions differ"):
+            mean_center_samples([rand_qmat(rng, 4, 3), rand_qmat(rng, *shape)])

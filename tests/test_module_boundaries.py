@@ -90,6 +90,18 @@ def test_sparse_checker_sees_every_form():
             "scipy.sparse"]
 
 
+def test_only_restart_names_the_safe_range():
+    # restart.safe_range_exponent alone decides whether a matrix is solved
+    # scaled; the solver and `quatsvd verify` both ask it.
+    for source in ("from .restart import SAFE_EXPONENT",
+                   "x = restart.SAFE_EXPONENT", "x = SAFE_EXPONENT"):
+        assert "SAFE_EXPONENT" in _names_used(ast.parse(source))
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "restart.py" and "SAFE_EXPONENT"
+                 in _names_used(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
 # Dense factorizations and solvers that only smalldense may call, so that
 # its guards stay the only ones.
 NUMPY_SOLVERS = {"svd", "qr", "solve", "inv"}

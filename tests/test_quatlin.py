@@ -16,7 +16,6 @@ from quatsvd.quatlin import (
     orthogonalize_against_basis,
     orthogonalize_with_coeffs,
     random_unit_vector,
-    structure_matrices,
     structured_matvec,
     vec_norm,
 )
@@ -29,7 +28,14 @@ from conftest import (
     orthonormal_basis,
     rand_qmat,
 )
-from oracles import Quaternion, quat_dot, quat_mul, scalar_matrix, zero_matrix
+from oracles import (
+    Quaternion,
+    quat_dot,
+    quat_mul,
+    scalar_matrix,
+    structure_matrices,
+    zero_matrix,
+)
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -474,6 +480,16 @@ class TestMatvec:
     def test_blocks_must_be_2d(self, shape):
         with pytest.raises(ValueError, match="2-d"):
             QuatMatrix(*[np.zeros(shape)] * 4)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_block_shapes_must_match_m0(self, sparse):
+        import scipy.sparse as sp
+        blocks = [np.eye(4, 3)] * 3 + [np.eye(3, 4)]
+        if sparse:
+            blocks = [sp.csr_matrix(b) for b in blocks]
+        with pytest.raises(ValueError,
+                           match=r"block M3 shape \(3, 4\) != \(4, 3\)"):
+            QuatMatrix(*blocks)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_conjugate_transpose(self, rng, sparse):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from quatsvd import io as qio
@@ -604,6 +605,23 @@ class TestSolver:
                 M, SolverOptions(k=4, which=which, m_b=10, seed=5))
             assert trace.cycles > 1 and T.all_converged
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("which", ["largest", "smallest"])
+    def test_zero_matrix(self, which, sparse):
+        # With M = 0 every alpha is 0, so each left vector is a fresh
+        # direction, the first one drawn against an empty basis.
+        Z = np.zeros((12, 9))
+        M = QuatMatrix(*[sp.csr_matrix(Z) if sparse else Z
+                         for _ in range(4)])
+        assert M.is_sparse == sparse
+        T, trace = solve_partial_svd(
+            M, SolverOptions(k=2, which=which, m_b=5, seed=1))
+        assert np.array_equal(T.sigmas, [0.0, 0.0])
+        assert T.all_converged and trace.cycles == 1
+        for vectors in (T.U, T.V):
+            assert np.allclose(np.linalg.norm(vectors, axis=(1, 2)), 1.0,
+                               rtol=0.0, atol=1e-14)
+
     def test_scaled_near_overflow(self, rng):
         M0 = rand_qmat(rng, 30, 30)
         true_vals, _ = dedup_singular_values(M0)
@@ -767,3 +785,18 @@ class TestVerifyResidual:
         opts = SolverOptions(k=6, seed=7)
         T, _ = solve_partial_svd(M, opts)
         assert verify_residual(M, T) <= 10.0 * opts.delta * T.sigmas[0] * 6
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_scaled_near_overflow_and_underflow(self, rng, e):
+        # Unscaled, the squares of the residuals overflow to inf at 2**600
+        # and underflow to 0 at 2**-600.
+        M0 = rand_qmat(rng, 30, 25)
+        opts = SolverOptions(k=3, m_b=10, seed=1)
+        T0, _ = solve_partial_svd(M0, opts)
+        M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
+        T, _ = solve_partial_svd(M, opts)
+        res = verify_residual(M, T)
+        assert math.isfinite(res) and res > 0.0
+        assert res <= 1e-9 * math.sqrt(3) * M.frobenius_norm()
+        # Power-of-two scaling is exact, so the residual scales with M.
+        assert res == math.ldexp(verify_residual(M0, T0), e)
