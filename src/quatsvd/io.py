@@ -10,7 +10,7 @@ partially.  The entries of a Matrix Market file are parsed in one numpy
 call; a body that call does not take whole is parsed again line by line,
 which either returns the same entries or names the offending line.
 Writers are deterministic; floats are printed with 17 significant digits
-so a write/read round-trip is bit exact.
+(``%.16e`` in Matrix Market files) so a write/read round-trip is bit exact.
 """
 
 from __future__ import annotations
@@ -186,18 +186,14 @@ def read_matrix_market(path) -> sp.coo_matrix:
 
 def write_matrix_market(block: sp.coo_matrix, path) -> None:
     """Write a COO matrix as a real general coordinate file, entries in
-    storage order."""
-    nnz = block.nnz
-    # One interleaved list of Python ints and floats, formatted in a single
-    # call: the bytes are those of a per-entry f"{v:.17g}".
-    flat = [None] * (3 * nnz)
-    flat[0::3] = (block.row + 1).tolist()
-    flat[1::3] = (block.col + 1).tolist()
-    flat[2::3] = block.data.tolist()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{block.shape[0]} {block.shape[1]} {nnz}\n")
-        fh.write(("%d %d %.17g\n" * nnz) % tuple(flat))
+    storage order, by scipy's compiled writer: a ``%`` line follows the
+    header, and values are printed as ``%.16e`` (inf as ``Infinity``)."""
+    import scipy.io  # here, so that runs that write no Matrix Market skip it
+    # A path would get ".mtx" appended, and without symmetry="general" a
+    # small symmetric block would be stored as its lower triangle.
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, block, field="real", precision=17,
+                         symmetry="general")
 
 
 def assemble_jrs_blocks(B0, B1, B2, B3, n: int) -> QuatMatrix:

@@ -296,7 +296,11 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
 
 def safe_range_exponent(M: QuatMatrix) -> int:
     """The e that ``M`` is solved scaled by 2**-e: 0 inside the safe range
-    (see SAFE_EXPONENT), else the e that brings max|M| into [1/2, 1)."""
+    (see SAFE_EXPONENT), else the e that brings max|M| into [1/2, 1).
+    Raises ``ValueError`` when ``M`` has no rows or no columns."""
+    if not (M.rows and M.cols):
+        raise ValueError(f"matrix is {M.rows}x{M.cols}: it has no singular "
+                         "triplets")
     peak = max(M.max_abs)
     if not peak or 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
         return 0
@@ -313,11 +317,10 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     2**-:func:`safe_range_exponent` (:meth:`QuatMatrix.scaled`), and the
     values and bounds scaled back.
     """
+    e = safe_range_exponent(M)
     m, n = M.rows, M.cols
     if opts.k > min(m, n):
         raise ValueError(f"k={opts.k} out of range 1..{min(m, n)}")
-
-    e = safe_range_exponent(M)
     if e:
         # Solve M 2**-e and scale the singular values and bounds back; the
         # vectors are the same.

@@ -63,6 +63,13 @@ def test_svd_smallest_from_mtx_blocks(tmp_path):
     assert rc == EXIT_OK
     blocks = [qio.read_matrix_market(tmp_path / f"sp_{i}.mtx")
               for i in range(4)]
+    # Each written block reads back to exactly the generated one.
+    for i, back in enumerate(blocks):
+        want = qio.gen_sparse_block(60, 1 + i,
+                                    diagonal_shift=3.0 if i == 0 else 0.0)
+        for field in ("row", "col", "data"):
+            assert (getattr(back, field).tobytes()
+                    == getattr(want, field).tobytes())
     M = qio.assemble_jrs_blocks(*blocks, n=50)
     true_vals, _ = dedup_singular_values(M)
     _, sig, _, conv = np.loadtxt(trip, delimiter=",", skiprows=1, ndmin=2).T
@@ -367,6 +374,21 @@ def test_verify_fails_a_wrong_compact_matvec(dense_qmx, monkeypatch, capsys):
     first, *rest = capsys.readouterr().out.splitlines()
     assert first.startswith("FAIL  compact matvec")
     assert len(rest) == 2 and all(line.startswith("PASS  ") for line in rest)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("command", ["svd", "verify"])
+def test_empty_matrix_is_a_one_line_error(tmp_path, capsys, shape, command):
+    path = tmp_path / "empty.qmx"
+    qio.write_qmx(QuatMatrix(*(np.zeros(shape) for _ in range(4))), path)
+    argv = [command, "--input", path]
+    if command == "svd":
+        argv += ["--out", tmp_path / "t.csv"]
+    assert run(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: matrix is {shape[0]}x{shape[1]}: it has "
+                            "no singular triplets\n")
 
 
 def test_svd_without_n_takes_the_smallest_block_order(tmp_path):

@@ -54,6 +54,23 @@ class TestMatrixMarket:
         assert back.shape == (9, 7)
         assert triplets_of(back) == triplets_of(block)  # bit-exact via 17 digits
 
+    def test_write_keeps_the_given_name(self, tmp_path):
+        path = tmp_path / "block.txt"
+        qio.write_matrix_market(sp.coo_matrix(np.eye(2)), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["block.txt"]
+        assert triplets_of(qio.read_matrix_market(path)) == [(0, 0, 1.0),
+                                                            (1, 1, 1.0)]
+
+    def test_symmetric_block_written_whole(self, tmp_path):
+        sym = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -4.0], [0.0, -4.0, 5.0]])
+        block = sp.coo_matrix(sym)
+        path = tmp_path / "sym.mtx"
+        qio.write_matrix_market(block, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+        assert len(lines) == 3 + block.nnz
+        assert triplets_of(qio.read_matrix_market(path)) == triplets_of(block)
+
     def test_bad_header_names_offset(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n1 1\n1.0\n")

@@ -356,14 +356,17 @@ def coo_blocks(draw):
 @example(sp.coo_matrix((0, 0)))
 @example(sp.coo_matrix((np.array(EXTREME_VALUES), (np.arange(6), np.zeros(6, int))),
                        shape=(6, 1)))
+@example(sp.coo_matrix((np.array([np.inf, -np.inf]), ([1, 0], [0, 1])),
+                       shape=(2, 2)))
 def test_write_matrix_market_matches_per_line_format(tmp_path_factory, block):
     path = tmp_path_factory.getbasetemp() / "write.mtx"
     qio.write_matrix_market(block, path)
-    want = (f"%%MatrixMarket matrix coordinate real general\n"
+    want = (f"%%MatrixMarket matrix coordinate real general\n%\n"
             f"{block.shape[0]} {block.shape[1]} {block.nnz}\n")
+    spelled = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
     for r, c, v in zip(block.row.tolist(), block.col.tolist(),
                        block.data.tolist()):
-        want += f"{r + 1} {c + 1} {v:.17g}\n"
+        want += f"{r + 1} {c + 1} {spelled.get(v, f'{v:.16e}')}\n"
     assert path.read_bytes() == want.encode("ascii")
 
     # Read-back is bit-exact, -0.0 included.
