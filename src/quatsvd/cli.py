@@ -115,6 +115,9 @@ def _reconstruction_report(M: QuatMatrix, k: int, opts: SolverOptions):
     distance uses the norm identity ||A||_F^2 = sum sigma_j^2.
     """
     full = min(M.rows, M.cols)
+    if k > full:
+        raise ValueError(f"k={k} exceeds min(m, n) = {full} of the "
+                         f"{M.rows}x{M.cols} matrix")
     k_solve = min(k + 1, full)
     triplets, trace = solve_partial_svd(M, dataclasses.replace(opts, k=k_solve))
     Ak = low_rank_approx(triplets, k)

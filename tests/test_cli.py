@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from quatsvd import cli
 from quatsvd import io as qio
 from quatsvd.cli import (
     EXIT_ERROR,
@@ -273,6 +274,23 @@ def test_reconstruction_report_matches_counterpart_svd(k):
                          zip(Ak.dense_blocks(), M.dense_blocks())))
     assert diff / M.frobenius_norm() == pytest.approx(want, rel=1e-9,
                                                       abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["approx", "video"])
+def test_rank_above_min_dimension_is_refused_before_solving(
+        tmp_path, monkeypatch, capsys, command):
+    def no_solve(*args):
+        raise AssertionError("solve_partial_svd called")
+    monkeypatch.setattr(cli, "solve_partial_svd", no_solve)
+    (tmp_path / "frames").mkdir()
+    src = _test_image(tmp_path / "frames", h=12, w=10)
+    argv = {"approx": ["--image", src, "--out", tmp_path / "out.ppm"],
+            "video": ["--frames", tmp_path / "frames"]}[command]
+    assert run([command, *argv, "--k", "11", "--report",
+                tmp_path / "r.csv"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: k=11 exceeds min(m, n) = 10 of the 12x10 matrix\n")
+    assert sorted(os.listdir(tmp_path)) == ["frames"]
 
 
 def test_video_pipeline(tmp_path):

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quatsvd import lowrank
+from quatsvd.io import write_image_ppm
 from quatsvd.lowrank import (
     RgbImage,
     image_to_quat,
@@ -50,10 +52,25 @@ def traced_peak(fn):
     (((3, 4), (3, 4), (4, 3)), "channel shapes differ"),
     (((12,),) * 3, "channels must be 2-d"),
     (((2, 3, 4),) * 3, "channels must be 2-d"),
+    (((0, 4),) * 3, "image is 0x4: it has no pixels"),
+    (((4, 0),) * 3, "image is 4x0: it has no pixels"),
 ])
 def test_rgb_image_rejects_bad_channels(shapes, message):
     with pytest.raises(ValueError, match=message):
         RgbImage(*(np.zeros(s) for s in shapes))
+
+
+@pytest.mark.parametrize("use", ["psnr", "ssim", "write_image_ppm"])
+def test_empty_image_is_an_error(tmp_path, use):
+    # An empty image has no score: psnr would rate it a perfect match and
+    # ssim divide by zero.  Its PPM would be one read_image_ppm refuses.
+    path = tmp_path / "empty.ppm"
+    run = {"psnr": lambda img: psnr(img, img),
+           "ssim": lambda img: ssim(img, img),
+           "write_image_ppm": lambda img: write_image_ppm(img, path)}[use]
+    with pytest.raises(ValueError, match="no pixels"):
+        run(RgbImage(*(np.zeros((0, 4)) for _ in range(3))))
+    assert not path.exists()
 
 
 class TestImageEncoding:
@@ -233,27 +250,47 @@ class TestSsim:
             ssim(random_image(rng, 3, 3), random_image(rng, 4, 3))
 
 
+@pytest.mark.parametrize("h, w", [
+    (700, 100),                         # a partial last panel
+    (3, lowrank._PANEL_ELEMS + 3),      # one-row panels
+    (1, 1),
+])
+def test_panelled_scores_match_references(rng, h, w):
+    a, b = (RgbImage(*(rng.integers(0, 256, (h, w)).astype(np.float64)
+                       for _ in range(3))) for _ in range(2))
+    # Integer pixels: the squared error sums exactly in int64.
+    err = sum(int(((x.astype(np.int64) - y.astype(np.int64)) ** 2).sum())
+              for x, y in zip(a.channels(), b.channels()))
+    want = 10.0 * math.log10(255.0 ** 2 * h * w / err) if err else math.inf
+    assert psnr(a, b) == pytest.approx(want, abs=1e-12)
+    assert ssim(a, b) == pytest.approx(reference_ssim(a, b), abs=1e-12)
+
+
 class TestScoringMemory:
-    """tracemalloc peaks, in float64 channels of a 256x256 image."""
+    """tracemalloc peaks, in float64 channels of a 512x512 image: eight
+    row panels, each temporary an eighth of a channel."""
 
-    CHANNEL = 256 * 256 * 8
+    H = W = 512
+    CHANNEL = H * W * 8
 
-    def test_ssim_streams_one_channel_at_a_time(self, rng):
-        a, b = random_image(rng, 256, 256), random_image(rng, 256, 256)
-        # Two reused centred buffers, one channel each.
-        assert traced_peak(lambda: ssim(a, b)) <= 2.5 * self.CHANNEL
+    def test_ssim_streams_one_panel_at_a_time(self, rng):
+        a, b = (random_image(rng, self.H, self.W) for _ in range(2))
+        # Three centred panels at most: the next is made before the last
+        # is freed.
+        assert traced_peak(lambda: ssim(a, b)) <= 0.5 * self.CHANNEL
 
     def test_rebuild_and_score(self, rng):
-        img = random_image(rng, 256, 256)
-        T = synthetic_triplets(rng, 256, 256, np.linspace(2e4, 1e3, 10))
+        img = random_image(rng, self.H, self.W)
+        T = synthetic_triplets(rng, self.H, self.W,
+                               np.linspace(2e4, 1e3, 10))
 
         def rebuild_and_score():
             Ak = low_rank_approx(T, 10)
             recon = quat_to_image(Ak)
             psnr(img, recon)
             ssim(img, recon)
-        # Ak's four blocks, the three clipped channels, ssim's two buffers.
-        assert traced_peak(rebuild_and_score) <= 10 * self.CHANNEL
+        # Ak's four blocks, the three clipped channels, three panels.
+        assert traced_peak(rebuild_and_score) <= 7.5 * self.CHANNEL
 
 
 class TestFrames:

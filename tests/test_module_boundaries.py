@@ -90,6 +90,51 @@ def test_sparse_checker_sees_every_form():
             "scipy.sparse"]
 
 
+ENV_READERS = {"environ", "getenv"}
+
+
+def _environment_reads(tree: ast.Module) -> list:
+    """``os.environ`` and ``os.getenv`` a module reads, in any import form:
+    as an attribute of ``os`` under any alias (``o.getenv`` after ``import
+    os as o``) or by ``from os import``."""
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or "os" for a in node.names
+                        if a.name == "os" or (a.name.startswith("os.")
+                                              and not a.asname)}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names
+                      if a.name in ENV_READERS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            found.append(f"os.{node.attr}")
+    return found
+
+
+def test_only_cli_reads_the_environment():
+    # A setting read from the environment is an option no signature shows;
+    # the command line is the one place where the user chooses behaviour.
+    offenders = {path.name: _environment_reads(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "cli.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_environment_checker_sees_every_form():
+    tree = ast.parse("import os, os as o\n"
+                     "import os.path\n"
+                     "from os import environ, getenv as ge, path\n"
+                     "a = os.environ.get('A') + o.getenv('B') + ge('C')\n"
+                     "b = os.path.join(a) + path.sep + os.getcwd()\n")
+    assert sorted(_environment_reads(tree)) == [
+        "os.environ", "os.environ", "os.getenv", "os.getenv"]
+    assert _environment_reads(ast.parse(
+        (PACKAGE / "cli.py").read_text())) == ["os.environ"]
+
+
 def test_only_restart_names_the_safe_range():
     # restart.safe_range_exponent alone decides whether a matrix is solved
     # scaled; the solver and `quatsvd verify` both ask it.
