@@ -5,7 +5,8 @@ Subcommands::
     svd     partial SVD of a matrix from a .qmx container or four
             Matrix Market blocks; writes triplet and trace CSVs
     approx  rank-k reconstruction of a PPM image with a quality report
-    video   stacked-frame reconstruction of a directory of PPM frames
+    video   rank-k reconstruction of a directory of PPM frames, solved
+            as one stacked matrix and rebuilt one frame at a time
     gen     deterministic synthetic matrices (dense .qmx or sparse .mtx)
     verify  checks of the compact kernel and of the Lanczos
             factorization on an input
@@ -29,12 +30,10 @@ from . import io as qio
 from .bidiag import factorization_errors, lanczos_bidiag
 from .lowrank import (
     image_to_quat,
-    low_rank_approx,
     psnr,
-    quat_to_image,
+    rebuild_frames,
     ssim,
     stack_frames,
-    unstack_frames,
 )
 from .quatlin import (
     QuatMatrix,
@@ -108,35 +107,34 @@ def _cmd_svd(args) -> int:
 
 
 def _reconstruction_report(M: QuatMatrix, k: int, opts: SolverOptions):
-    """Solve for k+1 largest triplets and reconstruct at rank k.
+    """Solve for k+1 largest triplets and measure the rank-k distance.
 
-    Returns (reconstruction, rel2, relF, TripletSet, trace).  The extra
-    triplet supplies sigma_{k+1} for the 2-norm distance; the Frobenius
-    distance uses the norm identity ||A||_F^2 = sum sigma_j^2.
+    Returns (TripletSet, rel2, relF).  The extra triplet supplies
+    sigma_{k+1} for the 2-norm distance; the Frobenius distance uses the
+    norm identity ||A||_F^2 = sum sigma_j^2.  Both are 0 for a zero matrix.
     """
     full = min(M.rows, M.cols)
     if k > full:
         raise ValueError(f"k={k} exceeds min(m, n) = {full} of the "
                          f"{M.rows}x{M.cols} matrix")
     k_solve = min(k + 1, full)
-    triplets, trace = solve_partial_svd(M, dataclasses.replace(opts, k=k_solve))
-    Ak = low_rank_approx(triplets, k)
-    sigma1 = float(triplets.sigmas[0]) if len(triplets) else 0.0
-    rel2 = float(triplets.sigmas[k]) / sigma1 if k < full else 0.0
+    triplets, _ = solve_partial_svd(M, dataclasses.replace(opts, k=k_solve))
+    sigma1 = float(triplets.sigmas[0])
+    rel2 = float(triplets.sigmas[k]) / sigma1 if k < full and sigma1 else 0.0
     normF = M.frobenius_norm()
     # Relative to normF before squaring, so that neither overflows.
     tail = 1.0 - float(((triplets.sigmas[:k] / normF) ** 2).sum()) \
         if normF > 0 else 0.0
     relF = math.sqrt(max(tail, 0.0))
-    return Ak, rel2, relF, triplets, trace
+    return triplets, rel2, relF
 
 
 def _cmd_approx(args) -> int:
     opts = _options(args)
     img = qio.read_image_ppm(args.image)
     M = image_to_quat(img)
-    Ak, rel2, relF, triplets, _ = _reconstruction_report(M, args.k, opts)
-    recon = quat_to_image(Ak)
+    triplets, rel2, relF = _reconstruction_report(M, args.k, opts)
+    [recon] = rebuild_frames(triplets, args.k, img.height)
     qio.write_image_ppm(recon, args.out)
     with open(args.report, "w", newline="\n") as fh:
         fh.write("k,psnr,ssim,rel2,relF\n")
@@ -154,14 +152,14 @@ def _cmd_video(args) -> int:
         raise ValueError(f"no .ppm frames in {args.frames}")
     frames = [qio.read_image_ppm(os.path.join(args.frames, f)) for f in names]
     M = stack_frames(frames)
-    Ak, rel2, relF, triplets, _ = _reconstruction_report(M, args.k, opts)
-    recon_frames = unstack_frames(Ak, frames[0].height)
+    triplets, rel2, relF = _reconstruction_report(M, args.k, opts)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for name, frame in zip(names, recon_frames):
-            qio.write_image_ppm(frame, os.path.join(args.out_dir, name))
     rows = []
-    for f, fk in zip(frames, recon_frames):
+    for name, f, fk in zip(names, frames, rebuild_frames(
+            triplets, args.k, frames[0].height)):
+        if args.out_dir:
+            qio.write_image_ppm(fk, os.path.join(args.out_dir, name))
         rows.append((psnr(f, fk), ssim(f, fk)))
     with open(args.report, "w", newline="\n") as fh:
         fh.write("frame,psnr,ssim,rel2,relF\n")

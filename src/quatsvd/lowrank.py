@@ -14,7 +14,7 @@ scores as its float64 copy and no temporary is larger than a panel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,8 +129,11 @@ def ssim(F: RgbImage, Fk: RgbImage) -> float:
             dy = np.subtract(b[rows], my, dtype=np.float64)
             sums += (np.vdot(dx, dx), np.vdot(dy, dy), np.vdot(dx, dy))
     vx, vy, cov = sums / N
-    return float((2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
-                 / ((mx ** 2 + my ** 2 + SSIM_C1) * (vx + vy + SSIM_C2)))
+    value = ((2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
+             / ((mx ** 2 + my ** 2 + SSIM_C1) * (vx + vy + SSIM_C2)))
+    # At most 1 in exact arithmetic; a near-exact rebuild can round above
+    # it.  np.minimum, unlike min, keeps a NaN.
+    return float(np.minimum(value, 1.0))
 
 
 def stack_frames(frames: list) -> QuatMatrix:
@@ -144,14 +147,16 @@ def stack_frames(frames: list) -> QuatMatrix:
     return image_to_quat(RgbImage(*stacked))
 
 
-def unstack_frames(M: QuatMatrix, frame_height: int) -> list:
-    """Split a stacked reconstruction back into per-frame images."""
-    if frame_height < 1 or M.rows % frame_height:
+def rebuild_frames(T: TripletSet, k: int, frame_height: int):
+    """Decoded rank-k rebuilds of a stack's frames, one at a time: a frame's
+    rows are U_k[rows] diag(sigma) V_k*, so no stack-sized Ak is held."""
+    rows = T.U.shape[1]
+    if frame_height < 1 or rows % frame_height:
         raise ValueError(f"frame height {frame_height} does not divide the "
-                         f"{M.rows} rows into frames")
-    img = quat_to_image(M)
-    return [RgbImage(*(c[s:s + frame_height] for c in img.channels()))
-            for s in range(0, M.rows, frame_height)]
+                         f"{rows} rows into frames")
+    return (quat_to_image(low_rank_approx(
+                replace(T, U=T.U[:, s:s + frame_height]), k))
+            for s in range(0, rows, frame_height))
 
 
 def mean_center_samples(samples: list) -> QuatMatrix:

@@ -26,14 +26,14 @@ structure matrices, scalar product and inner product in the test suite's
 :class:`QuatMatrix` alone decides how a block is stored: as a C-contiguous
 float64 array or a float64 CSR with sorted indices and no duplicates;
 boolean and integer blocks are converted and other dtypes rejected.  A
-matrix with a sparse block also keeps its nonzero blocks interleaved
-column by column in one CSR, so a sparse matvec is one scipy product in
-either direction.  Dense blocks are multiplied in row (or, for the
-adjoint, column) panels of at most ``_PANEL_MACS`` multiply-adds: a
-product that small takes OpenBLAS's small-matrix path, while a
-whole-block product with a 4-column operand first packs the block and
-runs at about half the speed.  A basis is combined in panels of the same
-size.
+matrix stored sparse holds all four blocks as CSR and also keeps its
+nonzero blocks interleaved column by column in one CSR, so a sparse
+matvec is one scipy product in either direction.  Dense blocks are
+multiplied in row (or, for the adjoint, column) panels of at most
+``_PANEL_MACS`` multiply-adds: a product that small takes OpenBLAS's
+small-matrix path, while a whole-block product with a 4-column operand
+first packs the block and runs at about half the speed.  A basis is
+combined in panels of the same size.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class QuatMatrix:
     the caller's matrix is never changed).  Any other dtype, and NaN or
     infinite entries, raise a ``ValueError`` naming the block.  Sparse
     blocks stay sparse when the overall density is below
-    ``SPARSE_DENSITY_LIMIT``, otherwise they are densified up front.
+    ``SPARSE_DENSITY_LIMIT``, and dense blocks beside them are then
+    stored as CSR too; otherwise they are densified up front.
     ``max_abs[i]`` is the largest entry magnitude of block Mi, so a block
     with ``max_abs[i] == 0`` is all zeros.  A matrix that keeps a sparse
     block also holds its nonzero blocks interleaved in one CSR
@@ -154,6 +155,8 @@ class QuatMatrix:
             if nnz >= SPARSE_DENSITY_LIMIT * 4 * rows * cols:
                 blocks = [b.toarray() if sp.issparse(b) else b for b in blocks]
             else:
+                blocks = [b if sp.issparse(b) else sp.csr_matrix(b)
+                          for b in blocks]
                 self._stacked = _interleave(blocks, max_abs)
         self.rows = int(rows)
         self.cols = int(cols)
@@ -199,8 +202,7 @@ def _interleave(blocks, max_abs) -> sp.csr_matrix:
     entries.  Interleaving puts the four blocks' reads of x[t] on one
     cache line, and the transpose is a CSC view of the same arrays."""
     rows, cols = blocks[0].shape
-    parts = [(a, sp.csr_matrix(blocks[s]))
-             for a, s in enumerate(STORAGE_ORDER) if max_abs[s]]
+    parts = [(a, blocks[s]) for a, s in enumerate(STORAGE_ORDER) if max_abs[s]]
     nnz = sum(b.nnz for _, b in parts)
     idx = np.int32 if max(4 * cols, nnz) < 2 ** 31 else np.int64
     # The output arrays are made before the per-block temporaries, which

@@ -284,13 +284,16 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
     columns of ``chk``, the last check of ``state``.  The bases are
     combined in the state's workspace and copied out as (k, n, 4) arrays,
     so the result does not keep it alive."""
+    # A harmonic sigma_j = x_j' B y_j can round below zero; flipping u_j
+    # with it keeps M v = u sigma and every bound.
+    sign = np.where(chk.sigmas[:k] < 0.0, -1.0, 1.0)
+    sigmas, X = chk.sigmas[:k] * sign, chk.X[:, :k] * sign
     # Sorted by value; equal values by bound, then by position.
-    sigmas = chk.sigmas[:k]
     perm = np.lexsort((np.arange(sigmas.size), chk.bounds[:k],
                        -sigmas if which == WHICH_LARGEST else sigmas))
-    U = state.Q.combine_matrix(chk.X[:, perm]).data.copy()
+    U = state.Q.combine_matrix(X[:, perm]).data.copy()
     V = state.P.combine_matrix(chk.Y[:, perm]).data.copy()
-    return TripletSet(sigmas=chk.sigmas[perm], U=U, V=V,
+    return TripletSet(sigmas=sigmas[perm], U=U, V=V,
                       bounds=chk.bounds[perm], converged=chk.flags[perm])
 
 

@@ -21,7 +21,7 @@ from quatsvd.cli import (
     build_parser,
     main,
 )
-from quatsvd.lowrank import RgbImage
+from quatsvd.lowrank import RgbImage, low_rank_approx
 from quatsvd.quatlin import QuatMatrix
 from quatsvd.restart import SolverOptions
 
@@ -249,9 +249,9 @@ def test_reconstruction_report_near_overflow_and_underflow(e):
     rng = np.random.default_rng(4)
     blocks = [rng.standard_normal((20, 16)) for _ in range(4)]
     opts = SolverOptions(seed=1)
-    _, rel2, relF, _, _ = _reconstruction_report(QuatMatrix(*blocks), 3, opts)
+    _, rel2, relF = _reconstruction_report(QuatMatrix(*blocks), 3, opts)
     scaled = QuatMatrix(*[b * 2.0 ** e for b in blocks])
-    _, rel2_e, relF_e, _, _ = _reconstruction_report(scaled, 3, opts)
+    _, rel2_e, relF_e = _reconstruction_report(scaled, 3, opts)
     assert np.isfinite(relF_e) and 0.0 < relF_e < 1.0
     assert relF_e == pytest.approx(relF, rel=1e-12)
     assert rel2_e == pytest.approx(rel2, rel=1e-12)
@@ -264,7 +264,8 @@ def test_reconstruction_report_matches_counterpart_svd(k):
     rng = np.random.default_rng(2)
     M = QuatMatrix(*[rng.standard_normal((12, 9)) for _ in range(4)])
     sig, _ = dedup_singular_values(M)
-    Ak, rel2, relF, _, _ = _reconstruction_report(M, k, SolverOptions(seed=1))
+    T, rel2, relF = _reconstruction_report(M, k, SolverOptions(seed=1))
+    Ak = low_rank_approx(T, k)
     full = k == sig.size
     assert rel2 == (0.0 if full else pytest.approx(sig[k] / sig[0], rel=1e-12))
     want = math.sqrt((sig[k:] ** 2).sum() / (sig ** 2).sum())
@@ -313,6 +314,57 @@ def test_video_pipeline(tmp_path):
     assert lines[-1].startswith("avg,")
     assert sorted(os.listdir(out_dir)) == [f"frame{i:03d}.ppm"
                                            for i in range(3)]
+
+
+@pytest.mark.parametrize("command", ["approx", "video"])
+def test_black_image_scores_a_perfect_rebuild(tmp_path, command):
+    # sigma_1 = 0: rel2 divided by it before.
+    (tmp_path / "frames").mkdir()
+    black = RgbImage(*(np.zeros((12, 10)) for _ in range(3)))
+    qio.write_image_ppm(black, tmp_path / "frames" / "in.ppm")
+    rep = tmp_path / "r.csv"
+    argv = {"approx": ["--image", tmp_path / "frames" / "in.ppm",
+                       "--out", tmp_path / "out.ppm"],
+            "video": ["--frames", tmp_path / "frames"]}[command]
+    assert run([command, *argv, "--k", "3", "--report", rep]) == EXIT_OK
+    for line in rep.read_text().splitlines()[1:]:
+        _, p, s, rel2, relF = line.split(",")
+        assert (float(p), float(s), float(rel2), float(relF)) == \
+            (math.inf, 1.0, 0.0, 0.0)
+
+
+def _drifting_frames(path, count, h, w):
+    """Seeded frames of a smooth colour pattern that drifts, plus noise."""
+    rng = np.random.default_rng(2)
+    yy, xx = np.mgrid[0:h, 0:w] / np.array([h, w])[:, None, None]
+    for i in range(count):
+        t = 0.05 * i
+        pix = [127.5 + 80.0 * np.cos(2.0 * np.pi * (c + 1) * (xx + t))
+               * np.sin(np.pi * (yy + c * t)) + rng.normal(0.0, 6.0, (h, w))
+               for c in range(3)]
+        qio.write_image_ppm(RgbImage(*pix), path / f"f{i:03d}.ppm")
+
+
+def test_video_never_holds_the_stack_sized_rebuild(tmp_path):
+    # The whole-stack Ak (four blocks) and its decoded copy (three
+    # channels) took the peak to 4.8-4.9x the stacked channels; rebuilt
+    # frame by frame it stays near 3x.
+    import tracemalloc
+
+    count, h, w = 40, 72, 88
+    (tmp_path / "frames").mkdir()
+    _drifting_frames(tmp_path / "frames", count, h, w)
+    argv = ["video", "--frames", tmp_path / "frames", "--k", 8, "--seed", 2,
+            "--report", tmp_path / "r.csv", "--out-dir", tmp_path / "out"]
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert len(os.listdir(tmp_path / "out")) == count
+    assert peak <= 4.0 * (3 * count * h * w * 8)
 
 
 def test_verify_passes_on_generated_matrix(tmp_path, dense_qmx, capsys):

@@ -118,13 +118,17 @@ class TestMatrixMarket:
                            match=f"byte {len(header)}: bad size line"):
             qio.read_matrix_market(path)
 
-    # The last five hold a separator the line loop does not split fields
-    # on: a trailing comment, a lone CR between two entries, and bytes that
-    # are unicode whitespace but not ASCII whitespace.
+    # Five hold a separator the line loop does not split fields on: a
+    # trailing comment, a lone CR between two entries, and bytes that are
+    # unicode whitespace but not ASCII whitespace.  The last six are values
+    # that scipy's mmread (1.17) reads without complaint, as 1.0, 1.0, 1.0,
+    # nan, 1e5 and 0.0.
     @pytest.mark.parametrize("entry", ["1 1", "1 1 1.0 2.0", "1 x 1.0",
                                        "1 1 y", "1 1 1.0 % note",
                                        "1 1 1.0\r2 2 2.0", "1\xa01 1.0",
-                                       "1 1\x1c1.0", "1 1 1.0\x85"])
+                                       "1 1\x1c1.0", "1 1 1.0\x85",
+                                       "1 1 1.0.5", "1 1 1e", "1 1 1-2",
+                                       "1 1 nana", "1 1 1e5e5", "1 1 0x1p3"])
     def test_malformed_entry_line(self, tmp_path, entry):
         path = tmp_path / "ent.mtx"
         head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n"

@@ -15,9 +15,9 @@ from quatsvd.lowrank import (
     mean_center_samples,
     psnr,
     quat_to_image,
+    rebuild_frames,
     ssim,
     stack_frames,
-    unstack_frames,
 )
 from quatsvd.quatlin import QuatMatrix, expand_real_counterpart
 from quatsvd.restart import SolverOptions, solve_partial_svd
@@ -230,6 +230,23 @@ class TestSsim:
         z = RgbImage(*(np.zeros((4, 4)) for _ in range(3)))
         assert ssim(z, z) == 1.0
 
+    @pytest.mark.parametrize("seed", [0, 7, 15])
+    def test_exact_rebuild_scores_at_most_one(self, seed):
+        # The full-rank rebuilds of these images scored 1.0000000000000002
+        # to 1.0000000000000004 before the clamp.
+        img = random_image(np.random.default_rng(seed), 12, 10)
+        T, _ = solve_partial_svd(image_to_quat(img),
+                                 SolverOptions(k=10, seed=1))
+        recon = quat_to_image(low_rank_approx(T, 10))
+        assert ssim(img, recon) == pytest.approx(1.0, abs=1e-15)
+        assert ssim(img, recon) <= 1.0
+        assert ssim(img, img) == 1.0
+
+    def test_nan_is_not_clamped(self, rng):
+        img = random_image(rng, 4, 4)
+        img.R[1, 2] = math.nan
+        assert math.isnan(ssim(img, random_image(rng, 4, 4)))
+
     def test_matches_independent_reimplementation(self, rng):
         a, b = random_image(rng, 7, 5), random_image(rng, 7, 5)
         assert ssim(a, b) == pytest.approx(reference_ssim(a, b), abs=1e-12)
@@ -292,6 +309,22 @@ class TestScoringMemory:
         # Ak's four blocks, the three clipped channels, three panels.
         assert traced_peak(rebuild_and_score) <= 7.5 * self.CHANNEL
 
+    def test_rebuild_and_score_frame_by_frame(self, rng):
+        img = random_image(rng, self.H, self.W)
+        h = self.H // 8
+        frames = [RgbImage(*(c[s:s + h] for c in img.channels()))
+                  for s in range(0, self.H, h)]
+        T = synthetic_triplets(rng, self.H, self.W,
+                               np.linspace(2e4, 1e3, 10))
+
+        def rebuild_and_score():
+            for f, fk in zip(frames, rebuild_frames(T, 10, h)):
+                psnr(f, fk)
+                ssim(f, fk)
+        # One 64-row frame's Ak and clipped channels (7/8 of a channel)
+        # and its scoring panels; the whole-stack rebuild took 7.0.
+        assert traced_peak(rebuild_and_score) <= 2.0 * self.CHANNEL
+
 
 class TestFrames:
     def test_single_frame_equals_image_encoding(self, rng):
@@ -324,10 +357,19 @@ class TestFrames:
         A = stack_frames(frames)
         k = min(A.rows, A.cols)
         T, _ = solve_partial_svd(A, SolverOptions(k=k, seed=4))
-        out = unstack_frames(low_rank_approx(T, k), 6)
+        out = rebuild_frames(T, k, 6)
         for f, g in zip(frames, out):
             for a, b in zip(f.channels(), g.channels()):
                 assert np.abs(a - b).max() <= 1e-10
+
+    def test_frames_are_the_rows_of_the_whole_rebuild(self, rng):
+        T = synthetic_triplets(rng, 12, 5, [300.0, 120.0, 40.0])
+        whole = quat_to_image(low_rank_approx(T, 2))
+        out = list(rebuild_frames(T, 2, 4))
+        assert len(out) == 3
+        for s, g in zip(range(0, 12, 4), out):
+            for a, b in zip(whole.channels(), g.channels()):
+                assert np.abs(a[s:s + 4] - b).max() <= 1e-12 * 300.0
 
     def test_size_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -339,9 +381,9 @@ class TestFrames:
 
     @pytest.mark.parametrize("height", [0, -2, 5])
     def test_frame_height_must_divide_the_rows(self, rng, height):
-        A = stack_frames([random_image(rng, 3, 4), random_image(rng, 3, 4)])
+        T = synthetic_triplets(rng, 6, 4, [2.0, 1.0])    # two 3-row frames
         with pytest.raises(ValueError, match="frame height"):
-            unstack_frames(A, height)
+            rebuild_frames(T, 2, height)
 
 
 class TestMeanCenter:

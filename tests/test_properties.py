@@ -245,6 +245,7 @@ def test_flags_and_bounds_are_honest(case):
     roundoff = 1e-11 * s[0]
     sigma_max = checks[-1].sigma_max
     assert np.array_equal(T.converged, T.bounds <= opts.delta * sigma_max)
+    assert (T.sigmas >= 0).all()
     U, V = T.U, T.V
     if M.rows < M.cols and (opts.which == "smallest" or
                             opts.resolved_m_b(M.rows, M.cols) == M.rows):

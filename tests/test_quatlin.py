@@ -180,13 +180,13 @@ class TestMatvec:
                   for _ in range(4)]
         # A dense zero M0 with sparse M1-M3 ...
         M = QuatMatrix(np.zeros((20, 15)), *blocks[1:])
-        assert isinstance(M.blocks[0], np.ndarray) and M.max_abs[0] == 0.0
+        assert M.blocks[0].format == "csr" and M.max_abs[0] == 0.0
         assert M._stacked.nnz == sum(b.nnz for b in blocks[1:])
         self._assert_matches_counterpart(M, rng)
-        # ... and one dense nonzero block, kept dense below the limit.
+        # ... and one dense nonzero block, stored as CSR below the limit.
         blocks[dense_block] = blocks[dense_block].toarray()
         M = QuatMatrix(*blocks)
-        assert isinstance(M.blocks[dense_block], np.ndarray) and M.is_sparse
+        assert M.blocks[dense_block].format == "csr" and M.is_sparse
         assert M._stacked.nnz == sum(np.count_nonzero(b) if i == dense_block
                                      else b.nnz for i, b in enumerate(blocks))
         # Column 4t + a is column t of block STORAGE_ORDER[a], in order.
@@ -195,6 +195,20 @@ class TestMatvec:
             assert np.array_equal(M._stacked[:, a::4].toarray(),
                                   M.dense_blocks()[s])
         self._assert_matches_counterpart(M, rng)
+
+    def test_dense_block_of_a_sparse_matrix_is_stored_once(self, rng):
+        # A 32 MB dense M0 was kept beside its 2,000 entries in _stacked.
+        import scipy.sparse as sp
+        n = 2000
+        blocks = [sp.random(n, n, density=1e-3, format="csr",
+                            random_state=rng, data_rvs=rng.standard_normal)
+                  for _ in range(3)]
+        M = QuatMatrix(np.diag(rng.uniform(1.0, 2.0, n)), *blocks)
+        assert M.is_sparse
+        assert all(sp.issparse(b) and b.format == "csr"
+                   and b.has_canonical_format for b in M.blocks)
+        assert M.blocks[0].nnz == n
+        assert M._stacked.nnz == n + sum(b.nnz for b in blocks)
 
     @pytest.mark.parametrize("m,n", [(1, 12), (12, 1)])
     def test_interleaved_csr_on_a_single_row_or_column(self, rng, m, n):

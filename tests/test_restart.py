@@ -722,6 +722,21 @@ class TestSolver:
         assert T.all_converged
         assert np.allclose(T.sigmas, [0.0, 0.0], rtol=0.0, atol=1e-10)
 
+    def test_harmonic_sigma_is_never_negative(self):
+        # x' B y rounded to -6.0e-17 here; the sign moves to u instead.
+        Z = np.zeros((8, 8))
+        M = QuatMatrix(np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.5, 4.0, 0.0]),
+                       Z, Z, Z)
+        T, _ = solve_partial_svd(
+            M, SolverOptions(k=2, which="smallest", m_b=4, maxit=200))
+        assert (T.sigmas >= 0.0).all()
+        assert T.sigmas[1] == pytest.approx(0.5, abs=1e-12)
+        for j, sigma in enumerate(T.sigmas):
+            u, v = T.U[j], T.V[j]
+            assert vec_norm(structured_matvec(M, v) - u * sigma) <= 1e-12
+            true = vec_norm(structured_matvec(M, u, adjoint=True) - v * sigma)
+            assert T.bounds[j] >= true - 1e-12
+
     def test_multiplicity_four_consistency(self, rng):
         # Expanded converged triplets give four orthonormal singular pairs
         # of the real counterpart for the same value.
