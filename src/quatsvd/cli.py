@@ -29,6 +29,7 @@ import numpy as np
 from . import io as qio
 from .bidiag import factorization_errors, lanczos_bidiag
 from .lowrank import (
+    RgbImage,
     image_to_quat,
     psnr,
     rebuild_frames,
@@ -150,16 +151,19 @@ def _cmd_video(args) -> int:
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".ppm"))
     if not names:
         raise ValueError(f"no .ppm frames in {args.frames}")
-    frames = [qio.read_image_ppm(os.path.join(args.frames, f)) for f in names]
-    M = stack_frames(frames)
+    # The frames live on only as M's blocks, and are scored from there.
+    M = stack_frames([qio.read_image_ppm(os.path.join(args.frames, f))
+                      for f in names])
     triplets, rel2, relF = _reconstruction_report(M, args.k, opts)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
+    h = M.rows // len(names)
     rows = []
-    for name, f, fk in zip(names, frames, rebuild_frames(
-            triplets, args.k, frames[0].height)):
+    for i, (name, fk) in enumerate(zip(names, rebuild_frames(
+            triplets, args.k, h))):
         if args.out_dir:
             qio.write_image_ppm(fk, os.path.join(args.out_dir, name))
+        f = RgbImage(*(b[i * h:(i + 1) * h] for b in M.blocks[1:]))
         rows.append((psnr(f, fk), ssim(f, fk)))
     with open(args.report, "w", newline="\n") as fh:
         fh.write("frame,psnr,ssim,rel2,relF\n")
@@ -168,7 +172,7 @@ def _cmd_video(args) -> int:
         mp = sum(p for p, _ in rows) / len(rows)
         ms = sum(s for _, s in rows) / len(rows)
         fh.write(f"avg,{mp:.17g},{ms:.17g},{rel2:.17g},{relF:.17g}\n")
-    print(f"{len(frames)} frames reconstructed at rank {args.k}; "
+    print(f"{len(names)} frames reconstructed at rank {args.k}; "
           f"report in {args.report}")
     return EXIT_OK if triplets.all_converged else EXIT_UNCONVERGED
 

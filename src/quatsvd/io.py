@@ -284,11 +284,11 @@ def read_image_ppm(path) -> RgbImage:
         raise MalformedFileError(path, pos, "non-positive dimensions")
     pos += 1  # single whitespace after maxval
     need = 3 * width * height
-    payload = raw[pos:pos + need]
-    if len(payload) < need:
-        raise MalformedFileError(path, pos + len(payload),
+    if len(raw) - pos < need:
+        raise MalformedFileError(path, max(pos, len(raw)),
                                  f"truncated payload, need {need} bytes")
-    pix = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    pix = np.frombuffer(raw, dtype=np.uint8, count=need,
+                        offset=pos).reshape(height, width, 3)
     # Channel-major copy: each channel is C-contiguous, so the dense
     # matvecs on the blocks built from it run as BLAS calls.
     arr = np.ascontiguousarray(pix.transpose(2, 0, 1), dtype=np.float64)
@@ -299,9 +299,11 @@ def write_image_ppm(img: RgbImage, path) -> None:
     """Write a binary PPM; channels are clamped to [0, 255] and quantized
     by round-half-away-from-zero."""
     h, w = img.R.shape
-    quant = [np.floor(np.clip(c, 0.0, 255.0) + 0.5).astype(np.uint8)
-             for c in img.channels()]
-    pix = np.stack(quant, axis=2)
+    pix = np.empty((h, w, 3), dtype=np.uint8)
+    for i, c in enumerate(img.channels()):
+        q = np.clip(c, 0.0, 255.0)
+        q += 0.5
+        pix[:, :, i] = np.floor(q, out=q)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pix.tobytes())

@@ -396,15 +396,23 @@ class CompactBasis:
 
 def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
     """The quaternion matrix sum_j u_j w_j v_j* of compact vectors stacked
-    as (k, m, 4) and (k, n, 4) arrays, with real weights w."""
+    as (k, m, 4) and (k, n, 4) arrays, with real weights w.  Beside the
+    output it holds U's (m, 4k) layout and one (4k, n) panel of V, refilled
+    for each component: no tensor of all sixteen block products."""
     k, m = U.shape[:2]
-    # left[t, (a, j)] = u_j[t, a].  right[c, (a, j)] = sum_b w_j v_j[:, b]
-    # times the e_c part of e_a conj(e_b), so left @ right[c] sums all
-    # sixteen block products of u_j conj(v_j) landing on e_c.
+    n = V.shape[1]
+    # left[t, (a, j)] = u_j[t, a].  For each component c, e_a conj(e_b)
+    # lands on ±e_c for exactly one b, so right[(a, j)] = ±w_j v_j[:, b]
+    # and left @ right sums the four block products of u_j conj(v_j) on e_c.
     left = np.ascontiguousarray(U.transpose(1, 2, 0)).reshape(m, 4 * k)
-    mix = (QUAT_TABLE * QUAT_CONJ[None, :, None]).transpose(2, 0, 1)
-    right = np.tensordot(mix, V * w[:, None, None], axes=(2, 2))
-    out = left @ right.reshape(4, 4 * k, V.shape[1])
+    mix = QUAT_TABLE * QUAT_CONJ[None, :, None]
+    right = np.empty((4, k, n))
+    out = np.empty((4, m, n))
+    for c in range(4):
+        for a in range(4):
+            b = np.flatnonzero(mix[a, :, c])[0]
+            np.multiply(V[:, :, b], (mix[a, b, c] * w)[:, None], out=right[a])
+        np.matmul(left, right.reshape(4 * k, n), out=out[c])
     return QuatMatrix(*(out[s] for s in STORAGE_ORDER))
 
 

@@ -296,6 +296,13 @@ class TestScoringMemory:
         # is freed.
         assert traced_peak(lambda: ssim(a, b)) <= 0.5 * self.CHANNEL
 
+    def test_rebuild_holds_no_mixing_tensor(self, rng):
+        T = synthetic_triplets(rng, self.H, self.W,
+                               np.linspace(2e4, 1e3, 40))
+        # The four output blocks, and U and one signed panel of V at
+        # 0.31 channels each; a (4, 4k, n) mixing tensor alone is 1.25.
+        assert traced_peak(lambda: low_rank_approx(T, 40)) <= 5.2 * self.CHANNEL
+
     def test_rebuild_and_score(self, rng):
         img = random_image(rng, self.H, self.W)
         T = synthetic_triplets(rng, self.H, self.W,

@@ -26,6 +26,7 @@ from quatsvd.quatlin import (
     random_unit_vector,
     structured_matvec,
     vec_norm,
+    weighted_outer,
 )
 from quatsvd.restart import (
     SolverOptions,
@@ -91,6 +92,24 @@ def test_dot_all_matches_quat_dot_loop(n, k, seed):
         q = quat_dot(v, r)
         scale = np.abs(v).sum() * np.abs(r).max()
         assert np.abs(got[i] - (q.w, q.x, q.y, q.z)).max() <= 1e-13 * scale
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 6), SEEDS)
+# No terms: the scale is 0, so every block must be exactly zero.
+@example(3, 5, 0, 0)
+@example(1, 1, 0, 0)
+def test_weighted_outer_matches_expanded_sum(m, n, k, seed):
+    # chi(u w v*) = w chi(u) chi(v)^T, for any u, v and real w.
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((k, m, 4))
+    V = rng.standard_normal((k, n, 4))
+    w = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+    got = expand_real_counterpart(weighted_outer(U, V, w))
+    terms = [(wj * expand_vector(u), expand_vector(v)) for wj, u, v in zip(w, U, V)]
+    want = sum((a @ b.T for a, b in terms), np.zeros((4 * m, 4 * n)))
+    scale = sum((np.abs(a) @ np.abs(b).T for a, b in terms), np.zeros((4 * m, 4 * n)))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def _restart_twice(M, rng, m_b, t, harmonic):
