@@ -64,15 +64,17 @@ def _summed_coo(rows, cols, vals, shape) -> sp.coo_matrix:
     return sp.coo_matrix((acc, (keys // width, keys % width)), shape=shape)
 
 
-def _lines(raw: bytes, offset: int):
-    """(offset, line) for each ``\\n``-separated line of ``raw`` from
-    ``offset`` on, as ``raw[offset:].split(b"\\n")`` would give them."""
-    while True:
+def _content_lines(raw: bytes, offset: int):
+    """(offset, line, stripped) for each line of ``raw[offset:].split(b"\\n")``
+    that is neither blank nor a ``%`` comment, at its offset in ``raw``."""
+    while offset < len(raw):
         end = raw.find(b"\n", offset)
         if end < 0:
-            yield offset, raw[offset:]
-            return
-        yield offset, raw[offset:end]
+            end = len(raw)
+        line = raw[offset:end]
+        stripped = line.strip()
+        if stripped and not stripped.startswith(b"%"):
+            yield offset, line, stripped
         offset = end + 1
 
 
@@ -108,10 +110,7 @@ def _parse_lines(path, raw: bytes, start: int, rows: int, cols: int,
     """The entry lines from byte ``start`` on, parsed one line at a time;
     a malformed line raises with its byte offset."""
     rs, cs, vs = [], [], []
-    for offset, line in _lines(raw, start):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(b"%"):
-            continue
+    for offset, _, stripped in _content_lines(raw, start):
         try:
             r, c, v = stripped.split()
             r, c, v = int(r), int(c), float(v)
@@ -146,26 +145,23 @@ def read_matrix_market(path) -> sp.coo_matrix:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = _lines(raw, 0)
-    _, head = next(lines)
+    end = raw.find(b"\n")
+    head = raw if end < 0 else raw[:end]
     match = _MM_HEADER.match(head.rstrip(b"\r"))
     if match is None:
         raise MalformedFileError(path, 0, "bad MatrixMarket header")
     symmetric = match.group(2).lower() == b"symmetric"
 
-    for offset, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith(b"%"):
-            continue
-        try:
-            rows, cols, nnz = (int(f) for f in stripped.split())
-        except ValueError:
-            raise MalformedFileError(path, offset, "bad size line") from None
-        if min(rows, cols, nnz) < 0:
-            raise MalformedFileError(path, offset, "bad size line")
-        break
-    else:
+    size = next(_content_lines(raw, len(head) + 1), None)
+    if size is None:
         raise MalformedFileError(path, len(raw) + 1, "missing size line")
+    offset, line, stripped = size
+    try:
+        rows, cols, nnz = (int(f) for f in stripped.split())
+    except ValueError:
+        raise MalformedFileError(path, offset, "bad size line") from None
+    if min(rows, cols, nnz) < 0:
+        raise MalformedFileError(path, offset, "bad size line")
     if symmetric and rows != cols:
         raise MalformedFileError(path, offset, "symmetric matrix is not square")
 
@@ -241,23 +237,9 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
 # binary PPM (P6)
 # ---------------------------------------------------------------------------
 
-def _read_ppm_token(raw: bytes, pos: int, path) -> tuple:
-    """Next whitespace-delimited header token, skipping # comments."""
-    while pos < len(raw):
-        ch = raw[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= len(raw):
-        raise MalformedFileError(path, pos, "truncated header")
-    start = pos
-    while pos < len(raw) and not raw[pos:pos + 1].isspace():
-        pos += 1
-    return raw[start:pos], pos
+# Whitespace and # comments, then a header token: bytes \s is the six
+# bytes of bytes.isspace(), and an empty token means the file ended.
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def read_image_ppm(path) -> RgbImage:
@@ -271,7 +253,10 @@ def read_image_ppm(path) -> RgbImage:
     pos = 2
     values = []
     for _ in range(3):
-        token, pos = _read_ppm_token(raw, pos, path)
+        match = _PPM_TOKEN.match(raw, pos)
+        token, pos = match.group(1), match.end()
+        if not token:
+            raise MalformedFileError(path, pos, "truncated header")
         try:
             values.append(int(token))
         except ValueError:

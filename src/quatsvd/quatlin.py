@@ -275,7 +275,7 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
     interleaved CSR H (:func:`_interleave`): H.Y, where row 4t + a of Y is
     y_a[t]; for the adjoint, H'.x through the CSC view of H, whose row
     4t + a is (b_a'.x)[t], then mixed by conj(e_a) in one small GEMM.  A
-    dense block is read in row panels (column panels for the adjoint),
+    dense block (its transpose for the adjoint) is read in row panels,
     views into the block, of at most ``_PANEL_MACS`` multiply-adds each: a
     whole-block GEMM with a 4-column operand packs the block first and
     takes about twice as long.  ``adjoint=True`` corresponds to
@@ -295,12 +295,9 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
         if not M.max_abs[s]:
             continue
         b, y = M.blocks[s], x @ table[a]
-        if adjoint:
-            for j in range(0, M.cols, h):
-                out[j:j + h] += b[:, j:j + h].T @ y
-        else:
-            for i in range(0, M.rows, h):
-                out[i:i + h] += b[i:i + h] @ y
+        b = b.T if adjoint else b
+        for i in range(0, len(out), h):
+            out[i:i + h] += b[i:i + h] @ y
     return out
 
 

@@ -204,25 +204,32 @@ def _wide(m, n, seed):
 
 @st.composite
 def solve_cases(draw):
-    """A graded or clustered spectrum on a tall, wide or square matrix
-    whose short side may be 1, of full rank or exactly rank deficient by
-    up to 4; options that make the solver restart unless m_b reaches the
-    short side; and the retention buffer."""
-    m, n = draw(st.integers(1, 30)), draw(st.integers(12, 30))
+    """A sparse matrix from :func:`matrices`, or a graded or clustered
+    spectrum on a dense tall, wide or square matrix whose short side may
+    be 1, of full rank or exactly rank deficient by up to 4; options that
+    make the solver restart unless m_b reaches the short side; and the
+    retention buffer."""
     if draw(st.booleans()):
-        m, n = n, m
-    short = min(m, n)
-    r = short - draw(st.integers(0, min(4, short - 1)))
-    if draw(st.booleans()):
-        sigmas = np.logspace(0, -draw(st.floats(0, 12)), r)
+        M, _ = draw(matrices(sparse=True))
     else:
-        # A few clusters, each of nearly (or exactly) repeated values.
-        centers = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
-        gap = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
-        sigmas = np.array([centers[i % len(centers)] * (1.0 + gap * i)
-                           for i in range(r)])
-    rng = np.random.default_rng(draw(SEEDS))
-    M = matrix_from_triplets_expansion(synthetic_triplets(rng, m, n, sigmas))
+        m, n = draw(st.integers(1, 30)), draw(st.integers(12, 30))
+        if draw(st.booleans()):
+            m, n = n, m
+        short = min(m, n)
+        r = short - draw(st.integers(0, min(4, short - 1)))
+        if draw(st.booleans()):
+            sigmas = np.logspace(0, -draw(st.floats(0, 12)), r)
+        else:
+            # A few clusters, each of nearly (or exactly) repeated values.
+            centers = draw(st.lists(st.floats(1e-3, 1.0), min_size=1,
+                                    max_size=3))
+            gap = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
+            sigmas = np.array([centers[i % len(centers)] * (1.0 + gap * i)
+                               for i in range(r)])
+        rng = np.random.default_rng(draw(SEEDS))
+        M = matrix_from_triplets_expansion(
+            synthetic_triplets(rng, m, n, sigmas))
+    short = min(M.rows, M.cols)
     k = draw(st.integers(1, min(3, short)))
     opts = SolverOptions(k=k, which=draw(st.sampled_from(["largest",
                                                           "smallest"])),
@@ -284,19 +291,30 @@ def test_flags_and_bounds_are_honest(case):
 @example((_wide(1, 20, 0), SolverOptions(k=1, seed=0), 5))
 @example((_wide(3, 50, 1), SolverOptions(k=2, seed=0), 5))
 def test_solves_are_deterministic(case):
-    # Two solves with the same options are byte-equal, in both modes.
+    # Two solves with the same options are byte-equal, in both modes.  A
+    # solve of M 2**e, far outside the safe range, reports exactly 2**e
+    # times the values and bounds, with the same flags and vectors.
     M, opts, buffer = case
+    scaled = {e: QuatMatrix(*[b * 2.0 ** e for b in M.blocks])
+              for e in (600, -600)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restart, "RETAIN_BUFFER", buffer)
         for which in ("largest", "smallest"):
-            (T1, trace1), (T2, trace2) = [
-                restart.solve_partial_svd(M, replace(opts, which=which))
-                for _ in range(2)]
+            o = replace(opts, which=which)
+            (T1, trace1), (T2, trace2) = [restart.solve_partial_svd(M, o)
+                                          for _ in range(2)]
             for a, b in [(T1.sigmas, T2.sigmas), (T1.bounds, T2.bounds),
                          (T1.converged, T2.converged),
                          (T1.U, T2.U), (T1.V, T2.V)]:
                 assert a.tobytes() == b.tobytes()
             assert repr(trace1.rows) == repr(trace2.rows)
+            for e, Me in scaled.items():
+                T, _ = restart.solve_partial_svd(Me, o)
+                for a, b in [(T.sigmas, np.ldexp(T1.sigmas, e)),
+                             (T.bounds, np.ldexp(T1.bounds, e)),
+                             (T.converged, T1.converged),
+                             (T.U, T1.U), (T.V, T1.V)]:
+                    assert a.tobytes() == b.tobytes()
 
 
 @st.composite

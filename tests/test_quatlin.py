@@ -299,6 +299,13 @@ class TestMatvec:
                 self.reads[key] += 1
                 return self.block[key]
 
+            @property
+            def T(self):
+                # A view: reads through the transpose count on the block.
+                view = Recorded(self.block.T)
+                view.reads = self.reads.T
+                return view
+
         class Counted:
             """The interleaved CSR, or its transpose: records the format
             of each scipy product taken with it."""

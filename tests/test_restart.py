@@ -465,6 +465,38 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_partial_svd(M, SolverOptions(k=5, m_b=5))
 
+    @pytest.mark.parametrize("layout, k, m_b", [
+        *[(layout, k, m_b) for layout in ("dense", "sparse", "wide", "scaled")
+          for k, m_b in ((11, None), (5, 5))],
+        ("0x5", 1, None)])
+    def test_shape_refusals_take_no_matvec(self, rng, monkeypatch, layout,
+                                           k, m_b):
+        # k > min(m, n) = 10, k >= m_b < min(m, n), or no rows at all: each
+        # is refused before the first product with M.  The solver takes a
+        # wide input through its adjoint, and a scaled one scaled back.
+        import quatsvd.bidiag as bidiag_mod
+        import quatsvd.restart as restart_mod
+        products = []
+
+        def counted(*args, **kwargs):
+            products.append(1)
+            return structured_matvec(*args, **kwargs)
+
+        for module in (bidiag_mod, restart_mod):
+            monkeypatch.setattr(module, "structured_matvec", counted)
+        shape = {"wide": (10, 12), "0x5": (0, 5)}.get(layout, (12, 10))
+        if layout == "sparse":
+            blocks = [sp.random(*shape, density=0.1, format="csr",
+                                random_state=rng) for _ in range(4)]
+        else:
+            scale = 2.0 ** 600 if layout == "scaled" else 1.0
+            blocks = [scale * rng.standard_normal(shape) for _ in range(4)]
+        M = QuatMatrix(*blocks)
+        assert M.is_sparse == (layout == "sparse")
+        with pytest.raises(ValueError):
+            solve_partial_svd(M, SolverOptions(k=k, m_b=m_b))
+        assert products == []
+
     @pytest.mark.parametrize("field, value", [
         ("which", "middle"), ("k", 0), ("m_b", 0), ("maxit", -1),
         ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
