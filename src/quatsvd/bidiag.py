@@ -41,6 +41,7 @@ from .quatlin import (
     orthogonalize_against_basis,
     orthogonalize_with_coeffs,
     random_unit_vector,
+    scaled_norm,
     structured_matvec,
     vec_norm,
 )
@@ -233,20 +234,15 @@ def factorization_errors(M: QuatMatrix, state: KrylovState) -> dict:
     """
     P, Q, B, f = state.P, state.Q, state.B, state.f
     s = len(P)
-    direct = 0.0
-    adjoint = 0.0
-    for i in range(s):
-        e1 = structured_matvec(M, P.data[i]) - Q.combine_real(B[:, i])
-        direct += vec_norm(e1) ** 2
-        e2 = structured_matvec(M, Q.data[i], adjoint=True) - P.combine_real(B[i, :])
-        if i == s - 1:
-            e2 = e2 - f
-        adjoint += vec_norm(e2) ** 2
-    f_orth = float(np.abs(P.dot_all(f)).max()) if s else 0.0
     return {
-        "direct": float(np.sqrt(direct)),
-        "adjoint": float(np.sqrt(adjoint)),
-        "f_orth": f_orth,
+        "direct": scaled_norm(M, (
+            structured_matvec(M, P.data[i]) - Q.combine_real(B[:, i])
+            for i in range(s))),
+        "adjoint": scaled_norm(M, (
+            structured_matvec(M, Q.data[i], adjoint=True)
+            - P.combine_real(B[i, :]) - (f if i == s - 1 else 0.0)
+            for i in range(s))),
+        "f_orth": float(np.abs(P.dot_all(f)).max()) if s else 0.0,
         "P_orth": basis_orthogonality_error(P),
         "Q_orth": basis_orthogonality_error(Q),
     }

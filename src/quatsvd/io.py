@@ -40,6 +40,13 @@ class MalformedFileError(ValueError):
         self.offset = offset
 
 
+def _header_int(path, token: bytes, offset: int, reason: str) -> int:
+    """``token`` as an integer; a sign, ``_`` or other non-digit raises."""
+    if not token.isdigit():
+        raise MalformedFileError(path, offset, reason)
+    return int(token)
+
+
 # ---------------------------------------------------------------------------
 # Matrix Market coordinate format
 # ---------------------------------------------------------------------------
@@ -156,12 +163,11 @@ def read_matrix_market(path) -> sp.coo_matrix:
     if size is None:
         raise MalformedFileError(path, len(raw) + 1, "missing size line")
     offset, line, stripped = size
-    try:
-        rows, cols, nnz = (int(f) for f in stripped.split())
-    except ValueError:
-        raise MalformedFileError(path, offset, "bad size line") from None
-    if min(rows, cols, nnz) < 0:
+    fields = stripped.split()
+    if len(fields) != 3:
         raise MalformedFileError(path, offset, "bad size line")
+    rows, cols, nnz = (_header_int(path, f, offset, "bad size line")
+                       for f in fields)
     if symmetric and rows != cols:
         raise MalformedFileError(path, offset, "symmetric matrix is not square")
 
@@ -257,11 +263,8 @@ def read_image_ppm(path) -> RgbImage:
         token, pos = match.group(1), match.end()
         if not token:
             raise MalformedFileError(path, pos, "truncated header")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise MalformedFileError(path, pos - len(token),
-                                     "bad header integer") from None
+        values.append(_header_int(path, token, pos - len(token),
+                                  "bad header integer"))
     width, height, maxval = values
     if maxval != 255:
         raise MalformedFileError(path, pos, f"unsupported maxval {maxval}")

@@ -88,10 +88,14 @@ def low_rank_approx(T: TripletSet, k: int) -> QuatMatrix:
     return weighted_outer(T.U[:k], T.V[:k], T.sigmas[:k])
 
 
-def _row_panels(img: RgbImage):
-    """Row slices of at most _PANEL_ELEMS pixels (at least one row each)."""
-    step = max(1, _PANEL_ELEMS // img.width)
-    return (slice(s, s + step) for s in range(0, img.height, step))
+def _panel_pairs(F: RgbImage, Fk: RgbImage):
+    """Each channel pair (a, b) of F and Fk, cut in row panels of at most
+    _PANEL_ELEMS pixels (at least one row); the shapes are checked at once."""
+    if F.R.shape != Fk.R.shape:
+        raise ValueError("image dimensions differ")
+    step = max(1, _PANEL_ELEMS // F.width)
+    return ((a[s:s + step], b[s:s + step]) for s in range(0, F.height, step)
+            for a, b in zip(F.channels(), Fk.channels()))
 
 
 def psnr(F: RgbImage, Fk: RgbImage) -> float:
@@ -100,34 +104,28 @@ def psnr(F: RgbImage, Fk: RgbImage) -> float:
     The squared norm runs over all three channels in row panels;
     identical inputs give the +inf sentinel.
     """
-    if F.R.shape != Fk.R.shape:
-        raise ValueError("image dimensions differ")
     err = 0.0
-    for rows in _row_panels(F):
-        for a, b in zip(F.channels(), Fk.channels()):
-            # Subtract in float64: integer channels would wrap around.
-            d = np.subtract(a[rows], b[rows], dtype=np.float64)
-            err += float(np.vdot(d, d))
+    for a, b in _panel_pairs(F, Fk):
+        # Subtract in float64: integer channels would wrap around.
+        d = np.subtract(a, b, dtype=np.float64)
+        err += float(np.vdot(d, d))
     if err == 0.0:
         return math.inf
-    m, n = F.R.shape
-    return 10.0 * math.log10(255.0 ** 2 * m * n / err)
+    return 10.0 * math.log10(255.0 ** 2 * F.R.size / err)
 
 
 def ssim(F: RgbImage, Fk: RgbImage) -> float:
     """Global single-window SSIM on the channel-concatenated vectors: the
     means by channel, then the centred products summed in row panels."""
-    if F.R.shape != Fk.R.shape:
-        raise ValueError("image dimensions differ")
+    pairs = _panel_pairs(F, Fk)
     N = 3 * F.R.size
     mx = sum(float(c.sum(dtype=np.float64)) for c in F.channels()) / N
     my = sum(float(c.sum(dtype=np.float64)) for c in Fk.channels()) / N
     sums = np.zeros(3)
-    for rows in _row_panels(F):
-        for a, b in zip(F.channels(), Fk.channels()):
-            dx = np.subtract(a[rows], mx, dtype=np.float64)
-            dy = np.subtract(b[rows], my, dtype=np.float64)
-            sums += (np.vdot(dx, dx), np.vdot(dy, dy), np.vdot(dx, dy))
+    for a, b in pairs:
+        dx = np.subtract(a, mx, dtype=np.float64)
+        dy = np.subtract(b, my, dtype=np.float64)
+        sums += (np.vdot(dx, dx), np.vdot(dy, dy), np.vdot(dx, dy))
     vx, vy, cov = sums / N
     value = ((2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
              / ((mx ** 2 + my ** 2 + SSIM_C1) * (vx + vy + SSIM_C2)))
@@ -163,8 +161,9 @@ def mean_center_samples(samples: list) -> QuatMatrix:
     """Column-stack vectorized samples minus their mean.
 
     Column s of the result is vec(F_s) - vec(mean), with vec stacking
-    matrix columns (Fortran order).  This is the sample matrix whose
-    leading right singular vectors are the color principal components.
+    matrix columns (Fortran order).  Its leading left singular vectors,
+    of length m*n, are the color principal components; the right ones
+    hold each sample's coordinates on them.
     """
     if not samples:
         raise ValueError("no samples")

@@ -179,14 +179,9 @@ class QuatMatrix:
             if sp.issparse(b) else np.ldexp(b, e) for b in self.blocks))
 
     def frobenius_norm(self) -> float:
-        """Frobenius norm, summed with the largest entry scaled into
-        [1/2, 1) by a power of two, so no square overflows or underflows."""
-        e = math.frexp(max(self.max_abs))[1]
-        total = 0.0
-        for b in self.blocks:
-            data = b.data if sp.issparse(b) else b
-            total += float((np.ldexp(data, -e) ** 2).sum())
-        return math.ldexp(math.sqrt(total), e)
+        """Frobenius norm, by :func:`scaled_norm`."""
+        return scaled_norm(self, (b.data if sp.issparse(b) else b
+                                  for b in self.blocks))
 
     def dense_blocks(self) -> tuple:
         return tuple(b.toarray() if sp.issparse(b) else b for b in self.blocks)
@@ -194,6 +189,17 @@ class QuatMatrix:
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
         return f"QuatMatrix({self.rows}x{self.cols}, {kind})"
+
+
+def scaled_norm(M: QuatMatrix, arrays) -> float:
+    """Root sum of squares of the entries of ``arrays``, each scaled by the
+    power of two that puts max|M| in [1/2, 1), so that no square of an
+    entry of M's magnitude overflows or underflows."""
+    e = math.frexp(max(M.max_abs))[1]
+    total = 0.0
+    for x in arrays:
+        total += float((np.ldexp(x, -e) ** 2).sum())
+    return math.ldexp(math.sqrt(total), e)
 
 
 def _interleave(blocks, max_abs) -> sp.csr_matrix:

@@ -69,8 +69,8 @@ from .bidiag import (
 from .quatlin import (
     QuatMatrix,
     random_unit_vector,
+    scaled_norm,
     structured_matvec,
-    vec_norm,
 )
 
 WHICH_LARGEST = "largest"
@@ -366,12 +366,6 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
 
 
 def verify_residual(M: QuatMatrix, T: TripletSet) -> float:
-    """||M V - U Sigma||_F over the triplet set, in compact arithmetic.
-    Residuals are scaled as :meth:`QuatMatrix.frobenius_norm` scales M, so
-    that no square overflows or underflows."""
-    e = math.frexp(max(M.max_abs))[1]
-    total = 0.0
-    for j in range(len(T)):
-        err = structured_matvec(M, T.V[j]) - T.U[j] * float(T.sigmas[j])
-        total += vec_norm(np.ldexp(err, -e)) ** 2
-    return math.ldexp(math.sqrt(total), e)
+    """||M V - U Sigma||_F over the triplet set, in compact arithmetic."""
+    return scaled_norm(M, (structured_matvec(M, T.V[j]) - T.U[j] * float(s)
+                           for j, s in enumerate(T.sigmas)))

@@ -1,5 +1,7 @@
 """Lanczos bidiagonalization: recurrences, breakdowns, identity residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_random_factorization_identities(rng):
     assert errs["f_orth"] <= 1e-12
     assert np.all(np.diag(F.B) > 0.0)
     assert np.all(np.diag(F.B, 1) >= 0.0) and F.beta_last >= 0.0
+
+
+@pytest.mark.parametrize("e", [600, -600])
+def test_factorization_errors_scale_exactly(rng, e):
+    # The same bases with M, B and f scaled by 2**e make an exactly scaled
+    # factorization, whose residuals no square may overflow or flush to 0.
+    M = rand_qmat(rng, 30, 20)
+    F = lanczos_bidiag(M, random_unit_vector(20, rng), 10, rng)
+    G = replace(F, B=np.ldexp(F.B, e), f=np.ldexp(F.f, e))
+    want, got = factorization_errors(M, F), factorization_errors(M.scaled(e), G)
+    for key in ("direct", "adjoint"):
+        assert want[key] > 0.0 and got[key] == np.ldexp(want[key], e)
 
 
 def test_extend_matches_single_run(rng):

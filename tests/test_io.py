@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatsvd import io as qio
 from quatsvd.lowrank import RgbImage
@@ -109,7 +111,8 @@ class TestMatrixMarket:
         assert triplets_of(block) == [(0, 0, 4.0)]
 
     @pytest.mark.parametrize("size", ["-1 3 0", "3 -1 0", "2 2 -1", "2 2",
-                                      "2 2 1 1", "2 x 1"])
+                                      "2 2 1 1", "2 x 1", "+2 2 1",
+                                      "2 2_0 1", "2 2 +1"])
     def test_bad_size_line_names_its_offset(self, tmp_path, size):
         path = tmp_path / "sz.mtx"
         header = "%%MatrixMarket matrix coordinate real general\n% c\n"
@@ -384,6 +387,10 @@ class TestPpm:
         (b"P6\n2 2 2.5\n", "byte 7: bad header integer"),
         (b"P6\n1 1 65535\n\x00\x00\x00", "byte 12: unsupported maxval 65535"),
         (b"P6\n0 2 255\n", "byte 10: non-positive dimensions"),
+        (b"P6\n-1 2 255\n", "byte 3: bad header integer"),
+        (b"P6\n+1 1 255\n", "byte 3: bad header integer"),
+        (b"P6\n1 1_0 255\n", "byte 5: bad header integer"),
+        (b"P6\n1 1 +255\n", "byte 7: bad header integer"),
     ])
     def test_bad_header_names_offset(self, tmp_path, data, message):
         path = tmp_path / "h.ppm"
@@ -396,6 +403,54 @@ class TestPpm:
         path.write_bytes(b"P6\n2 2\n255\n\x01\x02")
         with pytest.raises(qio.MalformedFileError, match="truncated payload"):
             qio.read_image_ppm(path)
+
+
+# A token that is not all ASCII digits.  It holds no ASCII whitespace, so
+# it stays one token, and does not start with the comment markers '#' and
+# '%', so it is read as a token at all.
+_NON_SPACE = st.integers(0, 255).filter(lambda b: not bytes([b]).isspace())
+_BAD_TOKENS = st.lists(
+    st.one_of(st.sampled_from(b"+-_0123456789"), _NON_SPACE),
+    min_size=1, max_size=5).map(bytes).filter(
+        lambda t: not t.isdigit() and t[:1] not in (b"#", b"%"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bad=_BAD_TOKENS, at=st.integers(0, 2),
+       zeros=st.lists(st.integers(0, 2), min_size=3, max_size=3))
+@example(bad=b"+2", at=0, zeros=[0, 0, 0])
+@example(bad=b"-1", at=1, zeros=[1, 0, 2])
+@example(bad=b"2_55", at=2, zeros=[0, 2, 0])
+def test_header_integers_are_ascii_digits(tmp_path_factory, bad, at, zeros):
+    """Both readers take header integers with leading zeros, and refuse a
+    token that is not ASCII digits in any of the three places: a PPM at the
+    token's offset, a Matrix Market file at its size line's offset."""
+    base = tmp_path_factory.getbasetemp()
+
+    def swap(good):
+        return good[:at] + [bad] + good[at + 1:]
+
+    good = [b"0" * z + b"%d" % v for v, z in zip((2, 1, 255), zeros)]
+    ppm, pix = base / "prop.ppm", bytes(range(6))
+    ppm.write_bytes(b"P6\n" + b" ".join(good) + b"\n" + pix)
+    img = qio.read_image_ppm(ppm)
+    assert img.R.shape == (1, 2) and list(img.G[0]) == [1.0, 4.0]
+    ppm.write_bytes(b"P6\n" + b" ".join(swap(good)) + b"\n" + pix)
+    offset = 3 + sum(len(t) + 1 for t in good[:at])
+    with pytest.raises(qio.MalformedFileError,
+                       match=f"byte {offset}: bad header integer"):
+        qio.read_image_ppm(ppm)
+
+    head = b"%%MatrixMarket matrix coordinate real general\n"
+    good = [b"0" * z + b"%d" % v for v, z in zip((2, 3, 1), zeros)]
+    mtx = base / "prop.mtx"
+    mtx.write_bytes(head + b" ".join(good) + b"\n2 3 1.5\n")
+    block = qio.read_matrix_market(mtx)
+    assert block.shape == (2, 3) and triplets_of(block) == [(1, 2, 1.5)]
+    mtx.write_bytes(head + b" ".join(swap(good)) + b"\n2 3 1.5\n")
+    with pytest.raises(qio.MalformedFileError,
+                       match=f"byte {len(head)}: bad size line"):
+        qio.read_matrix_market(mtx)
 
 
 class TestQmx:

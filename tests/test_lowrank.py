@@ -19,7 +19,7 @@ from quatsvd.lowrank import (
     ssim,
     stack_frames,
 )
-from quatsvd.quatlin import QuatMatrix, expand_real_counterpart
+from quatsvd.quatlin import STORAGE_ORDER, QuatMatrix, expand_real_counterpart
 from quatsvd.restart import SolverOptions, solve_partial_svd
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     rand_qmat,
     synthetic_triplets,
 )
+from oracles import quat_dot
 
 
 def random_image(rng, h, w):
@@ -412,6 +413,26 @@ class TestMeanCenter:
         X = mean_center_samples([rand_qmat(rng, 5, 4) for _ in range(6)])
         for b in X.dense_blocks():
             assert np.abs(b.sum(axis=1)).max() <= 1e-12
+
+    def test_left_vectors_are_the_components(self, rng):
+        # Samples mean + c_s P centre to vec(P) (c - mean(c))': the leading
+        # left vector is vec(P) and the right one c - mean(c), each up to a
+        # unit quaternion, which Cauchy-Schwarz equality |w* x| = ||w||
+        # for a unit x detects.
+        mean, P = rand_qmat(rng, 4, 3), rand_qmat(rng, 4, 3)
+        c = rng.standard_normal(6)
+        X = mean_center_samples([
+            QuatMatrix(*(a + s * b for a, b in zip(mean.dense_blocks(),
+                                                    P.dense_blocks())))
+            for s in c])
+        T, _ = solve_partial_svd(X, SolverOptions(k=1))
+        vec_p = np.stack([P.dense_blocks()[s].ravel(order="F")
+                          for s in STORAGE_ORDER], axis=1)
+        coords = np.zeros((c.size, 4))
+        coords[:, 0] = c - c.mean()
+        for want, got in ((vec_p, T.U[0]), (coords, T.V[0])):
+            assert quat_dot(want, got).norm() == pytest.approx(
+                np.linalg.norm(want), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
