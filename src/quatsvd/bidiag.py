@@ -114,12 +114,13 @@ def _fresh_direction(n: int, basis: CompactBasis, rng: np.random.Generator) -> n
     return v * (1.0 / vec_norm(v))
 
 
-def next_right(M: QuatMatrix, state: KrylovState):
+def next_right(M: QuatMatrix, state: KrylovState, step: int):
     """Next right vector ``f / ||f||`` and its beta.  A vanished residual
     (at most ``BREAKDOWN_TOL * state.scale``) gives a fresh direction and
-    beta 0; recording the breakdown is the caller's business."""
+    beta 0, and records ``(step, "beta")``."""
     beta = vec_norm(state.f)
     if beta <= BREAKDOWN_TOL * state.scale:
+        state.deflations.append((step, "beta"))
         return _fresh_direction(M.cols, state.P, state.rng), 0.0
     return state.f * (1.0 / beta), beta
 
@@ -164,9 +165,7 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
         raise ValueError("cannot extend past the basis capacity")
     while state.steps < to_step:
         s = state.steps
-        p, beta = next_right(M, state)
-        if beta == 0.0:
-            state.deflations.append((s, "beta"))
+        p, beta = next_right(M, state, s)
         w = structured_matvec(M, p)
         state.matvecs += 1
         if s and beta > 0.0:

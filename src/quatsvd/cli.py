@@ -62,16 +62,16 @@ def _add_solver_flags(p: argparse.ArgumentParser,
                    help="maximum number of restarts")
     p.add_argument("--delta", type=float, default=SolverOptions.delta,
                    help="convergence tolerance")
-    p.add_argument("--seed", type=int, default=SolverOptions.seed,
-                   help="RNG seed")
+    p.add_argument("--seed", default=SolverOptions.seed, help="RNG seed")
 
 
 def _seed(args) -> int:
-    """QSVD_SEED if set, else ``--seed``; refused unless a non-negative integer."""
+    """QSVD_SEED if set, else ``--seed``, both read as text; refused unless
+    ASCII digits (``isdigit`` alone takes ``²``, ``int`` a sign or ``_``)."""
     env = os.environ.get("QSVD_SEED")
     name, text = ("QSVD_SEED", env) if env is not None else \
         ("--seed", str(args.seed))
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{name}={text} must be a non-negative integer")
     return int(text)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["dense", "sparse"], required=True)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=SolverOptions.seed)
+    p.add_argument("--seed", default=SolverOptions.seed)
     p.add_argument("--band", type=int, default=2,
                    help="half bandwidth of sparse blocks")
     p.add_argument("--density", type=float, default=2e-3,
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help=".qmx path, or four comma-separated .mtx paths")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=SolverOptions.seed)
+    p.add_argument("--seed", default=SolverOptions.seed)
     p.set_defaults(func=_cmd_verify)
     return ap
 

@@ -206,31 +206,20 @@ def _interleave(blocks, max_abs) -> sp.csr_matrix:
     """The m-by-4n CSR whose column 4t + a is column t of block
     ``STORAGE_ORDER[a]``; all-zero blocks, stored zeros and all, add no
     entries.  Interleaving puts the four blocks' reads of x[t] on one
-    cache line, and the transpose is a CSC view of the same arrays."""
+    cache line, and the transpose is a CSC view of the same arrays.
+    scipy sorts the entries and picks the index dtype."""
     rows, cols = blocks[0].shape
-    parts = [(a, blocks[s]) for a, s in enumerate(STORAGE_ORDER) if max_abs[s]]
-    nnz = sum(b.nnz for _, b in parts)
-    idx = np.int32 if max(4 * cols, nnz) < 2 ** 31 else np.int64
-    # The output arrays are made before the per-block temporaries, which
-    # are then freed above them (sp.hstack copies its inputs first, and on
-    # sparse_ritz that kept about 2.4 MB more resident).
-    data, indices = np.empty(nnz), np.empty(nnz, idx)
-    indptr = np.zeros(rows + 1, idx)
-    for _, b in parts:
-        indptr[1:] += np.diff(b.indptr)
-    np.cumsum(indptr, out=indptr)
-    # Each block's row i goes after that row's entries from earlier blocks.
-    free = indptr[:-1].copy()
-    for a, b in parts:
-        n_row = np.diff(b.indptr)
-        dest = np.repeat(free - b.indptr[:-1], n_row)
-        dest += np.arange(b.nnz, dtype=dest.dtype)
-        data[dest] = b.data
-        indices[dest] = b.indices * 4 + a
-        free += n_row
-    H = sp.csr_matrix((data, indices, indptr), shape=(rows, 4 * cols))
-    H.sort_indices()
-    return H
+    H = sp.csr_matrix((rows, 4 * cols))
+    parts = [(a, blocks[s].tocoo()) for a, s in enumerate(STORAGE_ORDER)
+             if max_abs[s]]
+    if not parts:
+        return H
+    # 4t + a in H's index dtype, so it cannot wrap once 4n passes int32.
+    four = H.indices.dtype.type(4)
+    data = np.concatenate([b.data for _, b in parts])
+    row = np.concatenate([b.row for _, b in parts])
+    col = np.concatenate([b.col * four + a for a, b in parts])
+    return sp.csr_matrix((data, (row, col)), shape=H.shape)
 
 
 def expand_real_counterpart(M: QuatMatrix) -> np.ndarray:

@@ -229,9 +229,7 @@ def restart_cycle(M: QuatMatrix, state: KrylovState, t: int,
         raise ValueError(f"retained count t={t} out of range 0..{k - 1}")
     # On an exact invariant subspace the fresh direction must avoid the
     # whole basis, so it is drawn before P is overwritten.
-    p, beta = next_right(M, state)
-    if beta == 0.0:
-        state.deflations.append((t, "beta"))
+    p, beta = next_right(M, state, t)
     Pc = np.column_stack([chk.Pc[:, :t], chk.Pc[:, -1]])
     X_t = chk.X[:, :t]
     beta_e = beta * np.eye(k)[-1]

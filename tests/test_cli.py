@@ -181,6 +181,14 @@ GEN_DENSE = ["gen", "--kind", "dense", "--m", "5", "--n", "4",
             "--out", "x.mtx"], "--seed=-1"),
     ("abc", GEN_DENSE, "QSVD_SEED=abc"),
     ("-3", ["verify", "--input", "missing.qmx"], "QSVD_SEED=-3"),
+    # Digits that are not ASCII, and what int() takes beside digits.
+    ("\u0663", GEN_DENSE, "QSVD_SEED=\u0663"),
+    (None, ["verify", "--input", "missing.qmx", "--seed", "\u0663"],
+     "--seed=\u0663"),
+    (None, ["svd", "--input", "missing.qmx", "--out", "t.csv",
+            "--seed", "3_0"], "--seed=3_0"),
+    (None, ["approx", "--image", "a.ppm", "--out", "b.ppm", "--report",
+            "r.csv", "--seed", "+3"], "--seed=+3"),
 ])
 def test_bad_seed_is_named_by_every_subcommand(tmp_path, monkeypatch, capsys,
                                                 env, argv, name):

@@ -123,15 +123,19 @@ class TestMatrixMarket:
 
     # Five hold a separator the line loop does not split fields on: a
     # trailing comment, a lone CR between two entries, and bytes that are
-    # unicode whitespace but not ASCII whitespace.  The last six are values
+    # unicode whitespace but not ASCII whitespace.  The next six are values
     # that scipy's mmread (1.17) reads without complaint, as 1.0, 1.0, 1.0,
-    # nan, 1e5 and 0.0.
+    # nan, 1e5 and 0.0.  The last four are indices that are not ASCII
+    # digits: numpy's integer parser takes the sign of the first two, and
+    # Python's int() reads 1_0 as 10.
     @pytest.mark.parametrize("entry", ["1 1", "1 1 1.0 2.0", "1 x 1.0",
                                        "1 1 y", "1 1 1.0 % note",
                                        "1 1 1.0\r2 2 2.0", "1\xa01 1.0",
                                        "1 1\x1c1.0", "1 1 1.0\x85",
                                        "1 1 1.0.5", "1 1 1e", "1 1 1-2",
-                                       "1 1 nana", "1 1 1e5e5", "1 1 0x1p3"])
+                                       "1 1 nana", "1 1 1e5e5", "1 1 0x1p3",
+                                       "+1 1 1.0", "1 +1 1.0", "1_0 1 1.0",
+                                       "-1 1 1.0"])
     def test_malformed_entry_line(self, tmp_path, entry):
         path = tmp_path / "ent.mtx"
         head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n"
@@ -188,6 +192,14 @@ class TestMatrixMarket:
         assert triplets_of(self._read(tmp_path, raw)) == [
             (0, 0, 1e50), (1, 1, 1000.5)]
 
+    @pytest.mark.parametrize("value,want", [(b"+1.5", 1.5), (b"1e+05", 1e5),
+                                            (b"2.5E+2", 250.0)])
+    def test_plus_in_a_value_is_read(self, tmp_path, value, want):
+        # A sign on the value, or in its exponent, is no sign on an index.
+        raw = self.GENERAL + b"2 2 2\n1 1 " + value + b"\n2 1 -1e+00\n"
+        assert triplets_of(self._read(tmp_path, raw)) == [
+            (0, 0, want), (1, 0, -1.0)]
+
     def test_index_above_int64_rejected(self, tmp_path):
         head = self.GENERAL + b"2 2 2\n1 1 1.0\n"
         self._rejects(tmp_path, head + b"9223372036854775808 1 1.0\n",
@@ -214,8 +226,8 @@ class TestMatrixMarket:
             raise AssertionError("plain body read line by line")
         monkeypatch.setattr(qio, "_parse_lines", line_loop)
         raw = (b"%%MatrixMarket matrix coordinate real " + kind +
-               b"\n% leading comment\n3 3 4\n1 1 1.5\r\n3 2 -2.0\n\n"
-               b"\t2 3 4e-310 \n1 1 0.25")
+               b"\n% leading comment\n3 3 4\n1 1 1.5\r\n3 2 -2.0e+0\n\n"
+               b"\t2 3 4e-310 \n1 1 0.025E+1")
         want = [(0, 0, 1.75), (1, 2, 4e-310), (2, 1, -2.0)]
         if kind == b"symmetric":
             want = [(0, 0, 1.75), (1, 2, -2.0 + 4e-310), (2, 1, -2.0 + 4e-310)]

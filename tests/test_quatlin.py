@@ -224,6 +224,61 @@ class TestMatvec:
         assert M.is_sparse and M._stacked.shape == (m, 4 * n)
         self._assert_matches_counterpart(M, rng)
 
+    def test_interleaved_csr_keeps_stored_zeros_in_int32(self):
+        import scipy.sparse as sp
+        # M2 stores an explicit zero at (1, 0); M3 is stored but all zero.
+        M0 = sp.csr_matrix(([2.0, 3.0], ([0, 1], [1, 2])), shape=(2, 3))
+        M2 = sp.csr_matrix(([0.0, 5.0], ([1, 1], [0, 2])), shape=(2, 3))
+        M3 = sp.csr_matrix(([0.0], ([0], [0])), shape=(2, 3))
+        M = QuatMatrix(M0, sp.csr_matrix((2, 3)), M2, M3)
+        H = M._stacked
+        assert H.indices.dtype == np.int32 and H.indptr.dtype == np.int32
+        assert H.has_canonical_format
+        # Block M2 is storage column 1, so its (1, 0) lands on column 1.
+        assert H.indptr.tolist() == [0, 1, 4]
+        assert H.indices.tolist() == [4, 1, 8, 9]
+        assert H.data.tolist() == [2.0, 0.0, 3.0, 5.0]
+
+    def test_all_zero_sparse_matrix_has_an_empty_interleaved_csr(self):
+        import scipy.sparse as sp
+        zero = sp.csr_matrix(([0.0], ([2], [1])), shape=(4, 3))
+        M = QuatMatrix(zero, zero, sp.csr_matrix((4, 3)), zero)
+        assert M.is_sparse and M.max_abs == (0.0, 0.0, 0.0, 0.0)
+        assert M._stacked.shape == (4, 12) and M._stacked.nnz == 0
+        assert np.array_equal(structured_matvec(M, np.ones((3, 4))),
+                              np.zeros((4, 4)))
+
+    def test_interleaved_csr_widens_its_indices_past_int32(self):
+        # Column t of a 1 x (2**29 + 1) block is column 4t + a of the
+        # interleaved CSR, which passes 2**31 - 1 at the last column:
+        # scipy widens the indices, and 4t + a must not wrap.
+        import scipy.sparse as sp
+        n = 2 ** 29 + 1
+        last = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(1, n))
+        assert last.indices.dtype == np.int32
+        zero = sp.csr_matrix((1, n))
+        H = QuatMatrix(zero, zero, last, zero)._stacked
+        assert H.shape == (1, 4 * n) and H.indices.dtype == np.int64
+        assert H.indices.tolist() == [4 * (n - 1) + 1]
+
+    def test_interleaved_csr_build_memory(self):
+        # The build holds one concatenated copy of the entries beside H:
+        # 2.7x H's bytes.  Concatenating the indices as int64 reads 4.0x,
+        # though scipy casts them back to int32.
+        import tracemalloc
+        from quatsvd.io import gen_sparse_block
+        blocks = [gen_sparse_block(2000, seed=i).tocsr() for i in range(4)]
+        QuatMatrix(*blocks)
+        tracemalloc.start()
+        try:
+            M = QuatMatrix(*blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        H = M._stacked
+        assert H.indices.dtype == np.int32
+        assert peak <= 3 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("pure", [False, True])
     @pytest.mark.parametrize("height", [1, 2, 3])
