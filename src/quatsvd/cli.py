@@ -52,33 +52,38 @@ EXIT_UNCONVERGED = 2
 
 def _add_solver_flags(p: argparse.ArgumentParser,
                       k_default: int = SolverOptions.k) -> None:
-    p.add_argument("--k", type=int, default=k_default,
+    p.add_argument("--k", default=k_default,
                    help="number of singular triplets")
     p.add_argument("--which", choices=["largest", "smallest"],
                    default=SolverOptions.which)
-    p.add_argument("--mb", type=int, default=SolverOptions.m_b,
+    p.add_argument("--mb", default=SolverOptions.m_b,
                    help="projected size (default max(2k, 40))")
-    p.add_argument("--maxit", type=int, default=SolverOptions.maxit,
+    p.add_argument("--maxit", default=SolverOptions.maxit,
                    help="maximum number of restarts")
     p.add_argument("--delta", type=float, default=SolverOptions.delta,
                    help="convergence tolerance")
     p.add_argument("--seed", default=SolverOptions.seed, help="RNG seed")
 
 
-def _seed(args) -> int:
-    """QSVD_SEED if set, else ``--seed``, both read as text; refused unless
-    ASCII digits (``isdigit`` alone takes ``²``, ``int`` a sign or ``_``)."""
+def _read_integers(args) -> None:
+    """Read each integer flag, QSVD_SEED (if set) for ``--seed``, as ASCII
+    digits (``isdigit`` takes ``²``; ``int`` takes ``+``, ``_`` and ``٣``)."""
     env = os.environ.get("QSVD_SEED")
-    name, text = ("QSVD_SEED", env) if env is not None else \
-        ("--seed", str(args.seed))
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{name}={text} must be a non-negative integer")
-    return int(text)
+    for name in ("k", "mb", "maxit", "n", "m", "band", "seed"):
+        flag, value = f"--{name}", getattr(args, name, None)
+        if name == "seed" and env is not None:
+            flag, value = "QSVD_SEED", env
+        if value is None:
+            continue
+        text = str(value)
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{flag}={text} must be a non-negative integer")
+        setattr(args, name, int(text))
 
 
 def _options(args) -> SolverOptions:
     return SolverOptions(k=args.k, which=args.which, m_b=args.mb,
-                         maxit=args.maxit, delta=args.delta, seed=_seed(args))
+                         maxit=args.maxit, delta=args.delta, seed=args.seed)
 
 
 def _load_matrix(spec: str, n: int | None) -> QuatMatrix:
@@ -137,10 +142,8 @@ def _cmd_approx(args) -> int:
     triplets, rel2, relF = _reconstruction_report(M, args.k, opts)
     [recon] = rebuild_frames(triplets, args.k, img.height)
     qio.write_image_ppm(recon, args.out)
-    with open(args.report, "w", newline="\n") as fh:
-        fh.write("k,psnr,ssim,rel2,relF\n")
-        fh.write(f"{args.k},{psnr(img, recon):.17g},{ssim(img, recon):.17g},"
-                 f"{rel2:.17g},{relF:.17g}\n")
+    qio.write_csv(args.report, "k,psnr,ssim,rel2,relF",
+                  [(args.k, psnr(img, recon), ssim(img, recon), rel2, relF)])
     print(f"rank-{args.k} reconstruction written to {args.out}, "
           f"report to {args.report}")
     return EXIT_OK if triplets.all_converged else EXIT_UNCONVERGED
@@ -164,23 +167,18 @@ def _cmd_video(args) -> int:
         if args.out_dir:
             qio.write_image_ppm(fk, os.path.join(args.out_dir, name))
         f = RgbImage(*(b[i * h:(i + 1) * h] for b in M.blocks[1:]))
-        rows.append((psnr(f, fk), ssim(f, fk)))
-    with open(args.report, "w", newline="\n") as fh:
-        fh.write("frame,psnr,ssim,rel2,relF\n")
-        for i, (p, s) in enumerate(rows, start=1):
-            fh.write(f"{i},{p:.17g},{s:.17g},{rel2:.17g},{relF:.17g}\n")
-        mp = sum(p for p, _ in rows) / len(rows)
-        ms = sum(s for _, s in rows) / len(rows)
-        fh.write(f"avg,{mp:.17g},{ms:.17g},{rel2:.17g},{relF:.17g}\n")
+        rows.append((i + 1, psnr(f, fk), ssim(f, fk), rel2, relF))
+    rows.append(("avg", sum(r[1] for r in rows) / len(rows),
+                 sum(r[2] for r in rows) / len(rows), rel2, relF))
+    qio.write_csv(args.report, "frame,psnr,ssim,rel2,relF", rows)
     print(f"{len(names)} frames reconstructed at rank {args.k}; "
           f"report in {args.report}")
     return EXIT_OK if triplets.all_converged else EXIT_UNCONVERGED
 
 
 def _cmd_gen(args) -> int:
-    seed = _seed(args)
     if args.kind == "dense":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         blocks = [rng.standard_normal((args.m, args.n)) for _ in range(4)]
         qio.write_qmx(QuatMatrix(*blocks), args.out)
         print(f"dense {args.m}x{args.n} matrix written to {args.out}")
@@ -188,7 +186,7 @@ def _cmd_gen(args) -> int:
         base, _ = os.path.splitext(args.out)
         for i in range(4):
             block = qio.gen_sparse_block(
-                args.n, seed + i, band=args.band,
+                args.n, args.seed + i, band=args.band,
                 offband_density=args.density,
                 diagonal_shift=args.shift if i == 0 else 0.0)
             qio.write_matrix_market(block, f"{base}_{i}.mtx")
@@ -197,7 +195,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     M = _load_matrix(args.input, args.n)
     # Check the matrix the solver would run on.
     e = safe_range_exponent(M)
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("svd", help="partial SVD of a stored matrix")
     p.add_argument("--input", required=True,
                    help=".qmx path, or four comma-separated .mtx paths")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", default=None,
                    help="order of the principal submatrices (mtx input)")
     p.add_argument("--out", required=True, help="triplet CSV path")
     p.add_argument("--trace", default=None, help="trace CSV path")
@@ -264,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic matrix")
     p.add_argument("--kind", choices=["dense", "sparse"], required=True)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--m", default=100)
+    p.add_argument("--n", default=100)
     p.add_argument("--seed", default=SolverOptions.seed)
-    p.add_argument("--band", type=int, default=2,
+    p.add_argument("--band", default=2,
                    help="half bandwidth of sparse blocks")
     p.add_argument("--density", type=float, default=2e-3,
                    help="off-band density of sparse blocks")
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run invariant checks on an input")
     p.add_argument("--input", required=True,
                    help=".qmx path, or four comma-separated .mtx paths")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", default=None)
     p.add_argument("--seed", default=SolverOptions.seed)
     p.set_defaults(func=_cmd_verify)
     return ap
@@ -293,6 +291,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
+        _read_integers(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

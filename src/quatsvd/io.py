@@ -345,18 +345,22 @@ def read_qmx(path) -> QuatMatrix:
 # CSV outputs
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: str, rows) -> None:
+    """A ``header`` line, then one line per row: text and integer fields
+    as they are, floats as ``%.17g``, which reads back bit exact."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
+                               for x in row) + "\n" for row in rows)
+
+
 def write_triplets(T: TripletSet, path) -> None:
     """Triplet summary CSV with header ``j,sigma,bound,converged``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TRIPLET_HEADER + "\n")
-        for j in range(len(T)):
-            fh.write(f"{j + 1},{T.sigmas[j]:.17g},{T.bounds[j]:.17g},"
-                     f"{int(T.converged[j])}\n")
+    write_csv(path, TRIPLET_HEADER,
+              ((j + 1, T.sigmas[j], T.bounds[j], int(T.converged[j]))
+               for j in range(len(T))))
 
 
 def write_trace(trace: ConvergenceTrace, path) -> None:
     """Convergence trace CSV with header ``cycle,j,bound,matvecs``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for cycle, j, bound, matvecs in trace.rows:
-            fh.write(f"{cycle},{j},{bound:.17g},{matvecs}\n")
+    write_csv(path, TRACE_HEADER, trace.rows)

@@ -170,9 +170,8 @@ def mean_center_samples(samples: list) -> QuatMatrix:
     rows, cols = samples[0].rows, samples[0].cols
     if any(s.rows != rows or s.cols != cols for s in samples):
         raise ValueError("sample dimensions differ")
-    stacked = [np.stack([b.ravel(order="F") for b in s.dense_blocks()])
-               for s in samples]                       # each (4, m*n)
-    mean = sum(stacked) / len(stacked)
-    cols_out = [s - mean for s in stacked]
-    blocks = [np.column_stack([c[i] for c in cols_out]) for i in range(4)]
-    return QuatMatrix(*blocks)
+    X = np.empty((4, rows * cols, len(samples)))       # sample j in X[:, :, j]
+    for j, s in enumerate(samples):
+        X[:, :, j] = [b.ravel(order="F") for b in s.dense_blocks()]
+    X -= X.mean(axis=2, keepdims=True)
+    return QuatMatrix(*X)

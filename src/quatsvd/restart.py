@@ -267,13 +267,14 @@ def harmonic_augment_cycle(M: QuatMatrix, state: KrylovState, t: int,
 # driver
 # ---------------------------------------------------------------------------
 
-def _retained_count(k: int, m_b: int) -> int:
+def _retained_count(k: int, m_b: int, which: str) -> int:
     # Retain every target (converged pairs stay locked in the basis) plus
-    # a few buffer pairs.  Shrinking the window as targets converge stalls:
-    # in smallest mode the converged pairs sit at the front of the target
-    # order, so a shorter window would evict the unconverged ones.
-    t = k + min(RETAIN_BUFFER, m_b - k - 1)
-    return max(1, min(t, m_b - 3))
+    # a few buffer pairs, at most m_b - 3.  Shrinking the window as targets
+    # converge stalls: in smallest mode the converged pairs sit at the front
+    # of the target order, so a shorter window would evict the unconverged
+    # ones.  Largest mode keeps all k even past the cap (m_b < k + 3).
+    t = max(1, min(k + RETAIN_BUFFER, m_b - 3))
+    return max(t, k) if which == WHICH_LARGEST else t
 
 
 def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
@@ -345,7 +346,7 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     trace = ConvergenceTrace()
     rng = np.random.default_rng(opts.seed)
     state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
-    retained = _retained_count(opts.k, m_b)
+    retained = _retained_count(opts.k, m_b, opts.which)
     cycle = 0
     while True:
         # The check covers the retained pairs; the first k are targets.

@@ -189,6 +189,20 @@ GEN_DENSE = ["gen", "--kind", "dense", "--m", "5", "--n", "4",
             "--seed", "3_0"], "--seed=3_0"),
     (None, ["approx", "--image", "a.ppm", "--out", "b.ppm", "--report",
             "r.csv", "--seed", "+3"], "--seed=+3"),
+    # Every integer flag is read by the same rule.
+    (None, ["svd", "--input", "m.qmx", "--out", "t.csv", "--k", "+3"],
+     "--k=+3"),
+    (None, ["approx", "--image", "a.ppm", "--out", "b.ppm", "--report",
+            "r.csv", "--mb", "\u0664"], "--mb=\u0664"),
+    (None, ["video", "--frames", "d", "--report", "r.csv", "--maxit", "1_0"],
+     "--maxit=1_0"),
+    (None, ["svd", "--input", "a.mtx,b.mtx,c.mtx,d.mtx", "--out", "t.csv",
+            "--n", "1_0"], "--n=1_0"),
+    (None, ["verify", "--input", "m.qmx", "--n", "\u0663"], "--n=\u0663"),
+    (None, ["gen", "--kind", "dense", "--m", "\u0663", "--out", "x.qmx"],
+     "--m=\u0663"),
+    (None, ["gen", "--kind", "sparse", "--band", "-1", "--out", "x.mtx"],
+     "--band=-1"),
 ])
 def test_bad_seed_is_named_by_every_subcommand(tmp_path, monkeypatch, capsys,
                                                 env, argv, name):

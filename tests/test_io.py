@@ -1,5 +1,6 @@
 """Readers and writers: strictness, round trips, determinism."""
 
+import math
 import struct
 import warnings
 
@@ -510,6 +511,22 @@ class TestQmx:
 
 
 class TestCsv:
+    def test_write_csv_fields(self, tmp_path):
+        # Text and integers as given (10**20 too, which %.17g would round),
+        # other numbers as %.17g, which reads back bit exact.
+        floats = [0.1, -1.0 / 3.0, 5e-324, -0.0, np.float64(2.0) / 3.0,
+                  1.7976931348623157e308]
+        path = tmp_path / "w.csv"
+        qio.write_csv(path, "a,b,c", [("avg", 7, math.inf),
+                                      (np.int64(12), 10 ** 20, math.nan),
+                                      floats[:3], floats[3:]])
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[:3] == ["a,b,c", "avg,7,inf",
+                             "12,100000000000000000000,nan"]
+        assert lines[-1] == ""
+        back = [float(t) for line in lines[3:5] for t in line.split(",")]
+        assert np.array(back).tobytes() == np.array(floats).tobytes()
+
     def test_empty_trace_is_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         qio.write_trace(ConvergenceTrace(), path)

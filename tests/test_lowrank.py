@@ -414,6 +414,18 @@ class TestMeanCenter:
         for b in X.dense_blocks():
             assert np.abs(b.sum(axis=1)).max() <= 1e-12
 
+    def test_matches_the_per_sample_loop(self, rng):
+        # The one-buffer mean sums in another order than this loop, so the
+        # columns agree to a few ulps of the largest entry.
+        samples = [rand_qmat(rng, 6, 5) for _ in range(20)]
+        vecs = [np.stack([b.ravel(order="F") for b in s.dense_blocks()])
+                for s in samples]
+        mean = sum(vecs) / len(vecs)
+        want = np.stack([v - mean for v in vecs], axis=2)
+        got = np.stack(mean_center_samples(samples).dense_blocks())
+        tol = 32 * np.finfo(np.float64).eps * np.abs(vecs).max()
+        assert np.abs(got - want).max() <= tol
+
     def test_left_vectors_are_the_components(self, rng):
         # Samples mean + c_s P centre to vec(P) (c - mean(c))': the leading
         # left vector is vec(P) and the right one c - mean(c), each up to a

@@ -743,9 +743,9 @@ class TestSolver:
                               "mode retains one pair for two targets and "
                               "stalls unconverged")
     def test_smallest_with_m_b_near_k(self):
-        # _retained_count(2, 4) is 1.  After 200 cycles one target still
-        # has a bound near 2; the other has converged to 0.5, not to the
-        # second of the three zeros.
+        # Smallest mode retains 1 pair at k=2, m_b=4.  After 200 cycles one
+        # target still has a bound near 2; the other has converged to 0.5,
+        # not to the second of the three zeros.
         Z = np.zeros((8, 8))
         M = QuatMatrix(np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.5, 4.0, 0.0]),
                        Z, Z, Z)
@@ -753,6 +753,16 @@ class TestSolver:
             M, SolverOptions(k=2, which="smallest", m_b=4, maxit=200))
         assert T.all_converged
         assert np.allclose(T.sigmas, [0.0, 0.0], rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("k, m_b", [(2, 4), (5, 7)])
+    def test_largest_with_m_b_near_k(self, rng, k, m_b):
+        # With m_b < k + 3 the retention cap is under k; a largest-mode
+        # restart still keeps all k targets, or it never converges.
+        M = rand_qmat(rng, 30, 24)
+        T, _ = solve_partial_svd(M, SolverOptions(k=k, m_b=m_b, maxit=400))
+        true_vals, _ = dedup_singular_values(M)
+        assert T.all_converged
+        assert np.abs(T.sigmas - true_vals[:k]).max() <= 1e-8 * true_vals[0]
 
     def test_harmonic_sigma_is_never_negative(self):
         # x' B y rounded to -6.0e-17 here; the sign moves to u instead.
