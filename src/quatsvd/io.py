@@ -89,8 +89,9 @@ def _content_lines(raw: bytes, offset: int):
 # numpy splits fields on unicode whitespace, bytes.split() only on ASCII
 # space, tab, CR, LF, VT and FF.  A body with a non-ASCII byte or one of
 # these bytes (a comment marker, or the ASCII separators that are unicode
-# whitespace) is left to the line loop, and so is one with a '+' after any
-# byte but e or E: a sign, which numpy's integer parser takes on an index.
+# whitespace) is left to the line loop, and so is one with a '+' not after
+# e or E that has fewer than two fields before it on its line: an index
+# sign, which numpy's integer parser would take.
 _MM_LOOP_BYTES = (b"%", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _MM_ENTRY = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
 
@@ -106,8 +107,9 @@ def _parse_body(body: bytes, rows: int, cols: int, nnz: int):
     # read against itself, and | 0x20 maps E to e.
     a = np.frombuffer(body, dtype=np.uint8)
     plus = np.flatnonzero(a == ord("+"))
-    if ((a[np.maximum(plus - 1, 0)] | 0x20) != ord("e")).any():
-        return None
+    for p in plus[(a[np.maximum(plus - 1, 0)] | 0x20) != ord("e")]:
+        if len(body[body.rfind(b"\n", 0, p) + 1:p].split()) < 2:
+            return None
     try:
         entries = np.loadtxt(io.BytesIO(body), dtype=_MM_ENTRY, comments=None,
                              ndmin=1)
@@ -155,8 +157,8 @@ def read_matrix_market(path) -> sp.coo_matrix:
     the returned COO matrix are sorted row-major.
 
     The header and size line are read line by line, the entries in one
-    numpy parse.  A body that parse does not take whole (a comment line, a
-    sign, a malformed or out-of-range entry, a wrong count) is read again
+    numpy parse.  A body that parse does not take whole (a comment line, an
+    index sign, a malformed or out-of-range entry, a wrong count) is read again
     one line at a time, which returns the same entries or raises at the
     offending line's byte offset.
     """
@@ -235,6 +237,9 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     A stand-in for the published sparse collections when they are not
     available offline; the density matches their order of magnitude.
     """
+    if n < 1:
+        raise ValueError(f"order n={n} must be at least 1")
+    band = min(band, n - 1)     # a wider band only draws empty diagonals
     rng = np.random.default_rng(seed)
     parts = []                                  # (rows, cols, values)
     for d in range(-band, band + 1):
@@ -295,10 +300,12 @@ def read_image_ppm(path) -> RgbImage:
 
 def write_image_ppm(img: RgbImage, path) -> None:
     """Write a binary PPM; channels are clamped to [0, 255] and quantized
-    by round-half-away-from-zero."""
+    by round-half-away-from-zero.  NaN cannot be clamped: it raises."""
     h, w = img.R.shape
     pix = np.empty((h, w, 3), dtype=np.uint8)
     for i, c in enumerate(img.channels()):
+        if np.isnan(c.max()):                   # max propagates NaN
+            raise ValueError(f"channel {'RGB'[i]} has NaN entries")
         q = np.clip(c, 0.0, 255.0)
         q += 0.5
         pix[:, :, i] = np.floor(q, out=q)

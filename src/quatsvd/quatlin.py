@@ -10,10 +10,10 @@ real blocks.  Its real counterpart is the 4m-by-4n block matrix
 
 which is invariant under conjugation by the three structure matrices J, R
 and S (``structure_matrices`` in the test suite's ``oracles`` module).
-Only the first block row is ever materialized.  A quaternion column
-vector is an (n, 4) float64 array, the first block row of its
-counterpart (:func:`expand_vector`), with columns in the same component
-order (0, 2, 1, 3).  A set of k vectors is a (k, n, 4) array;
+The solver never materializes it.  A quaternion column vector is
+an (n, 4) float64 array of its (w, x, y, z) components, the order of the
+blocks M0..M3 and of every (k, 4) coefficient array; :func:`expand_vector`
+lays out its counterpart.  A set of k vectors is a (k, n, 4) array;
 :class:`CompactBasis` is the Krylov workspace that stacks them.
 
 The multiplication rule lives in one place, :data:`QUAT_TABLE` with the
@@ -43,32 +43,25 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-# Column layout of compact (n, 4) vectors: storage column -> component index.
-# Component 0 is the real part, 1/2/3 are the i/j/k parts.  The order matches
-# the first block row [M0, M2, M1, M3] of the real counterpart.
-STORAGE_ORDER = (0, 2, 1, 3)
-
-
 def _hamilton_table() -> np.ndarray:
-    """e_a * e_b = sum_c T[a, b, c] e_c, units indexed by storage column."""
-    # Over the units (1, i, j, k): e_a * e_b = sign[a, b] * e_(a xor b).
+    """T[a, b, c]: e_a e_b = sign[a, b] e_(a^b) = sum_c T[a, b, c] e_c."""
     sign = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]])
     a, b = np.indices((4, 4))
     t = np.zeros((4, 4, 4))
     t[a, b, a ^ b] = sign
-    return t[np.ix_(STORAGE_ORDER, STORAGE_ORDER, STORAGE_ORDER)]
+    return t
 
 
-# The Hamilton product table and the conjugation signs in storage
-# coordinates.  For a compact array x, ``x @ QUAT_TABLE[a]`` is e_a * x and
-# ``x @ QUAT_TABLE[:, b]`` is x * e_b: signed column permutations.
+# The Hamilton product table over the units e = (1, i, j, k) and the
+# conjugation signs.  For a compact array x, ``x @ QUAT_TABLE[a]`` is e_a * x
+# and ``x @ QUAT_TABLE[:, b]`` is x * e_b: signed column permutations.
 QUAT_TABLE = _hamilton_table()
 QUAT_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # conj(e_a) * e_b, for adjoint products and conjugate-linear inner products.
 _CONJ_TABLE = QUAT_CONJ[:, None, None] * QUAT_TABLE
 # The tables laid out for one GEMM each: x @ _DIRECT_MIX holds e_a x in
 # columns 4a..4a+3, and a (n, 16) array of sixteen products z[:, 4a + b]
-# of storage columns a and b mixes to its quaternion sum as
+# of components a and b mixes to its quaternion sum as
 # z @ _CONJ_MIX (conj(e_a) e_b) or z @ _QUAT_MIX (e_a e_b).
 _DIRECT_MIX = QUAT_TABLE.transpose(1, 0, 2).reshape(4, 16)
 _CONJ_MIX = _CONJ_TABLE.reshape(16, 4)
@@ -203,15 +196,14 @@ def scaled_norm(M: QuatMatrix, arrays) -> float:
 
 
 def _interleave(blocks, max_abs) -> sp.csr_matrix:
-    """The m-by-4n CSR whose column 4t + a is column t of block
-    ``STORAGE_ORDER[a]``; all-zero blocks, stored zeros and all, add no
-    entries.  Interleaving puts the four blocks' reads of x[t] on one
-    cache line, and the transpose is a CSC view of the same arrays.
-    scipy sorts the entries and picks the index dtype."""
+    """The m-by-4n CSR whose column 4t + a is column t of block a; all-zero
+    blocks, stored zeros and all, add no entries.  Interleaving puts the
+    four blocks' reads of x[t] on one cache line, and the transpose is a
+    CSC view of the same arrays.  scipy sorts the entries and picks the
+    index dtype."""
     rows, cols = blocks[0].shape
     H = sp.csr_matrix((rows, 4 * cols))
-    parts = [(a, blocks[s].tocoo()) for a, s in enumerate(STORAGE_ORDER)
-             if max_abs[s]]
+    parts = [(a, b.tocoo()) for a, b in enumerate(blocks) if max_abs[a]]
     if not parts:
         return H
     # 4t + a in H's index dtype, so it cannot wrap once 4n passes int32.
@@ -245,7 +237,7 @@ def check_compact(x, n: int, what: str) -> None:
 
 def expand_vector(x: np.ndarray) -> np.ndarray:
     """The 4n-by-4 real counterpart of a compact quaternion vector."""
-    c0, c1, c2, c3 = (x[:, i].reshape(-1, 1) for i in (0, 2, 1, 3))
+    c0, c1, c2, c3 = np.hsplit(x, 4)
     return np.block([
         [c0, c2, c1, c3],
         [-c2, c0, c3, -c1],
@@ -286,11 +278,10 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
     table = _CONJ_TABLE if adjoint else QUAT_TABLE
     out = np.zeros((M.cols if adjoint else M.rows, 4))
     h = max(1, _PANEL_MACS // max(4 * n, 1))
-    for a, s in enumerate(STORAGE_ORDER):
-        if not M.max_abs[s]:
+    for a, b in enumerate(M.blocks):
+        if not M.max_abs[a]:
             continue
-        b, y = M.blocks[s], x @ table[a]
-        b = b.T if adjoint else b
+        b, y = (b.T if adjoint else b), x @ table[a]
         for i in range(0, len(out), h):
             out[i:i + h] += b[i:i + h] @ y
     return out
@@ -350,10 +341,9 @@ class CompactBasis:
         (w, x, y, z) components."""
         check_compact(r, self.n, "dot_all operand")
         # G[i, a, b] = sum_t v_i[t, a] r[t, b], so v_i* . r is the sum over
-        # (a, b) of G[i, a, b] conj(e_a) e_b.  STORAGE_ORDER is its own
-        # inverse, so it also maps storage columns back to (w, x, y, z).
+        # (a, b) of G[i, a, b] conj(e_a) e_b.
         G = np.matmul(self.data.transpose(0, 2, 1), r)
-        return (G.reshape(-1, 16) @ _CONJ_MIX)[:, STORAGE_ORDER]
+        return G.reshape(-1, 16) @ _CONJ_MIX
 
     def combine_quat(self, coeffs: np.ndarray) -> np.ndarray:
         """Right-linear combination sum_i v_i * q_i for quaternion
@@ -363,11 +353,11 @@ class CompactBasis:
         taken in panels of the 4n axis of at most ``_PANEL_MACS``
         multiply-adds; entry t of the sum is sum_ab P[4t + a, b] e_a e_b.
         """
-        flat, q = self._flat(), coeffs[:, STORAGE_ORDER]
+        flat = self._flat()
         P = np.empty((4 * self.n, 4))
         h = max(1, _PANEL_MACS // max(4 * self._size, 1))
         for i in range(0, 4 * self.n, h):
-            np.matmul(flat[:, i:i + h].T, q, out=P[i:i + h])
+            np.matmul(flat[:, i:i + h].T, coeffs, out=P[i:i + h])
         return P.reshape(self.n, 16) @ _QUAT_MIX
 
     def combine_real(self, coeffs: np.ndarray) -> np.ndarray:
@@ -394,7 +384,7 @@ def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
     k, m = U.shape[:2]
     n = V.shape[1]
     # left[t, (a, j)] = u_j[t, a].  For each component c, e_a conj(e_b)
-    # lands on ±e_c for exactly one b, so right[(a, j)] = ±w_j v_j[:, b]
+    # lands on ±e_c only for b = a xor c, so right[(a, j)] = ±w_j v_j[:, b]
     # and left @ right sums the four block products of u_j conj(v_j) on e_c.
     left = np.ascontiguousarray(U.transpose(1, 2, 0)).reshape(m, 4 * k)
     mix = QUAT_TABLE * QUAT_CONJ[None, :, None]
@@ -402,10 +392,10 @@ def weighted_outer(U: np.ndarray, V: np.ndarray, w: np.ndarray) -> QuatMatrix:
     out = np.empty((4, m, n))
     for c in range(4):
         for a in range(4):
-            b = np.flatnonzero(mix[a, :, c])[0]
+            b = a ^ c
             np.multiply(V[:, :, b], (mix[a, b, c] * w)[:, None], out=right[a])
         np.matmul(left, right.reshape(4 * k, n), out=out[c])
-    return QuatMatrix(*(out[s] for s in STORAGE_ORDER))
+    return QuatMatrix(*out)
 
 
 def orthogonalize_against_basis(r: np.ndarray, B: CompactBasis) -> np.ndarray:

@@ -141,8 +141,9 @@ class ConvergenceTrace:
 class TripletSet:
     """Approximate singular triplets with their residual bounds.
 
-    ``U`` and ``V`` are float64 arrays of shape (k, m, 4) and (k, n, 4):
-    ``U[j]`` and ``V[j]`` are the compact vectors u_j and v_j.
+    ``U`` and ``V`` are float64 arrays of shape (k, m, 4) and (k, n, 4)
+    whose last axis is (w, x, y, z): ``U[j]`` and ``V[j]`` are the compact
+    vectors u_j and v_j.
     ``sigmas`` is descending in largest mode and ascending in smallest
     mode.  ``M v_j = u_j sigma_j`` holds to roundoff, ``bounds[j]`` is
     ||M* u_j - v_j sigma_j|| to roundoff, and ``converged[j]`` says whether

@@ -21,9 +21,9 @@ from quatsvd.restart import TripletSet
 
 
 def from_components(c0, c1, c2, c3):
-    """Compact (n, 4) vector from its real, i, j and k parts; storage
-    columns hold the components in the order (0, 2, 1, 3)."""
-    return np.column_stack([c0, c2, c1, c3]).astype(np.float64)
+    """Compact (n, 4) vector from its real, i, j and k parts, in that
+    column order."""
+    return np.column_stack([c0, c1, c2, c3]).astype(np.float64)
 
 
 def from_quaternion(q):

@@ -54,8 +54,8 @@ def quat_dot(a: np.ndarray, b: np.ndarray) -> Quaternion:
     """Quaternion inner product a* . b (conjugate on the first argument)."""
     check_compact(a, len(a), "left vector")
     check_compact(b, len(a), "right vector")
-    a0, a1, a2, a3 = a[:, 0], a[:, 2], a[:, 1], a[:, 3]
-    b0, b1, b2, b3 = b[:, 0], b[:, 2], b[:, 1], b[:, 3]
+    a0, a1, a2, a3 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    b0, b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
     return Quaternion(
         float(a0 @ b0 + a1 @ b1 + a2 @ b2 + a3 @ b3),
         float(a0 @ b1 - a1 @ b0 - a2 @ b3 + a3 @ b2),

@@ -53,6 +53,24 @@ def test_gen_then_svd_matches_oracle(tmp_path, dense_qmx):
     assert trace.read_text().startswith("cycle,j,bound,matvecs\n")
 
 
+def test_gen_sparse_at_small_order(tmp_path, capsys):
+    assert run(["gen", "--kind", "sparse", "--n", "1",
+                "--out", tmp_path / "one.mtx"]) == EXIT_OK
+    assert all(qio.read_matrix_market(tmp_path / f"one_{i}.mtx").shape
+               == (1, 1) for i in range(4))
+    # A band wider than the matrix is clipped to n - 1.
+    for band in (2, 5):
+        assert run(["gen", "--kind", "sparse", "--n", "3", "--band", band,
+                    "--out", tmp_path / f"b{band}.mtx"]) == EXIT_OK
+    assert all((tmp_path / f"b2_{i}.mtx").read_bytes()
+               == (tmp_path / f"b5_{i}.mtx").read_bytes() for i in range(4))
+    capsys.readouterr()
+    assert run(["gen", "--kind", "sparse", "--n", "0",
+                "--out", tmp_path / "zero.mtx"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: order n=0 must be at least 1\n"
+    assert not list(tmp_path.glob("zero*"))
+
+
 def test_svd_smallest_from_mtx_blocks(tmp_path):
     prefix = tmp_path / "sp.mtx"
     assert run(["gen", "--kind", "sparse", "--n", "60", "--seed", "1",

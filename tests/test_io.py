@@ -234,6 +234,25 @@ class TestMatrixMarket:
             want = [(0, 0, 1.75), (1, 2, -2.0 + 4e-310), (2, 1, -2.0 + 4e-310)]
         assert triplets_of(self._read(tmp_path, raw)) == want
 
+    @pytest.mark.parametrize("second,index_sign", [
+        (b"2 1 +2.0", False), (b"  2\t1  +2e0 ", False),
+        (b"+2 1 2.0", True), (b"2 +1 2.0", True), (b" +2 1 2.0", True)])
+    def test_only_an_index_sign_takes_the_line_loop(
+            self, tmp_path, monkeypatch, second, index_sign):
+        # numpy's integer parser would take a sign on an index; a sign on
+        # a value keeps the one-call parse.
+        calls, line_loop = [], qio._parse_lines
+        monkeypatch.setattr(qio, "_parse_lines",
+                            lambda *args: calls.append(1) or line_loop(*args))
+        head = self.GENERAL + b"2 2 2\n1 1 +1.5\n"
+        if index_sign:
+            self._rejects(tmp_path, head + second + b"\n", len(head),
+                          "bad entry line")
+        else:
+            assert triplets_of(self._read(tmp_path, head + second)) == [
+                (0, 0, 1.5), (1, 0, 2.0)]
+        assert len(calls) == index_sign
+
 
 class TestAssemble:
     def test_one_by_one(self, tmp_path):
@@ -335,6 +354,19 @@ class TestSparseGen:
         block = qio.gen_sparse_block(30, seed=2, offband_density=0.0)
         assert all(abs(r - c) <= 2 for r, c, _ in triplets_of(block))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"order n={n} must be at least"):
+            qio.gen_sparse_block(n, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_band_wider_than_the_matrix_adds_nothing(self, n):
+        # The diagonals past n - 1 are empty and draw nothing.
+        want = triplets_of(qio.gen_sparse_block(n, seed=4, band=n - 1))
+        for band in (n, n + 3):
+            assert triplets_of(qio.gen_sparse_block(n, seed=4, band=band)) \
+                == want
+
 
 class TestPpm:
     def test_single_red_pixel_round_trip(self, tmp_path):
@@ -377,6 +409,19 @@ class TestPpm:
         qio.write_image_ppm(img, path)
         back = qio.read_image_ppm(path)
         assert list(back.R[0]) == [1.0, 1.0, 0.0, 255.0]
+
+    def test_infinities_clamp_and_nan_is_refused(self, tmp_path):
+        img = RgbImage(R=np.array([[np.inf, -np.inf]]), G=np.zeros((1, 2)),
+                       B=np.zeros((1, 2)))
+        path = tmp_path / "inf.ppm"
+        qio.write_image_ppm(img, path)
+        assert list(qio.read_image_ppm(path).R[0]) == [255.0, 0.0]
+        img.G[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="channel G has NaN"):
+                qio.write_image_ppm(img, tmp_path / "nan.ppm")
+        assert not (tmp_path / "nan.ppm").exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"

@@ -19,7 +19,7 @@ from quatsvd.lowrank import (
     ssim,
     stack_frames,
 )
-from quatsvd.quatlin import STORAGE_ORDER, QuatMatrix, expand_real_counterpart
+from quatsvd.quatlin import QuatMatrix, expand_real_counterpart
 from quatsvd.restart import SolverOptions, solve_partial_svd
 
 from conftest import (
@@ -438,8 +438,8 @@ class TestMeanCenter:
                                                     P.dense_blocks())))
             for s in c])
         T, _ = solve_partial_svd(X, SolverOptions(k=1))
-        vec_p = np.stack([P.dense_blocks()[s].ravel(order="F")
-                          for s in STORAGE_ORDER], axis=1)
+        vec_p = np.stack([b.ravel(order="F") for b in P.dense_blocks()],
+                         axis=1)
         coords = np.zeros((c.size, 4))
         coords[:, 0] = c - c.mean()
         for want, got in ((vec_p, T.U[0]), (coords, T.V[0])):

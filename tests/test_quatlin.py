@@ -8,7 +8,6 @@ import pytest
 from quatsvd.quatlin import (
     QUAT_CONJ,
     QUAT_TABLE,
-    STORAGE_ORDER,
     CompactBasis,
     QuatMatrix,
     expand_real_counterpart,
@@ -189,11 +188,10 @@ class TestMatvec:
         assert M.blocks[dense_block].format == "csr" and M.is_sparse
         assert M._stacked.nnz == sum(np.count_nonzero(b) if i == dense_block
                                      else b.nnz for i, b in enumerate(blocks))
-        # Column 4t + a is column t of block STORAGE_ORDER[a], in order.
+        # Column 4t + a is column t of block a, in order.
         assert M._stacked.has_sorted_indices
-        for a, s in enumerate(STORAGE_ORDER):
-            assert np.array_equal(M._stacked[:, a::4].toarray(),
-                                  M.dense_blocks()[s])
+        for a, b in enumerate(M.dense_blocks()):
+            assert np.array_equal(M._stacked[:, a::4].toarray(), b)
         self._assert_matches_counterpart(M, rng)
 
     def test_dense_block_of_a_sparse_matrix_is_stored_once(self, rng):
@@ -234,9 +232,9 @@ class TestMatvec:
         H = M._stacked
         assert H.indices.dtype == np.int32 and H.indptr.dtype == np.int32
         assert H.has_canonical_format
-        # Block M2 is storage column 1, so its (1, 0) lands on column 1.
+        # Block M2's (1, 0) lands on column 4*0 + 2.
         assert H.indptr.tolist() == [0, 1, 4]
-        assert H.indices.tolist() == [4, 1, 8, 9]
+        assert H.indices.tolist() == [4, 2, 8, 10]
         assert H.data.tolist() == [2.0, 0.0, 3.0, 5.0]
 
     def test_all_zero_sparse_matrix_has_an_empty_interleaved_csr(self):
@@ -259,7 +257,7 @@ class TestMatvec:
         zero = sp.csr_matrix((1, n))
         H = QuatMatrix(zero, zero, last, zero)._stacked
         assert H.shape == (1, 4 * n) and H.indices.dtype == np.int64
-        assert H.indices.tolist() == [4 * (n - 1) + 1]
+        assert H.indices.tolist() == [4 * (n - 1) + 2]
 
     def test_interleaved_csr_build_memory(self):
         # The build holds one concatenated copy of the entries beside H:

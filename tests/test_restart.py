@@ -2,6 +2,7 @@
 check of either mode, the solver loop and residual verification."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from conftest import (
     rand_qmat,
     synthetic_triplets,
 )
-from oracles import Quaternion, scalar_matrix
+from oracles import Quaternion, quat_mul, scalar_matrix
 
 
 def make_state(M, m_b, seed=3):
@@ -399,6 +400,16 @@ class TestSolver:
         assert T.sigmas[0] == pytest.approx(2.0, abs=1e-12)
         assert trace.cycles == 1
         assert T.all_converged
+
+    def test_vectors_hold_w_x_y_z_columns(self):
+        # Read T.U and T.V by hand: [q] v = u sigma for q = 1+2i+3j+4k.
+        q = Quaternion(1, 2, 3, 4)
+        T, _ = solve_partial_svd(scalar_matrix(q), SolverOptions(k=1, seed=9))
+        u, v = Quaternion(*T.U[0, 0]), Quaternion(*T.V[0, 0])
+        sigma = Quaternion(float(T.sigmas[0]))
+        assert T.sigmas[0] == pytest.approx(math.sqrt(30.0), rel=1e-14)
+        assert np.allclose(astuple(quat_mul(q, v)),
+                           astuple(quat_mul(u, sigma)), rtol=0, atol=1e-13)
 
     def test_real_diagonal_top_two(self):
         Z = np.zeros((5, 5))
