@@ -41,6 +41,7 @@ from .quatlin import (
     orthogonalize_against_basis,
     orthogonalize_with_coeffs,
     random_unit_vector,
+    safe_range_exponent,
     scaled_norm,
     structured_matvec,
     vec_norm,
@@ -184,10 +185,15 @@ def lanczos_extend(M: QuatMatrix, state: KrylovState, to_step: int) -> KrylovSta
 def start_state(M: QuatMatrix, p1: np.ndarray, rng: np.random.Generator,
                 steps: int) -> KrylovState:
     """Empty factorization seeded with a copy of the start vector ``p1``,
-    with bases allocated for ``steps`` Lanczos steps plus one vector."""
+    with bases allocated for ``steps`` Lanczos steps plus one vector.
+    An ``M`` outside the safe range, whose squares would overflow or
+    underflow, raises ``ValueError``."""
     check_compact(p1, M.cols, "start vector")
     if abs(vec_norm(p1) - 1.0) > 1e-14:
         raise ValueError("start vector must have unit norm")
+    if safe_range_exponent(M):
+        raise ValueError("max|M| is outside the safe range: factor "
+                         "M.scaled(-safe_range_exponent(M)) instead")
     return KrylovState(
         P=CompactBasis(M.cols, steps + 1),
         Q=CompactBasis(M.rows, steps + 1),

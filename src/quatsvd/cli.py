@@ -41,9 +41,10 @@ from .quatlin import (
     expand_real_counterpart,
     expand_vector,
     random_unit_vector,
+    safe_range_exponent,
     structured_matvec,
 )
-from .restart import SolverOptions, safe_range_exponent, solve_partial_svd
+from .restart import SolverOptions, solve_partial_svd
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -182,6 +182,9 @@ def read_matrix_market(path) -> sp.coo_matrix:
                        for f in fields)
     if symmetric and rows != cols:
         raise MalformedFileError(path, offset, "symmetric matrix is not square")
+    # _summed_coo keys an entry as row * cols + col in int64.
+    if rows * cols > 2 ** 63:
+        raise MalformedFileError(path, offset, f"dimensions {rows}x{cols} too large")
 
     start = offset + len(line) + 1
     entries = _parse_body(raw[start:], rows, cols, nnz)
@@ -239,6 +242,11 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     """
     if n < 1:
         raise ValueError(f"order n={n} must be at least 1")
+    if not (np.isfinite(offband_density) and offband_density >= 0.0):
+        raise ValueError(f"off-band density {offband_density} must be finite "
+                         "and non-negative")
+    if not np.isfinite(diagonal_shift):
+        raise ValueError(f"diagonal shift {diagonal_shift} must be finite")
     band = min(band, n - 1)     # a wider band only draws empty diagonals
     rng = np.random.default_rng(seed)
     parts = []                                  # (rows, cols, values)

@@ -184,6 +184,24 @@ class QuatMatrix:
         return f"QuatMatrix({self.rows}x{self.cols}, {kind})"
 
 
+# A matrix with max|M| outside [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is
+# solved scaled by a power of two, so no sum of squares overflows or flushes.
+SAFE_EXPONENT = 400
+
+
+def safe_range_exponent(M: QuatMatrix) -> int:
+    """The e that ``M`` is solved scaled by 2**-e: 0 inside the safe range
+    (see SAFE_EXPONENT), else the e that brings max|M| into [1/2, 1).
+    Raises ``ValueError`` when ``M`` has no rows or no columns."""
+    if not (M.rows and M.cols):
+        raise ValueError(f"matrix is {M.rows}x{M.cols}: it has no singular "
+                         "triplets")
+    peak = max(M.max_abs)
+    if not peak or 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
+        return 0
+    return math.frexp(peak)[1]
+
+
 def scaled_norm(M: QuatMatrix, arrays) -> float:
     """Root sum of squares of the entries of ``arrays``, each scaled by the
     power of two that puts max|M| in [1/2, 1), so that no square of an

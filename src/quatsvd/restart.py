@@ -1,24 +1,25 @@
 """Implicitly restarted drivers for partial quaternion SVD.
 
-Each cycle computes one dense SVD, in :func:`check_convergence`, the only
-code here that depends on the mode.  It alone owns the triplets a solve
-reports and the right coefficients its restart keeps.  It takes the SVD
-of B in `largest` mode and of the row-extended [B, beta*e_last] in
-`smallest` (harmonic) mode, and returns unit coefficient vectors x_j and
-y_j with B y_j parallel to x_j: the singular vectors of B, or a harmonic
-left vector x_j and y_j proportional to c_last V'_{1:k,j} -
-V'_{last,j} c_{1:k}, for which B y_j = c_last theta_j x_j exactly.  Here
-V' is the full right basis of [B, beta*e_last] and c its null vector,
-signed so that c_last >= 0; when both terms vanish, V'_{1:k,j} itself is
-a unit singular vector of B.  Then v_j = P y_j and u_j = Q x_j satisfy
-``M v_j = u_j sigma_j`` with sigma_j = x_j' B y_j (the singular value
-itself for an SVD pair), and the factorization identities give the bound
-``||M* u_j - v_j sigma_j|| = ||B' x_j - sigma_j y_j|| (+) beta_last |last
-component of x_j|``, where (+) is the root sum of squares.  A triplet is
-accepted once its bound is at most ``delta * sigma_max``, sigma_max being
-a running estimate of the largest singular value.  Once beta_last breaks
-down the projection is exact, harmonic pairs equal Ritz pairs, and
-harmonic mode checks B itself.
+Each cycle computes one dense SVD, in :func:`check_convergence`, which
+alone owns the triplets a solve reports and the right coefficients its
+restart keeps.  The mode also sets the retained count, the order of the
+reported triplets and the adjoint route for a wide M; the restart step is
+the same in both.  The check takes the SVD of B in `largest` mode and of
+the row-extended [B, beta*e_last] in `smallest` (harmonic) mode, and
+returns unit coefficient vectors x_j and y_j with B y_j parallel to x_j:
+the singular vectors of B, or a harmonic left vector x_j and y_j
+proportional to c_last V'_{1:k,j} - V'_{last,j} c_{1:k}, for which
+B y_j = c_last theta_j x_j exactly.  Here V' is the full right basis of
+[B, beta*e_last] and c its null vector, signed so that c_last >= 0; when
+both terms vanish, V'_{1:k,j} itself is a unit singular vector of B.
+Then v_j = P y_j and u_j = Q x_j satisfy ``M v_j = u_j sigma_j`` with
+sigma_j = x_j' B y_j (the singular value itself for an SVD pair), and the
+factorization identities give the bound ``||M* u_j - v_j sigma_j|| =
+||B' x_j - sigma_j y_j|| (+) beta_last |last component of x_j|``, where
+(+) is the root sum of squares.  A triplet is accepted once its bound is
+at most ``delta * sigma_max``, sigma_max being a running estimate of the
+largest singular value.  Once beta_last breaks down the projection is
+exact, harmonic pairs equal Ritz pairs, and harmonic mode checks B itself.
 
 The check also returns Pc, the orthonormal (k+1) x (t+1) coefficients of
 [P, p] that the restart keeps: blockdiag(Y_t, 1) after a Ritz check, and
@@ -69,6 +70,7 @@ from .bidiag import (
 from .quatlin import (
     QuatMatrix,
     random_unit_vector,
+    safe_range_exponent,
     scaled_norm,
     structured_matvec,
 )
@@ -78,11 +80,6 @@ WHICH_SMALLEST = "smallest"
 
 # Extra retained pairs beyond the unconverged targets.
 RETAIN_BUFFER = 5
-
-# A matrix whose largest entry magnitude lies outside
-# [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT] is solved scaled by a power of two,
-# so that sums of squares of its entries neither overflow nor underflow.
-SAFE_EXPONENT = 400
 
 
 @dataclass(frozen=True)
@@ -194,15 +191,15 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
     """
     harmonic = which == WHICH_SMALLEST and \
         beta_k > BREAKDOWN_TOL * breakdown_scale(B, sigma_max)
-    res = smalldense.dense_svd(
+    U, s, W = smalldense.dense_svd(
         np.column_stack([B, beta_k * np.eye(len(B))[-1]]) if harmonic else B)
-    sigma_max = max(sigma_max, float(res.sigmas[0]) if res.sigmas.size else 0.0)
+    sigma_max = max(sigma_max, float(s[0]) if s.size else 0.0)
     # Basic-slice views: a reordering copy moves later products by roundoff.
     step = 1 if which == WHICH_LARGEST else -1
-    X, theta = res.U[:, ::step][:, :t], res.sigmas[::step][:t]
-    V = res.V[:, :res.sigmas.size][:, ::step][:, :t]
+    X, theta = U[:, ::step][:, :t], s[::step][:t]
+    V = W[:, :s.size][:, ::step][:, :t]
     if harmonic:
-        c = res.V[:, -1] if res.V[-1, -1] >= 0.0 else -res.V[:, -1]
+        c = W[:, -1] if W[-1, -1] >= 0.0 else -W[:, -1]
         Y = c[-1] * V[:-1] - np.outer(c[:-1], V[-1])
         # Both terms vanish only when V[:-1, j] is a singular vector of B.
         Y = np.where(np.linalg.norm(Y, axis=0) > 0.0, Y, V[:-1])
@@ -295,19 +292,6 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
     V = state.P.combine_matrix(chk.Y[:, perm]).data.copy()
     return TripletSet(sigmas=sigmas[perm], U=U, V=V,
                       bounds=chk.bounds[perm], converged=chk.flags[perm])
-
-
-def safe_range_exponent(M: QuatMatrix) -> int:
-    """The e that ``M`` is solved scaled by 2**-e: 0 inside the safe range
-    (see SAFE_EXPONENT), else the e that brings max|M| into [1/2, 1).
-    Raises ``ValueError`` when ``M`` has no rows or no columns."""
-    if not (M.rows and M.cols):
-        raise ValueError(f"matrix is {M.rows}x{M.cols}: it has no singular "
-                         "triplets")
-    peak = max(M.max_abs)
-    if not peak or 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
-        return 0
-    return math.frexp(peak)[1]
 
 
 def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):

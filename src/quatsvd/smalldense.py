@@ -1,18 +1,16 @@
 """Dense kernels for the small projected matrices.
 
-The solver's one dense kernel is :func:`dense_svd`, which returns the full
-right singular basis, so that the null vector of a wide matrix comes with
-its SVD.  LAPACK (through numpy/scipy) does the heavy lifting; this module
-adds the deterministic conventions, and is the only package module that
-calls a dense factorization or solver.  The QR factorization and the
-triangular solves below share one pivot guard and raise
-NearSingularError; the solver calls none of them, and they stay only
-while ``perfbench/layers.py`` traces them by name.
+The solver's one dense kernel is :func:`dense_svd`, which returns plain
+arrays with the full right singular basis, so that the null vector of a
+wide matrix comes with its SVD.  LAPACK (through numpy/scipy) does the
+heavy lifting; this module adds the deterministic conventions, and is the
+only package module that calls a dense factorization or solver.  The QR
+factorization and the triangular solves below share one pivot guard and
+raise NearSingularError; the solver calls none of them, and they stay
+only while ``perfbench/layers.py`` traces them by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,44 +21,24 @@ class NearSingularError(ValueError):
     zero: the matrix is (numerically) singular or rank deficient."""
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """SVD A = U @ diag(sigmas) @ V[:, :r].T with r = len(sigmas) and
-    sigmas descending: U is thin (r columns) and V is the full square
-    right basis, whose columns past r span the null space of a wide A."""
-
-    U: np.ndarray
-    sigmas: np.ndarray
-    V: np.ndarray
-
-
-def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
-    """Make the first non-negligible entry of each left vector positive."""
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        scale = np.abs(col).max()
-        i0 = int(np.argmax(np.abs(col) > 1e-12 * scale))
-        if col[i0] < 0.0:
-            U[:, j] = -col
-            V[:, j] = -V[:, j]
-
-
-def dense_svd(A: np.ndarray) -> SvdResult:
-    """SVD with thin U, full V and a deterministic sign convention.
-
-    Singular values are sorted descending (LAPACK order; ties keep their
-    original order).  Each left singular vector is normalized so that its
-    first entry above 1e-12 of the column max is positive, and its right
-    vector flips with it; the null-space columns of V keep LAPACK's signs.
+def dense_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD ``(U, sigmas, V)`` with A = U @ diag(sigmas) @ V[:, :r].T and
+    r = len(sigmas): U is thin and V the full square right basis, whose
+    columns past r span the null space of a wide A.  The sigmas descend
+    (LAPACK order; ties keep their order).  Each left vector is signed so
+    that its first entry above 1e-12 of the column max is positive, and
+    its right vector flips with it; null-space columns keep LAPACK's signs.
     """
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in SVD input")
     U, s, Vt = np.linalg.svd(A)
-    V = Vt.T.copy()
-    U = U[:, :s.size].copy()
-    _fix_signs(U, V)
-    return SvdResult(U=U, sigmas=s, V=V)
+    U, V = U[:, :s.size], Vt.T.copy()
+    big = np.abs(U) > 1e-12 * np.abs(U).max(axis=0, initial=0.0)
+    lead = U[big.argmax(axis=0), np.arange(s.size)] if s.size else s
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    V[:, :s.size] *= flip
+    return U * flip, s, V
 
 
 def qr_factor(C: np.ndarray):

@@ -15,6 +15,7 @@ from quatsvd.bidiag import (
 from quatsvd.quatlin import (
     QuatMatrix,
     random_unit_vector,
+    safe_range_exponent,
     vec_norm,
 )
 
@@ -73,6 +74,25 @@ def test_factorization_errors_scale_exactly(rng, e):
     want, got = factorization_errors(M, F), factorization_errors(M.scaled(e), G)
     for key in ("direct", "adjoint"):
         assert want[key] > 0.0 and got[key] == np.ldexp(want[key], e)
+
+
+@pytest.mark.parametrize("e", [600, -600])
+def test_start_refuses_a_matrix_outside_the_safe_range(rng, monkeypatch, e):
+    # Unscaled, every alpha and beta flushes to zero at 2**-600 and the
+    # squares overflow at 2**600: the start refuses before any matvec and
+    # names the scaling that avoids both.
+    import quatsvd.bidiag as bidiag_mod
+    calls = []
+    monkeypatch.setattr(bidiag_mod, "structured_matvec",
+                        lambda *args, **kwargs: calls.append(args))
+    M = rand_qmat(rng, 30, 20).scaled(e)
+    p1 = random_unit_vector(20, rng)
+    with pytest.raises(ValueError, match=r"M\.scaled\(-safe_range_exponent"):
+        lanczos_bidiag(M, p1, 10, rng)
+    assert calls == []
+    monkeypatch.undo()
+    F = lanczos_bidiag(M.scaled(-safe_range_exponent(M)), p1, 10, rng)
+    assert not F.deflations and np.all(np.isfinite(F.B))
 
 
 def test_extend_matches_single_run(rng):

@@ -71,6 +71,19 @@ def test_gen_sparse_at_small_order(tmp_path, capsys):
     assert not list(tmp_path.glob("zero*"))
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--density", "inf", "off-band density inf must be finite and non-negative"),
+    ("--density", "-1", "off-band density -1.0 must be finite and non-negative"),
+    ("--density", "nan", "off-band density nan must be finite and non-negative"),
+    ("--shift", "nan", "diagonal shift nan must be finite")])
+def test_gen_sparse_refuses_bad_density_and_shift(tmp_path, capsys, flag,
+                                                  value, message):
+    assert run(["gen", "--kind", "sparse", "--n", "5", flag, value,
+                "--out", tmp_path / "bad.mtx"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svd_smallest_from_mtx_blocks(tmp_path):
     prefix = tmp_path / "sp.mtx"
     assert run(["gen", "--kind", "sparse", "--n", "60", "--seed", "1",

@@ -207,6 +207,21 @@ class TestMatrixMarket:
                       len(head), "index (9223372036854775808, 1) out of "
                       "range 2x2")
 
+    @pytest.mark.parametrize("size,entry", [
+        (b"2147483649 8589934592 1", b"2147483649 5 1.0"),
+        (b"4000000000 4000000000 1", b"4000000000 4000000000 1.0")])
+    def test_size_past_int64_keys_rejected(self, tmp_path, size, entry):
+        # Entries are keyed as row * cols + col in int64: past 2**63 the
+        # first entry read back at (0, 4) and the second raised in scipy.
+        rows, cols, _ = size.decode().split()
+        self._rejects(tmp_path, self.GENERAL + size + b"\n" + entry + b"\n",
+                      len(self.GENERAL), f"dimensions {rows}x{cols} too large")
+
+    def test_largest_size_whose_keys_fit(self, tmp_path):
+        raw = self.GENERAL + b"2147483648 4294967296 1\n2147483648 4294967296 1.0\n"
+        assert triplets_of(self._read(tmp_path, raw)) == [
+            (2147483647, 4294967295, 1.0)]
+
     def test_out_of_range_on_last_line(self, tmp_path):
         head = self.GENERAL + b"3 2 3\n1 1 1.0\n3 2 2.0\n"
         self._rejects(tmp_path, head + b"2 3 3.0", len(head),
@@ -358,6 +373,16 @@ class TestSparseGen:
     def test_order_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=f"order n={n} must be at least"):
             qio.gen_sparse_block(n, seed=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"offband_density": np.inf}, "off-band density inf must be finite"),
+        ({"offband_density": np.nan}, "off-band density nan must be finite"),
+        ({"offband_density": -1.0}, "off-band density -1.0 must be finite"),
+        ({"diagonal_shift": np.nan}, "diagonal shift nan must be finite"),
+        ({"diagonal_shift": -np.inf}, "diagonal shift -inf must be finite")])
+    def test_bad_density_or_shift_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            qio.gen_sparse_block(5, seed=1, **kwargs)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_band_wider_than_the_matrix_adds_nothing(self, n):

@@ -138,16 +138,67 @@ def test_environment_checker_sees_every_form():
         (PACKAGE / "cli.py").read_text())) == ["os.environ"]
 
 
-def test_only_restart_names_the_safe_range():
-    # restart.safe_range_exponent alone decides whether a matrix is solved
-    # scaled; the solver and `quatsvd verify` both ask it.
-    for source in ("from .restart import SAFE_EXPONENT",
-                   "x = restart.SAFE_EXPONENT", "x = SAFE_EXPONENT"):
+def test_only_quatlin_names_the_safe_range():
+    # quatlin.safe_range_exponent alone decides whether a matrix is solved
+    # scaled; the solver, `quatsvd verify` and the Lanczos start all ask it.
+    for source in ("from .quatlin import SAFE_EXPONENT",
+                   "x = quatlin.SAFE_EXPONENT", "x = SAFE_EXPONENT"):
         assert "SAFE_EXPONENT" in _names_used(ast.parse(source))
     offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "restart.py" and "SAFE_EXPONENT"
+                 if path.name != "quatlin.py" and "SAFE_EXPONENT"
                  in _names_used(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _smalldense_names(tree: ast.Module) -> list:
+    """Names a module takes from ``smalldense``: by ``from .smalldense
+    import x`` (relative or absolute), or as ``sd.x`` on the module bound
+    by any import form and alias."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.rsplit(".", 1)[-1] == "smalldense":
+                found += [alias.name for alias in node.names]
+            elif module in ("", "quatsvd"):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "smalldense"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.endswith("smalldense")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and ast.unparse(node.value) in modules:
+            found.append(node.attr)
+    return found
+
+
+def test_solver_takes_only_dense_svd_from_smalldense():
+    # One dense SVD per restart cycle and no dense solve: the QR
+    # factorization and the triangular solves stay only for the benchmark.
+    offenders = {path.name: [name for name in
+                             _smalldense_names(ast.parse(path.read_text()))
+                             if name != "dense_svd"]
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "smalldense.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_smalldense_checker_sees_every_form():
+    tree = ast.parse("from .smalldense import dense_svd, qr_factor as qr\n"
+                     "from quatsvd.smalldense import solve_upper\n"
+                     "from . import smalldense as sd\n"
+                     "from quatsvd import lowrank, smalldense\n"
+                     "import quatsvd.smalldense\n"
+                     "import quatsvd.smalldense as qs\n"
+                     "x = sd.bidiag_solve(a) + smalldense.dense_svd(a)\n"
+                     "y = quatsvd.smalldense.tri_solve_upper(a)\n"
+                     "z = qs.NearSingularError + lowrank.psnr\n")
+    assert sorted(_smalldense_names(tree)) == [
+        "NearSingularError", "bidiag_solve", "dense_svd", "dense_svd",
+        "qr_factor", "solve_upper", "tri_solve_upper"]
+    assert _smalldense_names(ast.parse(
+        (PACKAGE / "restart.py").read_text())) == ["dense_svd"]
 
 
 # Dense factorizations and solvers that only smalldense may call, so that

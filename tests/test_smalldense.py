@@ -39,21 +39,21 @@ def random_bidiagonal(rng, k):
 
 class TestDenseSvd:
     def test_antidiagonal(self):
-        res = dense_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(res.sigmas, [1.0, 1.0])
+        _, sigmas, _ = dense_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(sigmas, [1.0, 1.0])
 
     def test_negative_scalar_sign_product(self):
-        res = dense_svd(np.array([[-2.0]]))
-        assert res.sigmas[0] == 2.0
-        assert res.U[0, 0] * res.V[0, 0] == -1.0
-        assert res.U[0, 0] > 0.0  # sign convention anchors the left vector
+        U, sigmas, V = dense_svd(np.array([[-2.0]]))
+        assert sigmas[0] == 2.0
+        assert U[0, 0] * V[0, 0] == -1.0
+        assert U[0, 0] > 0.0  # sign convention anchors the left vector
 
     def test_bidiagonal_against_char_poly(self, rng):
         for k in (2, 3, 4):
             B = random_bidiagonal(rng, k)
-            res = dense_svd(B)
+            _, sigmas, _ = dense_svd(B)
             want = np.sqrt(char_poly_eigenvalues(B.T @ B))
-            assert np.allclose(np.sort(res.sigmas)[::-1], want,
+            assert np.allclose(np.sort(sigmas)[::-1], want,
                                rtol=1e-12, atol=1e-12)
 
     def test_reconstruction_and_orthogonality(self, rng):
@@ -62,22 +62,49 @@ class TestDenseSvd:
         for m, n in [(1, 1), (5, 3), (3, 5), (12, 12), (40, 17), (25, 40),
                      (8, 9)]:
             A = rng.standard_normal((m, n))
-            res = dense_svd(A)
+            U, sigmas, V = dense_svd(A)
             normA = np.linalg.norm(A)
-            r = res.sigmas.size
-            assert res.U.shape == (m, r) and res.V.shape == (n, n)
-            recon = res.U @ np.diag(res.sigmas) @ res.V[:, :r].T
+            r = sigmas.size
+            assert U.shape == (m, r) and V.shape == (n, n)
+            recon = U @ np.diag(sigmas) @ V[:, :r].T
             assert np.linalg.norm(recon - A) <= 1e-13 * normA
-            assert np.abs(res.U.T @ res.U - np.eye(r)).max() <= 1e-13
-            assert np.abs(res.V.T @ res.V - np.eye(n)).max() <= 1e-13
-            assert np.linalg.norm(A @ res.V[:, r:]) <= 1e-13 * normA
-            assert np.all(np.diff(res.sigmas) <= 1e-14 * res.sigmas[0])
+            assert np.abs(U.T @ U - np.eye(r)).max() <= 1e-13
+            assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-13
+            assert np.linalg.norm(A @ V[:, r:]) <= 1e-13 * normA
+            assert np.all(np.diff(sigmas) <= 1e-14 * sigmas[0])
 
     def test_bidiagonal_12_reconstruction(self, rng):
         B = random_bidiagonal(rng, 12)
-        res = dense_svd(B)
-        recon = res.U @ np.diag(res.sigmas) @ res.V.T
+        U, sigmas, V = dense_svd(B)
+        recon = U @ np.diag(sigmas) @ V.T
         assert np.linalg.norm(recon - B) <= 1e-13 * np.linalg.norm(B)
+
+    def test_signs_match_the_column_rule(self, rng):
+        # The rule applied column by column to LAPACK's own factors: the
+        # first entry above 1e-12 of the column max of each left vector is
+        # made positive, and its right vector flips with it.  Leading zero
+        # rows make that entry a later one; V's null-space columns keep
+        # LAPACK's signs.
+        flips = 0
+        for m, n in [(6, 4), (4, 7), (9, 9), (1, 3)]:
+            A = np.vstack([np.zeros((2, n)), rng.standard_normal((m, n))])
+            U0, s0, Vt0 = np.linalg.svd(A)
+            want_U, want_V = U0[:, :s0.size].copy(), Vt0.T.copy()
+            for j, col in enumerate(want_U.T):
+                big = np.abs(col) > 1e-12 * np.abs(col).max()
+                if col[big][0] < 0.0:
+                    want_U[:, j] *= -1.0
+                    want_V[:, j] *= -1.0
+                    flips += 1
+            U, sigmas, V = dense_svd(A)
+            assert np.array_equal(sigmas, s0)
+            assert np.array_equal(U, want_U) and np.array_equal(V, want_V)
+        assert flips > 0
+
+    def test_empty_input(self):
+        for m, n in [(0, 3), (3, 0), (0, 0)]:
+            U, sigmas, V = dense_svd(np.zeros((m, n)))
+            assert (U.shape, sigmas.shape, V.shape) == ((m, 0), (0,), (n, n))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
