@@ -245,6 +245,8 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     if not (np.isfinite(offband_density) and offband_density >= 0.0):
         raise ValueError(f"off-band density {offband_density} must be finite "
                          "and non-negative")
+    if offband_density > 1.0:
+        raise ValueError(f"off-band density {offband_density} must be at most 1")
     if not np.isfinite(diagonal_shift):
         raise ValueError(f"diagonal shift {diagonal_shift} must be finite")
     band = min(band, n - 1)     # a wider band only draws empty diagonals

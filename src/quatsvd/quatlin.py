@@ -232,15 +232,19 @@ def _interleave(blocks, max_abs) -> sp.csr_matrix:
     return sp.csr_matrix((data, (row, col)), shape=H.shape)
 
 
-def expand_real_counterpart(M: QuatMatrix) -> np.ndarray:
-    """Lay out the full 4m-by-4n real counterpart of ``M``."""
-    b0, b1, b2, b3 = M.dense_blocks()
+def _counterpart(b0, b1, b2, b3) -> np.ndarray:
+    """The counterpart's block layout, written out by hand: its one copy."""
     return np.block([
         [b0, b2, b1, b3],
         [-b2, b0, b3, -b1],
         [-b1, -b3, b0, b2],
         [-b3, b1, -b2, b0],
     ])
+
+
+def expand_real_counterpart(M: QuatMatrix) -> np.ndarray:
+    """Lay out the full 4m-by-4n real counterpart of ``M``."""
+    return _counterpart(*M.dense_blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +259,7 @@ def check_compact(x, n: int, what: str) -> None:
 
 def expand_vector(x: np.ndarray) -> np.ndarray:
     """The 4n-by-4 real counterpart of a compact quaternion vector."""
-    c0, c1, c2, c3 = np.hsplit(x, 4)
-    return np.block([
-        [c0, c2, c1, c3],
-        [-c2, c0, c3, -c1],
-        [-c1, -c3, c0, c2],
-        [-c3, c1, -c2, c0],
-    ])
+    return _counterpart(*np.hsplit(x, 4))
 
 
 def vec_norm(x: np.ndarray) -> float:

@@ -75,7 +75,8 @@ def test_gen_sparse_at_small_order(tmp_path, capsys):
     ("--density", "inf", "off-band density inf must be finite and non-negative"),
     ("--density", "-1", "off-band density -1.0 must be finite and non-negative"),
     ("--density", "nan", "off-band density nan must be finite and non-negative"),
-    ("--shift", "nan", "diagonal shift nan must be finite")])
+    ("--shift", "nan", "diagonal shift nan must be finite"),
+    ("--density", "1e30", "off-band density 1e+30 must be at most 1")])
 def test_gen_sparse_refuses_bad_density_and_shift(tmp_path, capsys, flag,
                                                   value, message):
     assert run(["gen", "--kind", "sparse", "--n", "5", flag, value,

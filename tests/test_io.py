@@ -379,10 +379,17 @@ class TestSparseGen:
         ({"offband_density": np.nan}, "off-band density nan must be finite"),
         ({"offband_density": -1.0}, "off-band density -1.0 must be finite"),
         ({"diagonal_shift": np.nan}, "diagonal shift nan must be finite"),
-        ({"diagonal_shift": -np.inf}, "diagonal shift -inf must be finite")])
+        ({"diagonal_shift": -np.inf}, "diagonal shift -inf must be finite"),
+        ({"offband_density": 1e30}, "off-band density 1e[+]30 must be at most 1")])
     def test_bad_density_or_shift_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             qio.gen_sparse_block(5, seed=1, **kwargs)
+
+    def test_density_one_still_draws(self):
+        # The largest density accepted draws n * n off-band entries.
+        full = qio.gen_sparse_block(6, seed=3, offband_density=1.0)
+        assert full.nnz > qio.gen_sparse_block(6, seed=3,
+                                               offband_density=0.0).nnz
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_band_wider_than_the_matrix_adds_nothing(self, n):

@@ -270,12 +270,66 @@ def test_oracles_never_read_the_product_table():
     # checked against state the multiplication rule without the tables.
     trees = [ast.parse(Path(oracles.__file__).read_text())]
     trees += [ast.parse(inspect.getsource(f)) for f in (
-        quatlin.expand_vector, quatlin.expand_real_counterpart,
-        conftest.from_components)]
+        quatlin._counterpart, quatlin.expand_vector,
+        quatlin.expand_real_counterpart, conftest.from_components)]
     names = {getattr(node, attr) for tree in trees for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
     assert not names & {"QUAT_TABLE", "QUAT_CONJ", "_CONJ_TABLE",
                         "_DIRECT_MIX", "_CONJ_MIX", "_QUAT_MIX"}
+
+
+def _block_uses(tree: ast.Module) -> list:
+    """(enclosing function, name used) of each ``numpy.block`` a module
+    names: as an attribute of numpy under any import alias, or bound by
+    ``from numpy import block`` under any name.  Code outside a function
+    is ``<module>``."""
+    numpy, blocks, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy |= {a.asname or "numpy" for a in node.names
+                      if a.name == "numpy" or (a.name.startswith("numpy.")
+                                               and not a.asname)}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            blocks |= {a.asname or a.name for a in node.names
+                       if a.name == "block"}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "block"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in numpy) or (
+                    isinstance(child, ast.Name) and child.id in blocks):
+                found.append((owner, ast.unparse(child)))
+            function = isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+            visit(child, child.name if function else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_counterpart_helper_calls_np_block():
+    # quatlin._counterpart holds the one copy of the real counterpart's
+    # block layout; a second np.block in the package would be a second copy.
+    offenders = {path.name: _block_uses(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {
+        "quatlin.py": [("_counterpart", "np.block")]}
+
+
+def test_block_checker_sees_every_form():
+    tree = ast.parse("import numpy as np, numpy\n"
+                     "import numpy.linalg as la\n"
+                     "from numpy import block, block as bl, hstack\n"
+                     "def f(a):\n"
+                     "    return np.block(a) + numpy.block(a) + la.block(a)\n"
+                     "class C:\n"
+                     "    def g(self, a):\n"
+                     "        return block(a) + bl(a) + np.hstack(a) + hstack(a)\n"
+                     "x = numpy.block([[1.0]])\n")
+    assert _block_uses(tree) == [
+        ("f", "np.block"), ("f", "numpy.block"), ("g", "block"), ("g", "bl"),
+        ("<module>", "numpy.block")]
 
 
 def _public_definitions(tree: ast.Module) -> list:

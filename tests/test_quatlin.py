@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quatsvd.quatlin import (
     QUAT_CONJ,
@@ -112,6 +113,60 @@ class TestExpansion:
         for X in structure_matrices(3):
             assert np.array_equal(X.T, -X)
             assert np.array_equal(X @ X.T, np.eye(12))
+
+
+# The two layouts quatlin wrote out by hand before both oracles shared one
+# helper, kept verbatim as references for it.
+def _reference_counterpart(M):
+    b0, b1, b2, b3 = M.dense_blocks()
+    return np.block([
+        [b0, b2, b1, b3],
+        [-b2, b0, b3, -b1],
+        [-b1, -b3, b0, b2],
+        [-b3, b1, -b2, b0],
+    ])
+
+
+def _reference_vector(x):
+    c0, c1, c2, c3 = np.hsplit(x, 4)
+    return np.block([
+        [c0, c2, c1, c3],
+        [-c2, c0, c3, -c1],
+        [-c1, -c3, c0, c2],
+        [-c3, c1, -c2, c0],
+    ])
+
+
+def assert_same_entries(got, want):
+    """Equal dtype, shape and values, NaN for NaN, and equal signs of zero."""
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestOneLayout:
+    def test_counterpart_matches_the_written_out_layout(self, rng):
+        dense = [rng.standard_normal((5, 3)) for _ in range(4)]
+        dense[1][0, :] = -0.0
+        dense[3][:, 2] = 0.0
+        sparse = [sp.random(40, 30, density=0.02, random_state=s, format="csr")
+                  for s in range(4)]
+        sparse[2] = -sparse[2]
+        matrices = [QuatMatrix(*dense), QuatMatrix(*sparse),
+                    QuatMatrix([[-0.0]], [[2.0]], [[0.0]], [[-3.5]])]
+        assert matrices[1].is_sparse
+        for M in matrices:
+            assert_same_entries(expand_real_counterpart(M),
+                                _reference_counterpart(M))
+
+    @pytest.mark.parametrize("x", [
+        np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 1.0, -2.0, 0.0]]),
+        np.array([[1.5, -0.0, 3.0, -4.0]]),
+        np.array([[np.nan, np.inf, -np.inf, 0.0],
+                  [-0.0, -np.nan, 2.0, np.inf]])],
+        ids=["signed-zeros", "n1", "non-finite"])
+    def test_vector_matches_the_written_out_layout(self, x):
+        assert_same_entries(expand_vector(x), _reference_vector(x))
 
 
 class TestMatvec:
