@@ -105,9 +105,11 @@ def _cmd_svd(args) -> int:
     opts = _options(args)
     M = _load_matrix(args.input, args.n)
     triplets, trace = solve_partial_svd(M, opts)
-    qio.write_triplets(triplets, args.out)
+    qio.write_csv(args.out, "j,sigma,bound,converged",
+                  zip(range(1, len(triplets) + 1), triplets.sigmas,
+                      triplets.bounds, triplets.converged.astype(int)))
     if args.trace:
-        qio.write_trace(trace, args.trace)
+        qio.write_csv(args.trace, "cycle,j,bound,matvecs", trace.rows)
     print(f"{len(triplets)} triplets written to {args.out} "
           f"({trace.cycles} cycles, converged={triplets.all_converged})")
     return EXIT_OK if triplets.all_converged else EXIT_UNCONVERGED

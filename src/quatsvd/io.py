@@ -24,12 +24,8 @@ import scipy.sparse as sp
 
 from .lowrank import RgbImage
 from .quatlin import QuatMatrix
-from .restart import ConvergenceTrace, TripletSet
 
 QMX_MAGIC = b"QSVDQMX1"
-
-TRIPLET_HEADER = "j,sigma,bound,converged"
-TRACE_HEADER = "cycle,j,bound,matvecs"
 
 
 class MalformedFileError(ValueError):
@@ -242,6 +238,8 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     """
     if n < 1:
         raise ValueError(f"order n={n} must be at least 1")
+    if band < 0:
+        raise ValueError(f"half bandwidth {band} must be non-negative")
     if not (np.isfinite(offband_density) and offband_density >= 0.0):
         raise ValueError(f"off-band density {offband_density} must be finite "
                          "and non-negative")
@@ -370,14 +368,3 @@ def write_csv(path, header: str, rows) -> None:
         fh.writelines(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
                                for x in row) + "\n" for row in rows)
 
-
-def write_triplets(T: TripletSet, path) -> None:
-    """Triplet summary CSV with header ``j,sigma,bound,converged``."""
-    write_csv(path, TRIPLET_HEADER,
-              ((j + 1, T.sigmas[j], T.bounds[j], int(T.converged[j]))
-               for j in range(len(T))))
-
-
-def write_trace(trace: ConvergenceTrace, path) -> None:
-    """Convergence trace CSV with header ``cycle,j,bound,matvecs``."""
-    write_csv(path, TRACE_HEADER, trace.rows)

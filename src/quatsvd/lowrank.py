@@ -14,12 +14,16 @@ scores as its float64 copy and no temporary is larger than a panel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quatlin import QuatMatrix, weighted_outer
-from .restart import TripletSet
+
+if TYPE_CHECKING:  # the image tools read triplets but need no solver
+    from .restart import TripletSet
 
 SSIM_C1 = (0.01 * 255.0) ** 2
 SSIM_C2 = (0.03 * 255.0) ** 2
@@ -81,6 +85,8 @@ def quat_to_image(M: QuatMatrix) -> RgbImage:
 
 def low_rank_approx(T: TripletSet, k: int) -> QuatMatrix:
     """Rank-k reconstruction U_k diag(sigma_1..k) V_k* from triplets."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k={k!r} must be an integer")
     if k < 0:
         raise ValueError(f"k={k} must be non-negative")
     if k > len(T):

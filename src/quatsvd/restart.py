@@ -54,7 +54,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import smalldense
 from .bidiag import (
@@ -208,7 +207,8 @@ def check_convergence(B: np.ndarray, beta_k: float, delta: float, t: int,
         Pc = np.column_stack([V, c])
     else:
         Y, sigmas = V, theta
-        Pc = block_diag(Y, 1.0)
+        Pc = np.pad(Y, (0, 1))
+        Pc[-1, -1] = 1.0
     bounds = np.hypot(np.linalg.norm(B.T @ X - Y * sigmas, axis=0),
                       beta_k * X[-1])
     return ConvergenceCheck(flags=bounds <= delta * sigma_max, bounds=bounds,

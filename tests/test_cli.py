@@ -23,9 +23,9 @@ from quatsvd.cli import (
 )
 from quatsvd.lowrank import RgbImage, low_rank_approx
 from quatsvd.quatlin import QuatMatrix
-from quatsvd.restart import SolverOptions
+from quatsvd.restart import SolverOptions, solve_partial_svd
 
-from conftest import dedup_singular_values
+from conftest import dedup_singular_values, rand_qmat
 
 
 def run(args):
@@ -152,6 +152,49 @@ def test_determinism_byte_identical(tmp_path, dense_qmx):
                     "--out", trip, "--trace", trace]) == EXIT_OK
         outs.append((trip.read_bytes(), trace.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def svd_files(tmp_path, M, *flags):
+    """The triplet and trace CSVs `quatsvd svd --trace` writes for M,
+    stored as a .qmx (bit exact), solved with ``flags``."""
+    qmx, trip, trace = (tmp_path / name for name in ("m.qmx", "t.csv",
+                                                     "tr.csv"))
+    qio.write_qmx(M, qmx)
+    assert run(["svd", "--input", qmx, *flags, "--out", trip,
+                "--trace", trace]) == EXIT_OK
+    return trip, trace
+
+
+def test_one_triplet_two_lines(tmp_path, rng):
+    trip, _ = svd_files(tmp_path, rand_qmat(rng, 6, 5), "--k", 1, "--seed", 1)
+    lines = trip.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "j,sigma,bound,converged"
+
+
+def test_sigmas_round_trip_bit_exact(tmp_path, rng):
+    M = rand_qmat(rng, 12, 10)
+    T, _ = solve_partial_svd(M, SolverOptions(k=4, seed=2))
+    trip, _ = svd_files(tmp_path, M, "--k", 4, "--seed", 2)
+    assert trip.read_text().startswith("j,sigma,bound,converged\n")
+    j, sig, bnd, conv = np.loadtxt(trip, delimiter=",", skiprows=1,
+                                   ndmin=2).T
+    assert np.array_equal(j, [1, 2, 3, 4])
+    assert np.array_equal(sig, T.sigmas)
+    assert np.array_equal(bnd, T.bounds)
+    assert np.array_equal(conv.astype(bool), T.converged)
+
+
+def test_trace_rows_match(tmp_path, rng):
+    M = rand_qmat(rng, 12, 10)
+    _, trace = solve_partial_svd(M, SolverOptions(k=2, m_b=5, seed=2))
+    _, path = svd_files(tmp_path, M, "--k", 2, "--mb", 5, "--seed", 2)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "cycle,j,bound,matvecs"
+    assert len(lines) == 1 + len(trace.rows)
+    rows = [(int(c), int(j), float(b), int(m))
+            for c, j, b, m in (line.split(",") for line in lines[1:])]
+    assert rows == trace.rows
 
 
 def test_env_seed_override(tmp_path, dense_qmx, monkeypatch):

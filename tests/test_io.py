@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from quatsvd import io as qio
 from quatsvd.lowrank import RgbImage
 from quatsvd.quatlin import expand_real_counterpart
-from quatsvd.restart import ConvergenceTrace, SolverOptions, solve_partial_svd
 
 from conftest import rand_qmat, triplets_of
 from oracles import structure_matrices
@@ -374,6 +373,12 @@ class TestSparseGen:
         with pytest.raises(ValueError, match=f"order n={n} must be at least"):
             qio.gen_sparse_block(n, seed=1)
 
+    def test_negative_band_rejected(self):
+        # A negative band would draw no diagonal at all (n=6, 0 entries).
+        with pytest.raises(ValueError,
+                           match="half bandwidth -1 must be non-negative"):
+            qio.gen_sparse_block(6, seed=0, band=-1)
+
     @pytest.mark.parametrize("kwargs,message", [
         ({"offband_density": np.inf}, "off-band density inf must be finite"),
         ({"offband_density": np.nan}, "off-band density nan must be finite"),
@@ -603,37 +608,3 @@ class TestCsv:
         assert lines[-1] == ""
         back = [float(t) for line in lines[3:5] for t in line.split(",")]
         assert np.array(back).tobytes() == np.array(floats).tobytes()
-
-    def test_empty_trace_is_header_only(self, tmp_path):
-        path = tmp_path / "t.csv"
-        qio.write_trace(ConvergenceTrace(), path)
-        assert path.read_text() == "cycle,j,bound,matvecs\n"
-
-    def test_one_triplet_two_lines(self, tmp_path, rng):
-        M = rand_qmat(rng, 6, 5)
-        T, _ = solve_partial_svd(M, SolverOptions(k=1, seed=1))
-        path = tmp_path / "one.csv"
-        qio.write_triplets(T, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == "j,sigma,bound,converged"
-
-    def test_sigmas_round_trip_bit_exact(self, tmp_path, rng):
-        M = rand_qmat(rng, 12, 10)
-        T, _ = solve_partial_svd(M, SolverOptions(k=4, seed=2))
-        path = tmp_path / "t.csv"
-        qio.write_triplets(T, path)
-        assert path.read_text().startswith("j,sigma,bound,converged\n")
-        _, sig, bnd, conv = np.loadtxt(path, delimiter=",", skiprows=1,
-                                       ndmin=2).T
-        assert np.array_equal(sig, T.sigmas)
-        assert np.array_equal(bnd, T.bounds)
-        assert np.array_equal(conv.astype(bool), T.converged)
-
-    def test_trace_rows_match(self, tmp_path, rng):
-        M = rand_qmat(rng, 12, 10)
-        _, trace = solve_partial_svd(M, SolverOptions(k=2, m_b=5, seed=2))
-        path = tmp_path / "tr.csv"
-        qio.write_trace(trace, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + len(trace.rows)

@@ -166,6 +166,20 @@ class TestLowRankApprox:
         with pytest.raises(ValueError, match="non-negative"):
             low_rank_approx(T, k)
 
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, "2"])
+    def test_non_integer_k_rejected(self, rng, k):
+        # True would rebuild at rank 1 and 1.5 fail inside the slicing;
+        # k follows SolverOptions' rule for a count.
+        T = synthetic_triplets(rng, 8, 6, [5.0, 3.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match=f"k={k!r} must be an integer"):
+            low_rank_approx(T, k)
+
+    def test_numpy_integer_k_accepted(self, rng):
+        T = synthetic_triplets(rng, 8, 6, [5.0, 3.0, 2.0, 1.0])
+        want = low_rank_approx(T, 2).dense_blocks()
+        assert np.array_equal(low_rank_approx(T, np.int64(2)).dense_blocks(),
+                              want)
+
 
 class TestPsnr:
     def test_identical_is_infinite(self, rng):

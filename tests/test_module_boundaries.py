@@ -93,6 +93,101 @@ def test_sparse_checker_sees_every_form():
             "scipy.sparse"]
 
 
+TYPE_CHECKING_TESTS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+SOLVER_MODULES = ("quatsvd.restart", "quatsvd.bidiag", "quatsvd.smalldense")
+
+
+def _runtime_names(tree: ast.Module) -> list:
+    """Dotted names a module takes from other modules at run time, in any
+    import form: ``import a.b`` gives ``a.b``, ``from a import b`` gives
+    ``a.b`` (a relative import is under ``quatsvd``), and an attribute of a
+    bound name gives its target's, so ``q.restart`` after ``import quatsvd
+    as q`` is ``quatsvd.restart``.  Imports in the body of ``if
+    TYPE_CHECKING:`` bind names for annotations only and are left out."""
+    found, aliases, attributes = [], {}, []
+
+    def visit(node):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.append(alias.name)
+                head = alias.name.split(".")[0]
+                aliases[alias.asname or head] = (alias.name if alias.asname
+                                                 else head)
+        elif isinstance(node, ast.ImportFrom):
+            module = "quatsvd" if node.level else ""
+            module = ".".join(filter(None, (module, node.module)))
+            for alias in node.names:
+                found.append(f"{module}.{alias.name}")
+                aliases[alias.asname or alias.name] = found[-1]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                            ast.Name):
+            attributes.append(node)
+        exempt = isinstance(node, ast.If) and \
+            ast.unparse(node.test) in TYPE_CHECKING_TESTS
+        for child in node.orelse if exempt else ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    found += [f"{aliases[node.value.id]}.{node.attr}" for node in attributes
+              if node.value.id in aliases]
+    return found
+
+
+def _taken_from(tree: ast.Module, modules) -> list:
+    """The run-time names of ``tree`` that lie in one of ``modules``."""
+    return [name for name in _runtime_names(tree)
+            if any(name == m or name.startswith(m + ".") for m in modules)]
+
+
+def test_image_and_format_tools_take_nothing_from_the_solver():
+    # The solver and the image/format tools share only quatlin: lowrank
+    # rebuilds from the triplets a solve returns and io writes them, but
+    # neither runs, configures or types a solve at run time.
+    offenders = {name: _taken_from(ast.parse((PACKAGE / name).read_text()),
+                                   SOLVER_MODULES)
+                 for name in ("io.py", "lowrank.py")}
+    assert offenders == {"io.py": [], "lowrank.py": []}
+
+
+def test_restart_takes_nothing_from_scipy():
+    # Dense algebra reaches the solver through smalldense and numpy alone.
+    assert _taken_from(ast.parse((PACKAGE / "restart.py").read_text()),
+                       ("scipy",)) == []
+
+
+def test_layering_checker_sees_every_form():
+    tree = ast.parse("import typing\n"
+                     "from typing import TYPE_CHECKING\n"
+                     "import quatsvd.bidiag\n"
+                     "import quatsvd as q, scipy.linalg as sla\n"
+                     "from . import quatlin, smalldense as sd\n"
+                     "from .restart import TripletSet\n"
+                     "from quatsvd.restart import solve_partial_svd\n"
+                     "from scipy import linalg\n"
+                     "if TYPE_CHECKING:\n"
+                     "    from .bidiag import KrylovState\n"
+                     "    import quatsvd.smalldense as hidden\n"
+                     "elif typing.TYPE_CHECKING:\n"
+                     "    from .restart import ConvergenceTrace\n"
+                     "else:\n"
+                     "    from .bidiag import lanczos_bidiag\n"
+                     "def f():\n"
+                     "    import scipy.sparse\n"
+                     "    return q.restart.verify_residual(hidden.dense_svd)"
+                     " + sla.norm(quatlin.vec_norm)\n")
+    assert sorted(_taken_from(tree, SOLVER_MODULES)) == [
+        "quatsvd.bidiag", "quatsvd.bidiag.lanczos_bidiag", "quatsvd.restart",
+        "quatsvd.restart.TripletSet", "quatsvd.restart.solve_partial_svd",
+        "quatsvd.smalldense"]
+    assert sorted(_taken_from(tree, ("scipy",))) == [
+        "scipy.linalg", "scipy.linalg", "scipy.linalg.norm", "scipy.sparse"]
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    assert "quatsvd.restart.solve_partial_svd" in _taken_from(
+        cli, SOLVER_MODULES)
+    assert _taken_from(ast.parse((PACKAGE / "smalldense.py").read_text()),
+                       ("scipy",)) == ["scipy.linalg", "scipy.linalg"]
+
+
 ENV_READERS = {"environ", "getenv"}
 
 
