@@ -90,6 +90,8 @@ def _options(args) -> SolverOptions:
 def _load_matrix(spec: str, n: int | None) -> QuatMatrix:
     """Load a .qmx container or four comma-separated .mtx block files."""
     if "," not in spec and spec.endswith(".qmx"):
+        if n is not None:
+            raise ValueError(f"--n={n} applies only to .mtx block input")
         return qio.read_qmx(spec)
     paths = [p for p in spec.split(",") if p]
     if len(paths) != 4:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lowrank import RgbImage
-from .quatlin import QuatMatrix
+from .quatlin import QuatMatrix, check_count
 
 QMX_MAGIC = b"QSVDQMX1"
 
@@ -214,12 +214,11 @@ def assemble_jrs_blocks(B0, B1, B2, B3, n: int) -> QuatMatrix:
     n rows and columns) of four sparse blocks, as ``coo_matrix`` from
     :func:`read_matrix_market` or :func:`gen_sparse_block`.
 
-    Raises ``ValueError`` when ``n < 1`` or a block has fewer than n rows
-    or columns.
+    Raises ``ValueError`` when n is not an integer of at least 1 or a
+    block has fewer than n rows or columns.
     """
     blocks = (B0, B1, B2, B3)
-    if n < 1:
-        raise ValueError(f"order n={n} must be at least 1")
+    check_count("order n", n, 1)
     for b in blocks:
         if n > min(b.shape):
             raise ValueError(f"block is {b.shape[0]}x{b.shape[1]}, "
@@ -236,10 +235,9 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     A stand-in for the published sparse collections when they are not
     available offline; the density matches their order of magnitude.
     """
-    if n < 1:
-        raise ValueError(f"order n={n} must be at least 1")
-    if band < 0:
-        raise ValueError(f"half bandwidth {band} must be non-negative")
+    check_count("order n", n, 1)
+    check_count("seed", seed, 0)
+    check_count("band", band, 0)
     if not (np.isfinite(offband_density) and offband_density >= 0.0):
         raise ValueError(f"off-band density {offband_density} must be finite "
                          "and non-negative")

@@ -14,13 +14,12 @@ scores as its float64 copy and no temporary is larger than a panel.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .quatlin import QuatMatrix, weighted_outer
+from .quatlin import QuatMatrix, check_count, weighted_outer
 
 if TYPE_CHECKING:  # the image tools read triplets but need no solver
     from .restart import TripletSet
@@ -85,10 +84,7 @@ def quat_to_image(M: QuatMatrix) -> RgbImage:
 
 def low_rank_approx(T: TripletSet, k: int) -> QuatMatrix:
     """Rank-k reconstruction U_k diag(sigma_1..k) V_k* from triplets."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k={k!r} must be an integer")
-    if k < 0:
-        raise ValueError(f"k={k} must be non-negative")
+    check_count("k", k, 0)
     if k > len(T):
         raise ValueError(f"k={k} exceeds the {len(T)} available triplets")
     return weighted_outer(T.U[:k], T.V[:k], T.sigmas[:k])
@@ -154,8 +150,9 @@ def stack_frames(frames: list) -> QuatMatrix:
 def rebuild_frames(T: TripletSet, k: int, frame_height: int):
     """Decoded rank-k rebuilds of a stack's frames, one at a time: a frame's
     rows are U_k[rows] diag(sigma) V_k*, so no stack-sized Ak is held."""
+    check_count("frame height", frame_height, 1)
     rows = T.U.shape[1]
-    if frame_height < 1 or rows % frame_height:
+    if rows % frame_height:
         raise ValueError(f"frame height {frame_height} does not divide the "
                          f"{rows} rows into frames")
     return (quat_to_image(low_rank_approx(

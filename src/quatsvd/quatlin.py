@@ -39,6 +39,7 @@ combined in panels of the same size.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -255,6 +256,15 @@ def check_compact(x, n: int, what: str) -> None:
     """Reject anything but an (n, 4) array: a compact length-n vector."""
     if np.shape(x) != (n, 4):
         raise ValueError(f"{what}: expected shape ({n}, 4), got {np.shape(x)}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject anything but an integer (a bool is not one) of at least
+    ``least``: the one rule for every count argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if value < least:
+        raise ValueError(f"{name}={value} must be at least {least}")
 
 
 def expand_vector(x: np.ndarray) -> np.ndarray:

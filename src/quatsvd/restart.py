@@ -50,8 +50,7 @@ Output is bit-identical for a fixed seed and BLAS thread count.  Between
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .bidiag import (
 )
 from .quatlin import (
     QuatMatrix,
+    check_count,
     random_unit_vector,
     safe_range_exponent,
     scaled_norm,
@@ -95,18 +95,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.which not in (WHICH_LARGEST, WHICH_SMALLEST):
             raise ValueError(f"unknown mode {self.which!r}")
-        counts = {"k": self.k, "maxit": self.maxit, "seed": self.seed,
-                  **({} if self.m_b is None else {"m_b": self.m_b})}
-        for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}={value!r} must be an integer")
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be at least 1")
-        if self.m_b is not None and self.m_b < 1:
-            raise ValueError(f"m_b={self.m_b} must be at least 1")
-        for name in ("maxit", "seed"):
-            if counts[name] < 0:
-                raise ValueError(f"{name}={counts[name]} must be non-negative")
+        check_count("k", self.k, 1)
+        if self.m_b is not None:
+            check_count("m_b", self.m_b, 1)
+        check_count("maxit", self.maxit, 0)
+        check_count("seed", self.seed, 0)
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta={self.delta} must be finite and positive")
 
@@ -276,11 +269,13 @@ def _retained_count(k: int, m_b: int, which: str) -> int:
 
 
 def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
-                      which: str, k: int) -> TripletSet:
+                      which: str, k: int, e: int,
+                      adjoint: bool) -> TripletSet:
     """Reported triplets u_j = Q x_j and v_j = P y_j of the k leading
-    columns of ``chk``, the last check of ``state``.  The bases are
-    combined in the state's workspace and copied out as (k, n, 4) arrays,
-    so the result does not keep it alive."""
+    columns of ``chk``, the last check of ``state``, with values and bounds
+    times 2**e and, for an ``adjoint`` solve, u and v swapped.  The bases
+    are combined in the state's workspace and copied out as (k, n, 4)
+    arrays, so the result does not keep it alive."""
     # A harmonic sigma_j = x_j' B y_j can round below zero; flipping u_j
     # with it keeps M v = u sigma and every bound.
     sign = np.where(chk.sigmas[:k] < 0.0, -1.0, 1.0)
@@ -290,8 +285,11 @@ def _extract_triplets(state: KrylovState, chk: ConvergenceCheck,
                        -sigmas if which == WHICH_LARGEST else sigmas))
     U = state.Q.combine_matrix(X[:, perm]).data.copy()
     V = state.P.combine_matrix(chk.Y[:, perm]).data.copy()
-    return TripletSet(sigmas=sigmas[perm], U=U, V=V,
-                      bounds=chk.bounds[perm], converged=chk.flags[perm])
+    if adjoint:
+        U, V = V, U
+    return TripletSet(sigmas=np.ldexp(sigmas[perm], e), U=U, V=V,
+                      bounds=np.ldexp(chk.bounds[perm], e),
+                      converged=chk.flags[perm])
 
 
 def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
@@ -308,29 +306,21 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
     m, n = M.rows, M.cols
     if opts.k > min(m, n):
         raise ValueError(f"k={opts.k} out of range 1..{min(m, n)}")
-    if e:
-        # Solve M 2**-e and scale the singular values and bounds back; the
-        # vectors are the same.
-        triplets, trace = solve_partial_svd(M.scaled(-e), opts)
-        trace.rows = [(cycle, j, float(np.ldexp(bound, e)), matvecs)
-                      for cycle, j, bound, matvecs in trace.rows]
-        return replace(triplets, sigmas=np.ldexp(triplets.sigmas, e),
-                       bounds=np.ldexp(triplets.bounds, e)), trace
-
     m_b = opts.resolved_m_b(m, n)
     if opts.k >= m_b and m_b < min(m, n):
         raise ValueError(f"need k < m_b: k={opts.k}, m_b={m_b}")
-    if m < n and (opts.which == WHICH_SMALLEST or m_b == m):
-        # Work on the adjoint, then swap the vector roles back.  In smallest
-        # mode its projected matrix tracks the nonzero spectrum; with
-        # m_b = m its right basis spans the whole space, so the exact
-        # projection below stops after one check.
-        triplets, trace = solve_partial_svd(M.conjugate_transpose(), opts)
-        return replace(triplets, U=triplets.V, V=triplets.U), trace
+    # Factor A = M 2**-e, whose vectors are M's, or for a wide M its
+    # adjoint: in smallest mode that projection tracks the nonzero
+    # spectrum, and with m_b = m its right basis spans the whole space,
+    # so the exact projection below stops after one check.
+    A = M.scaled(-e) if e else M
+    adjoint = m < n and (opts.which == WHICH_SMALLEST or m_b == m)
+    if adjoint:
+        A = A.conjugate_transpose()
 
     trace = ConvergenceTrace()
     rng = np.random.default_rng(opts.seed)
-    state = lanczos_bidiag(M, random_unit_vector(M.cols, rng), m_b, rng)
+    state = lanczos_bidiag(A, random_unit_vector(A.cols, rng), m_b, rng)
     retained = _retained_count(opts.k, m_b, opts.which)
     cycle = 0
     while True:
@@ -338,14 +328,16 @@ def solve_partial_svd(M: QuatMatrix, opts: SolverOptions):
         chk = check_convergence(state.B, state.beta_last, opts.delta,
                                 max(retained, opts.k), which=opts.which,
                                 sigma_max=state.sigma_max)
-        trace.append_cycle(cycle, chk.bounds[:opts.k], state.matvecs)
-        # With m_b = n the right basis spans the column space: the
+        trace.append_cycle(cycle, np.ldexp(chk.bounds[:opts.k], e),
+                           state.matvecs)
+        # With m_b = A.cols the right basis spans A's column space: the
         # projection is exact and no direction is left to restart with.
-        if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == n:
-            return _extract_triplets(state, chk, opts.which, opts.k), trace
+        if np.all(chk.flags[:opts.k]) or cycle == opts.maxit or m_b == A.cols:
+            return _extract_triplets(state, chk, opts.which, opts.k, e,
+                                     adjoint), trace
         cycle += 1
         # The restart sees the sigma_max its check was given.
-        state = restart_cycle(M, state, retained, chk)
+        state = restart_cycle(A, state, retained, chk)
         state.sigma_max = chk.sigma_max
 
 

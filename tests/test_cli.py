@@ -559,6 +559,21 @@ def test_empty_matrix_is_a_one_line_error(tmp_path, capsys, shape, command):
                             "no singular triplets\n")
 
 
+@pytest.mark.parametrize("command", ["svd", "verify"])
+def test_n_with_a_qmx_input_is_refused(tmp_path, capsys, dense_qmx, command):
+    # --n picks the order of four .mtx blocks; a .qmx is solved whole, so
+    # the flag would be ignored.
+    argv = [command, "--input", dense_qmx, "--n", "3"]
+    if command == "svd":
+        argv += ["--out", tmp_path / "t.csv"]
+    capsys.readouterr()
+    assert run(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n=3 applies only to .mtx block input\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_svd_without_n_takes_the_smallest_block_order(tmp_path):
     blocks = [qio.gen_sparse_block(n, seed=i, diagonal_shift=3.0 * (i == 0))
               for i, n in enumerate((32, 30, 31, 33))]

@@ -303,10 +303,12 @@ class TestAssemble:
         with pytest.raises(ValueError, match="smaller than requested order 3"):
             qio.assemble_jrs_blocks(*blocks, n=3)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, True, 1.5])
     def test_order_below_one_rejected(self, n):
+        # True would give a 1x1 matrix and 1.5 fail inside the slicing.
         blocks = [qio.gen_sparse_block(4, seed=i) for i in range(4)]
-        with pytest.raises(ValueError, match="at least 1"):
+        rule = "at least 1" if type(n) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^order n={n!r} must be {rule}$"):
             qio.assemble_jrs_blocks(*blocks, n=n)
 
     def test_leading_submatrix_kept(self):
@@ -368,15 +370,16 @@ class TestSparseGen:
         block = qio.gen_sparse_block(30, seed=2, offband_density=0.0)
         assert all(abs(r - c) <= 2 for r, c, _ in triplets_of(block))
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, True, 1.5, "2"])
     def test_order_below_one_rejected(self, n):
-        with pytest.raises(ValueError, match=f"order n={n} must be at least"):
+        # n=True would give a 1x1 block.
+        rule = "at least 1" if type(n) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^order n={n!r} must be {rule}$"):
             qio.gen_sparse_block(n, seed=1)
 
     def test_negative_band_rejected(self):
         # A negative band would draw no diagonal at all (n=6, 0 entries).
-        with pytest.raises(ValueError,
-                           match="half bandwidth -1 must be non-negative"):
+        with pytest.raises(ValueError, match="^band=-1 must be at least 0$"):
             qio.gen_sparse_block(6, seed=0, band=-1)
 
     @pytest.mark.parametrize("kwargs,message", [
@@ -385,10 +388,18 @@ class TestSparseGen:
         ({"offband_density": -1.0}, "off-band density -1.0 must be finite"),
         ({"diagonal_shift": np.nan}, "diagonal shift nan must be finite"),
         ({"diagonal_shift": -np.inf}, "diagonal shift -inf must be finite"),
-        ({"offband_density": 1e30}, "off-band density 1e[+]30 must be at most 1")])
+        ({"offband_density": 1e30}, "off-band density 1e[+]30 must be at most 1"),
+        # band=True would draw at band 1, and 1.5 fail inside range().
+        ({"band": True}, "^band=True must be an integer$"),
+        ({"band": 1.5}, "^band=1.5 must be an integer$"),
+        ({"band": "2"}, "^band='2' must be an integer$"),
+        ({"seed": True}, "^seed=True must be an integer$"),
+        ({"seed": 1.5}, "^seed=1.5 must be an integer$"),
+        ({"seed": "2"}, "^seed='2' must be an integer$"),
+        ({"seed": -1}, "^seed=-1 must be at least 0$")])
     def test_bad_density_or_shift_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            qio.gen_sparse_block(5, seed=1, **kwargs)
+            qio.gen_sparse_block(5, **{"seed": 1, **kwargs})
 
     def test_density_one_still_draws(self):
         # The largest density accepted draws n * n off-band entries.

@@ -163,7 +163,7 @@ class TestLowRankApprox:
         # A negative k would slice the triplets from the end: -1 gave a
         # rank-3 rebuild of four triplets and -4 the zero matrix.
         T = synthetic_triplets(rng, 8, 6, [5.0, 3.0, 2.0, 1.0])
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=f"^k={k} must be at least 0$"):
             low_rank_approx(T, k)
 
     @pytest.mark.parametrize("k", [True, 1.5, 2.0, "2"])
@@ -401,8 +401,9 @@ class TestFrames:
         with pytest.raises(ValueError, match="no frames"):
             stack_frames([])
 
-    @pytest.mark.parametrize("height", [0, -2, 5])
+    @pytest.mark.parametrize("height", [0, -2, 5, True, 2.0])
     def test_frame_height_must_divide_the_rows(self, rng, height):
+        # True would cut one-row frames and 2.0 fail inside range().
         T = synthetic_triplets(rng, 6, 4, [2.0, 1.0])    # two 3-row frames
         with pytest.raises(ValueError, match="frame height"):
             rebuild_frames(T, 2, height)

@@ -188,6 +188,70 @@ def test_layering_checker_sees_every_form():
                        ("scipy",)) == ["scipy.linalg", "scipy.linalg"]
 
 
+def test_only_quatlin_names_numbers():
+    # quatlin.check_count alone says what a count is; every other module
+    # calls it instead of testing numbers.Integral itself.
+    offenders = {path.name: _taken_from(ast.parse(path.read_text()),
+                                        ("numbers",))
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "quatlin.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_numbers_checker_sees_every_form():
+    tree = ast.parse("import numbers, numpy\n"
+                     "import numbers as nb\n"
+                     "from numbers import Integral, Real as R\n"
+                     "x = nb.Integral\n")
+    assert sorted(_taken_from(tree, ("numbers",))) == [
+        "numbers", "numbers", "numbers.Integral", "numbers.Integral",
+        "numbers.Real"]
+    assert _taken_from(ast.parse((PACKAGE / "quatlin.py").read_text()),
+                       ("numbers",)) == ["numbers", "numbers.Integral"]
+
+
+def _callers(tree: ast.Module, name: str) -> list:
+    """The enclosing function of each call of ``name`` in a module, called
+    bare or as an attribute (``restart.name(...)``); a call outside any
+    function is in ``<module>``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append(owner)
+            function = isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+            visit(child, child.name if function else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_solve_never_reenters_itself():
+    # solve_partial_svd builds the matrix it factors, scaled and on the
+    # adjoint route, and checks its arguments once; nothing in restart
+    # runs a second solve.
+    assert _callers(ast.parse((PACKAGE / "restart.py").read_text()),
+                    "solve_partial_svd") == []
+
+
+def test_caller_checker_sees_every_form():
+    tree = ast.parse("def solve_partial_svd(M):\n"
+                     "    return solve_partial_svd(M.scaled(-1))\n"
+                     "class C:\n"
+                     "    def f(self):\n"
+                     "        return restart.solve_partial_svd(self)\n"
+                     "x = solve_partial_svd(1), solve_partial_svd.__doc__\n")
+    assert _callers(tree, "solve_partial_svd") == [
+        "solve_partial_svd", "f", "<module>"]
+    assert _callers(ast.parse((PACKAGE / "cli.py").read_text()),
+                    "solve_partial_svd") == ["_cmd_svd",
+                                             "_reconstruction_report"]
+
+
 ENV_READERS = {"environ", "getenv"}
 
 

@@ -687,24 +687,29 @@ class TestSolver:
     def test_power_of_two_scaling_is_exact(self, rng, which, e, sparse):
         # Outside the safe range the solve runs on M scaled back by a power
         # of two: every reported number is exactly 2**e times the unscaled
-        # solve's, and the vectors and flags are the same.
+        # solve's, and the vectors and flags are the same.  The wide dense
+        # M is solved scaled and through its adjoint: in smallest mode, and
+        # in largest mode with m_b = 12, its row count.
         if sparse:
-            M0 = QuatMatrix(*[qio.gen_sparse_block(60, seed=i, diagonal_shift=3.0)
-                              for i in range(4)])
-            assert M0.is_sparse
+            M0s = [QuatMatrix(*[qio.gen_sparse_block(60, seed=i,
+                                                     diagonal_shift=3.0)
+                                for i in range(4)])]
+            assert M0s[0].is_sparse
         else:
-            M0 = rand_qmat(rng, 30, 24)
-        opts = SolverOptions(k=3, which=which, seed=1)
-        T0, trace0 = solve_partial_svd(M0, opts)
-        M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
-        T, trace = solve_partial_svd(M, opts)
-        assert np.array_equal(T.sigmas, np.ldexp(T0.sigmas, e))
-        assert np.array_equal(T.bounds, np.ldexp(T0.bounds, e))
-        assert trace.rows == [(c, j, float(np.ldexp(b, e)), mv)
-                              for c, j, b, mv in trace0.rows]
-        assert np.array_equal(T.converged, T0.converged)
-        assert np.array_equal(T.U, T0.U)
-        assert np.array_equal(T.V, T0.V)
+            M0s = [rand_qmat(rng, 30, 24), rand_qmat(rng, 12, 30)]
+        for M0 in M0s:
+            m_b = 12 if M0.rows < M0.cols and which == "largest" else None
+            opts = SolverOptions(k=3, which=which, m_b=m_b, seed=1)
+            T0, trace0 = solve_partial_svd(M0, opts)
+            M = QuatMatrix(*[b * 2.0 ** e for b in M0.blocks])
+            T, trace = solve_partial_svd(M, opts)
+            assert np.array_equal(T.sigmas, np.ldexp(T0.sigmas, e))
+            assert np.array_equal(T.bounds, np.ldexp(T0.bounds, e))
+            assert trace.rows == [(c, j, float(np.ldexp(b, e)), mv)
+                                  for c, j, b, mv in trace0.rows]
+            assert np.array_equal(T.converged, T0.converged)
+            assert np.array_equal(T.U, T0.U)
+            assert np.array_equal(T.V, T0.V)
 
     @pytest.mark.parametrize("which", ["largest", "smallest"])
     @pytest.mark.parametrize("e", [600, -600])
