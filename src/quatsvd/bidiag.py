@@ -38,6 +38,7 @@ from .quatlin import (
     CompactBasis,
     QuatMatrix,
     check_compact,
+    check_count,
     orthogonalize_against_basis,
     orthogonalize_with_coeffs,
     random_unit_vector,
@@ -210,6 +211,7 @@ def lanczos_bidiag(M: QuatMatrix, p1: np.ndarray, k: int,
     The returned state holds the alphas on ``np.diag(B)``, the betas on
     ``np.diag(B, 1)`` and the trailing beta_k = ||f|| in ``beta_last``.
     """
+    check_count("k", k, 1)
     if not 1 <= k <= min(M.rows, M.cols):
         raise ValueError(f"k={k} out of range 1..{min(M.rows, M.cols)}")
     return lanczos_extend(M, start_state(M, p1, rng, k), k)

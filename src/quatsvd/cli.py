@@ -38,6 +38,7 @@ from .lowrank import (
 )
 from .quatlin import (
     QuatMatrix,
+    check_count,
     expand_real_counterpart,
     expand_vector,
     random_unit_vector,
@@ -183,6 +184,8 @@ def _cmd_video(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "dense":
+        check_count("--m", args.m, 1)
+        check_count("--n", args.n, 1)
         rng = np.random.default_rng(args.seed)
         blocks = [rng.standard_normal((args.m, args.n)) for _ in range(4)]
         qio.write_qmx(QuatMatrix(*blocks), args.out)

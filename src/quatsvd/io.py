@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lowrank import RgbImage
-from .quatlin import QuatMatrix, check_count
+from .quatlin import QuatMatrix, check_count, check_real
 
 QMX_MAGIC = b"QSVDQMX1"
 
@@ -238,6 +238,8 @@ def gen_sparse_block(n: int, seed: int, band: int = 2,
     check_count("order n", n, 1)
     check_count("seed", seed, 0)
     check_count("band", band, 0)
+    check_real("off-band density", offband_density)
+    check_real("diagonal shift", diagonal_shift)
     if not (np.isfinite(offband_density) and offband_density >= 0.0):
         raise ValueError(f"off-band density {offband_density} must be finite "
                          "and non-negative")

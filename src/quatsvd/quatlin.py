@@ -267,6 +267,12 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name}={value} must be at least {least}")
 
 
+def check_real(name: str, value) -> None:
+    """Reject anything but a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a real number")
+
+
 def expand_vector(x: np.ndarray) -> np.ndarray:
     """The 4n-by-4 real counterpart of a compact quaternion vector."""
     return _counterpart(*np.hsplit(x, 4))
@@ -315,6 +321,7 @@ def structured_matvec(M: QuatMatrix, x: np.ndarray, adjoint: bool = False) -> np
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random compact vector of unit Frobenius norm."""
+    check_count("n", n, 1)
     data = rng.standard_normal((n, 4))
     return data / np.linalg.norm(data)
 

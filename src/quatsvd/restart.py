@@ -68,6 +68,7 @@ from .bidiag import (
 from .quatlin import (
     QuatMatrix,
     check_count,
+    check_real,
     random_unit_vector,
     safe_range_exponent,
     scaled_norm,
@@ -100,6 +101,7 @@ class SolverOptions:
             check_count("m_b", self.m_b, 1)
         check_count("maxit", self.maxit, 0)
         check_count("seed", self.seed, 0)
+        check_real("delta", self.delta)
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta={self.delta} must be finite and positive")
 

@@ -183,6 +183,10 @@ def test_invalid_inputs(rng):
         lanczos_bidiag(M, random_unit_vector(4, rng), 0, rng)
     with pytest.raises(ValueError):
         lanczos_bidiag(M, random_unit_vector(4, rng), 5, rng)
+    # k=True would build a 1x1 B, and 2.5 fail inside range().
+    for k in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^k={k!r} must be an integer$"):
+            lanczos_bidiag(M, random_unit_vector(4, rng), k, rng)
     with pytest.raises(ValueError):
         lanczos_bidiag(M, random_unit_vector(4, rng) * 0.9, 2, rng)
     with pytest.raises(ValueError):

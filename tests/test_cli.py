@@ -71,6 +71,15 @@ def test_gen_sparse_at_small_order(tmp_path, capsys):
     assert not list(tmp_path.glob("zero*"))
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+def test_gen_dense_refuses_an_empty_shape(tmp_path, capsys, flag):
+    # A 0x3 matrix would be written, and then refused by svd and verify.
+    assert run(["gen", "--kind", "dense", "--m", "3", "--n", "3", flag, "0",
+                "--out", tmp_path / "z.qmx"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {flag}=0 must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--density", "inf", "off-band density inf must be finite and non-negative"),
     ("--density", "-1", "off-band density -1.0 must be finite and non-negative"),

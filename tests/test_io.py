@@ -396,7 +396,14 @@ class TestSparseGen:
         ({"seed": True}, "^seed=True must be an integer$"),
         ({"seed": 1.5}, "^seed=1.5 must be an integer$"),
         ({"seed": "2"}, "^seed='2' must be an integer$"),
-        ({"seed": -1}, "^seed=-1 must be at least 0$")])
+        ({"seed": -1}, "^seed=-1 must be at least 0$"),
+        # True would be taken as 1.0; a str or None fail inside numpy.
+        ({"offband_density": True},
+         "^off-band density=True must be a real number$"),
+        ({"diagonal_shift": True}, "^diagonal shift=True must be a real number$"),
+        ({"offband_density": "0.1"},
+         "^off-band density='0.1' must be a real number$"),
+        ({"diagonal_shift": None}, "^diagonal shift=None must be a real number$")])
     def test_bad_density_or_shift_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             qio.gen_sparse_block(5, **{"seed": 1, **kwargs})

@@ -1,10 +1,18 @@
-"""Package modules reach each other only through public names, and every
-public name has a caller outside the tests."""
+"""Package modules keep each decision with its owner, and every public name
+has a caller outside the tests.
+
+``_names`` reads every name a module takes, in any form, and each row of
+``RULES`` says which modules may take which names; "private" is one more
+filter over the same names.  A row must find no offender and no idle
+allowance in the package, and must catch each name that ``SYNTHETIC``
+tags with its key, and no other."""
 
 import ast
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import conftest
 import oracles
@@ -13,288 +21,268 @@ from quatsvd import quatlin
 
 PACKAGE = Path(quatsvd.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
-
-
-def _private_uses(tree: ast.Module) -> list:
-    """Underscore names a module takes from another package module: by
-    ``from .x import _name`` or as ``x._name`` on an imported module."""
-    found, modules = [], set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").startswith("quatsvd")):
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    found.append(alias.name)
-                elif node.module in (None, "quatsvd"):
-                    modules.add(alias.asname or alias.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in modules:
-            found.append(f"{node.value.id}.{node.attr}")
-    return found
-
-
-def test_no_module_uses_a_private_name_of_another():
-    offenders = {path.name: _private_uses(ast.parse(path.read_text()))
-                 for path in sorted(PACKAGE.glob("*.py"))}
-    assert {k: v for k, v in offenders.items() if v} == {}
-
-
-def test_checker_sees_both_forms():
-    tree = ast.parse("from .bidiag import _fresh_direction, lanczos_extend\n"
-                     "from . import smalldense as sd\n"
-                     "x = sd._private(1) + sd.public(2)\n")
-    assert _private_uses(tree) == ["_fresh_direction", "sd._private"]
-
-
-def _sparse_imports(tree: ast.Module) -> list:
-    """Modules under ``scipy.sparse`` a module imports, in any form:
-    ``import scipy.sparse as sp``, ``from scipy import sparse``, ``from
-    scipy.sparse.linalg import svds``, or ``scipy.sparse`` reached as an
-    attribute after ``import scipy``."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names
-                      if a.name.startswith("scipy.sparse")]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.sparse"):
-                found.append(node.module)
-            elif node.module == "scipy":
-                found += [f"scipy.{a.name}" for a in node.names
-                          if a.name == "sparse"]
-        elif isinstance(node, ast.Attribute) and node.attr == "sparse" \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "scipy":
-            found.append("scipy.sparse")
-    return found
-
-
-def test_only_quatlin_and_io_touch_scipy_sparse():
-    # quatlin decides how a block is stored and io reads and writes sparse
-    # files; every other module sees sparse storage only through them.
-    offenders = {path.name: _sparse_imports(ast.parse(path.read_text()))
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name not in ("quatlin.py", "io.py")}
-    assert {k: v for k, v in offenders.items() if v} == {}
-
-
-def test_sparse_checker_sees_every_form():
-    tree = ast.parse("import numpy as np, scipy.sparse as sp\n"
-                     "import scipy\n"
-                     "from scipy import linalg, sparse\n"
-                     "from scipy.sparse.linalg import svds\n"
-                     "x = scipy.sparse.csr_matrix(a) + scipy.linalg.norm(a)\n")
-    assert sorted(_sparse_imports(tree)) == [
-        "scipy.sparse", "scipy.sparse", "scipy.sparse", "scipy.sparse.linalg"]
-    for name in ("quatlin.py", "io.py"):
-        assert _sparse_imports(ast.parse((PACKAGE / name).read_text())) == [
-            "scipy.sparse"]
-
-
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 TYPE_CHECKING_TESTS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
-SOLVER_MODULES = ("quatsvd.restart", "quatsvd.bidiag", "quatsvd.smalldense")
 
 
-def _runtime_names(tree: ast.Module) -> list:
-    """Dotted names a module takes from other modules at run time, in any
-    import form: ``import a.b`` gives ``a.b``, ``from a import b`` gives
-    ``a.b`` (a relative import is under ``quatsvd``), and an attribute of a
-    bound name gives its target's, so ``q.restart`` after ``import quatsvd
-    as q`` is ``quatsvd.restart``.  Imports in the body of ``if
-    TYPE_CHECKING:`` bind names for annotations only and are left out."""
-    found, aliases, attributes = [], {}, []
+def _names(tree: ast.Module, module: str) -> list:
+    """(line, enclosing function or ``<module>``, dotted name, bound at run
+    time?) of each name that ``module``, a file stem of the package, takes.
 
-    def visit(node):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.append(alias.name)
-                head = alias.name.split(".")[0]
-                aliases[alias.asname or head] = (alias.name if alias.asname
-                                                 else head)
-        elif isinstance(node, ast.ImportFrom):
-            module = "quatsvd" if node.level else ""
-            module = ".".join(filter(None, (module, node.module)))
-            for alias in node.names:
-                found.append(f"{module}.{alias.name}")
-                aliases[alias.asname or alias.name] = found[-1]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value,
-                                                            ast.Name):
-            attributes.append(node)
-        exempt = isinstance(node, ast.If) and \
-            ast.unparse(node.test) in TYPE_CHECKING_TESTS
-        for child in node.orelse if exempt else ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
-    found += [f"{aliases[node.value.id]}.{node.attr}" for node in attributes
-              if node.value.id in aliases]
-    return found
-
-
-def _taken_from(tree: ast.Module, modules) -> list:
-    """The run-time names of ``tree`` that lie in one of ``modules``."""
-    return [name for name in _runtime_names(tree)
-            if any(name == m or name.startswith(m + ".") for m in modules)]
-
-
-def test_image_and_format_tools_take_nothing_from_the_solver():
-    # The solver and the image/format tools share only quatlin: lowrank
-    # rebuilds from the triplets a solve returns and io writes them, but
-    # neither runs, configures or types a solve at run time.
-    offenders = {name: _taken_from(ast.parse((PACKAGE / name).read_text()),
-                                   SOLVER_MODULES)
-                 for name in ("io.py", "lowrank.py")}
-    assert offenders == {"io.py": [], "lowrank.py": []}
-
-
-def test_restart_takes_nothing_from_scipy():
-    # Dense algebra reaches the solver through smalldense and numpy alone.
-    assert _taken_from(ast.parse((PACKAGE / "restart.py").read_text()),
-                       ("scipy",)) == []
-
-
-def test_layering_checker_sees_every_form():
-    tree = ast.parse("import typing\n"
-                     "from typing import TYPE_CHECKING\n"
-                     "import quatsvd.bidiag\n"
-                     "import quatsvd as q, scipy.linalg as sla\n"
-                     "from . import quatlin, smalldense as sd\n"
-                     "from .restart import TripletSet\n"
-                     "from quatsvd.restart import solve_partial_svd\n"
-                     "from scipy import linalg\n"
-                     "if TYPE_CHECKING:\n"
-                     "    from .bidiag import KrylovState\n"
-                     "    import quatsvd.smalldense as hidden\n"
-                     "elif typing.TYPE_CHECKING:\n"
-                     "    from .restart import ConvergenceTrace\n"
-                     "else:\n"
-                     "    from .bidiag import lanczos_bidiag\n"
-                     "def f():\n"
-                     "    import scipy.sparse\n"
-                     "    return q.restart.verify_residual(hidden.dense_svd)"
-                     " + sla.norm(quatlin.vec_norm)\n")
-    assert sorted(_taken_from(tree, SOLVER_MODULES)) == [
-        "quatsvd.bidiag", "quatsvd.bidiag.lanczos_bidiag", "quatsvd.restart",
-        "quatsvd.restart.TripletSet", "quatsvd.restart.solve_partial_svd",
-        "quatsvd.smalldense"]
-    assert sorted(_taken_from(tree, ("scipy",))) == [
-        "scipy.linalg", "scipy.linalg", "scipy.linalg.norm", "scipy.sparse"]
-    cli = ast.parse((PACKAGE / "cli.py").read_text())
-    assert "quatsvd.restart.solve_partial_svd" in _taken_from(
-        cli, SOLVER_MODULES)
-    assert _taken_from(ast.parse((PACKAGE / "smalldense.py").read_text()),
-                       ("scipy",)) == ["scipy.linalg", "scipy.linalg"]
-
-
-def test_only_quatlin_names_numbers():
-    # quatlin.check_count alone says what a count is; every other module
-    # calls it instead of testing numbers.Integral itself.
-    offenders = {path.name: _taken_from(ast.parse(path.read_text()),
-                                        ("numbers",))
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "quatlin.py"}
-    assert {k: v for k, v in offenders.items() if v} == {}
-
-
-def test_numbers_checker_sees_every_form():
-    tree = ast.parse("import numbers, numpy\n"
-                     "import numbers as nb\n"
-                     "from numbers import Integral, Real as R\n"
-                     "x = nb.Integral\n")
-    assert sorted(_taken_from(tree, ("numbers",))) == [
-        "numbers", "numbers", "numbers.Integral", "numbers.Integral",
-        "numbers.Real"]
-    assert _taken_from(ast.parse((PACKAGE / "quatlin.py").read_text()),
-                       ("numbers",)) == ["numbers", "numbers.Integral"]
-
-
-def _callers(tree: ast.Module, name: str) -> list:
-    """The enclosing function of each call of ``name`` in a module, called
-    bare or as an attribute (``restart.name(...)``); a call outside any
-    function is in ``<module>``."""
+    ``import a.b [as c]`` and ``from a import b [as c]`` give ``a.b``, a
+    relative import lying under ``quatsvd``.  A name so bound, or a
+    function or class of the module itself, gives its target, attribute
+    chain and all, wherever it is used (``np.linalg.svd`` is
+    ``numpy.linalg.svd``), and a re-export is its defining module's.  Any
+    other name gives ``?.`` and its chain (``self.x`` is ``?.self.x``).  A
+    name bound in an ``if TYPE_CHECKING:`` body is not bound at run time."""
+    own = "quatsvd" if module == "__init__" else f"quatsvd.{module}"
+    bound = {node.name: (f"{own}.{node.name}", True) for node in tree.body
+             if isinstance(node, (*FUNCTIONS, ast.ClassDef))}
     found = []
 
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
-                found.append(owner)
-            function = isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
-            visit(child, child.name if function else owner)
+    def take(node, owner, name, runtime):
+        head, dot, rest = name.removeprefix("quatsvd.").partition(".")
+        if name.startswith("quatsvd.") and head in quatsvd.__all__:
+            name = f"{getattr(quatsvd, head).__module__}.{head}{dot}{rest}"
+        found.append((node.lineno, owner, name, runtime))
+        return name
 
-    visit(tree, "<module>")
-    return found
-
-
-def test_the_solve_never_reenters_itself():
-    # solve_partial_svd builds the matrix it factors, scaled and on the
-    # adjoint route, and checks its arguments once; nothing in restart
-    # runs a second solve.
-    assert _callers(ast.parse((PACKAGE / "restart.py").read_text()),
-                    "solve_partial_svd") == []
-
-
-def test_caller_checker_sees_every_form():
-    tree = ast.parse("def solve_partial_svd(M):\n"
-                     "    return solve_partial_svd(M.scaled(-1))\n"
-                     "class C:\n"
-                     "    def f(self):\n"
-                     "        return restart.solve_partial_svd(self)\n"
-                     "x = solve_partial_svd(1), solve_partial_svd.__doc__\n")
-    assert _callers(tree, "solve_partial_svd") == [
-        "solve_partial_svd", "f", "<module>"]
-    assert _callers(ast.parse((PACKAGE / "cli.py").read_text()),
-                    "solve_partial_svd") == ["_cmd_svd",
-                                             "_reconstruction_report"]
-
-
-ENV_READERS = {"environ", "getenv"}
-
-
-def _environment_reads(tree: ast.Module) -> list:
-    """``os.environ`` and ``os.getenv`` a module reads, in any import form:
-    as an attribute of ``os`` under any alias (``o.getenv`` after ``import
-    os as o``) or by ``from os import``."""
-    aliases, found = set(), []
-    for node in ast.walk(tree):
+    def visit(node, owner, runtime):
+        chain = ast.unparse(node) if isinstance(node, (ast.Name,
+                                                       ast.Attribute)) else ""
+        head, dot, rest = chain.partition(".")
         if isinstance(node, ast.Import):
-            aliases |= {a.asname or "os" for a in node.names
-                        if a.name == "os" or (a.name.startswith("os.")
-                                              and not a.asname)}
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            found += [f"os.{a.name}" for a in node.names
-                      if a.name in ENV_READERS]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in aliases:
-            found.append(f"os.{node.attr}")
+            for alias in node.names:
+                take(node, owner, alias.name, runtime)
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = (
+                    alias.name if alias.asname else top, runtime)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("quatsvd" if node.level else "",
+                                          node.module)))
+            for alias in node.names:
+                name = take(node, owner, f"{base}.{alias.name}", runtime)
+                bound[alias.asname or alias.name] = (name, runtime)
+        elif re.fullmatch(r"[\w.]+", chain):
+            target, at_run_time = bound.get(head, (f"?.{head}", True))
+            take(node, owner, target + dot + rest, runtime and at_run_time)
+        else:
+            owner = node.name if isinstance(node, FUNCTIONS) else owner
+            exempt = isinstance(node, ast.If) and \
+                ast.unparse(node.test) in TYPE_CHECKING_TESTS
+            for child in node.body if exempt else ():
+                visit(child, owner, False)
+            for child in node.orelse if exempt else ast.iter_child_nodes(node):
+                visit(child, owner, runtime)
+
+    visit(tree, "<module>", True)
     return found
 
 
-def test_only_cli_reads_the_environment():
-    # A setting read from the environment is an option no signature shows;
-    # the command line is the one place where the user chooses behaviour.
-    offenders = {path.name: _environment_reads(ast.parse(path.read_text()))
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "cli.py"}
-    assert {k: v for k, v in offenders.items() if v} == {}
+PACKAGE_NAMES = {path.stem: _names(ast.parse(path.read_text()), path.stem)
+                 for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_environment_checker_sees_every_form():
-    tree = ast.parse("import os, os as o\n"
-                     "import os.path\n"
-                     "from os import environ, getenv as ge, path\n"
-                     "a = os.environ.get('A') + o.getenv('B') + ge('C')\n"
-                     "b = os.path.join(a) + path.sep + os.getcwd()\n")
-    assert sorted(_environment_reads(tree)) == [
-        "os.environ", "os.environ", "os.getenv", "os.getenv"]
-    assert _environment_reads(ast.parse(
-        (PACKAGE / "cli.py").read_text())) == ["os.environ"]
+class Rule(NamedTuple):
+    taken: tuple              # dotted names, each with every name under it
+    allowed: tuple            # stems, or (stem, function), that may take them
+    annotations: bool = True  # does a name bound under TYPE_CHECKING count?
+    free: tuple = ()          # names under ``taken`` that anyone may take
+    unbound: bool = False     # and ``x.f``, x unbound, for a taken ``a.f``?
+
+
+NUMPY_SOLVERS = ("svd", "qr", "solve", "inv")
+SCIPY_SOLVERS = NUMPY_SOLVERS + (
+    "solve_triangular", "solve_banded", "lu_factor", "lu_solve",
+    "cho_factor", "cho_solve", "lstsq", "pinv")
+
+RULES = {
+    # quatlin decides how a block is stored, and io reads sparse files.
+    "sparse": Rule(("scipy.sparse",), ("quatlin", "io")),
+    # The solver and the image/format tools share only quatlin; lowrank may
+    # name the type of the triplets it rebuilds from in an annotation.
+    "layering": Rule(
+        ("quatsvd.bidiag", "quatsvd.restart", "quatsvd.smalldense"),
+        ("bidiag", "restart", "smalldense", "cli", "__init__"),
+        annotations=False),
+    # Dense algebra reaches the solver through smalldense and numpy alone.
+    "scipy": Rule(("scipy",), ("quatlin", "io", "smalldense")),
+    # quatlin.check_count and check_real alone say what a number is.
+    "numbers": Rule(("numbers",), ("quatlin",)),
+    # The command line is the one place where the user chooses behaviour.
+    "environ": Rule(("os.environ", "os.getenv"), ("cli",)),
+    # One dense SVD per restart cycle and no dense solve: the rest of
+    # smalldense stays only for the benchmark.
+    "smalldense": Rule(("quatsvd.smalldense",), ("smalldense",), free=(
+        "quatsvd.smalldense", "quatsvd.smalldense.dense_svd")),
+    # Only smalldense factors or solves, so its guards are the only ones.
+    "solvers": Rule(tuple(f"numpy.linalg.{name}" for name in NUMPY_SOLVERS)
+                    + tuple(f"scipy.linalg.{name}" for name in SCIPY_SOLVERS),
+                    ("smalldense",)),
+    # The one copy of the real counterpart's block layout.
+    "block": Rule(("numpy.block",), (("quatlin", "_counterpart"),)),
+    # solve_partial_svd scales M and takes the adjoint route itself, and
+    # checks its arguments once: nothing in restart runs a second solve,
+    # whatever object it is reached through.
+    "solve": Rule(("quatsvd.restart.solve_partial_svd",), ("cli", "__init__"),
+                  unbound=True),
+}
+
+
+def _verdicts(key: str, module: str, names: list):
+    """(line, name, allowance or None) of each of ``module``'s ``names``
+    that rule ``key`` covers, the allowance letting ``module`` take it.
+    "private" covers a name reached through an underscore name of another
+    package module, and allows none."""
+    rule = RULES.get(key, Rule((), ()))
+    for line, function, name, runtime in names:
+        parts = name.split(".")
+        if key == "private":
+            covers = parts[0] == "quatsvd" and parts[1:2] != [module] and any(
+                part.startswith("_") for part in parts[1:])
+        elif parts[0] == "?":
+            covers = rule.unbound and any(
+                t.rpartition(".")[2] in parts[1:] for t in rule.taken)
+        else:
+            covers = (runtime or rule.annotations) and name not in rule.free \
+                and any(f"{name}.".startswith(f"{t}.") for t in rule.taken)
+        if covers:
+            yield line, name, next((a for a in rule.allowed if a in (
+                module, (module, function))), None)
+
+
+def _holds(key: str) -> None:
+    """Assert that rule ``key`` finds no offender in the package, by module
+    and line, and no allowance that nothing uses."""
+    offenders, used, rule = {}, set(), RULES.get(key, Rule((), ()))
+    for module, names in PACKAGE_NAMES.items():
+        for line, name, allowance in _verdicts(key, module, names):
+            used.add(allowance)
+            if allowance is None:
+                offenders.setdefault(module, []).append((line, name))
+    assert (offenders, [a for a in rule.allowed if a not in used]) == ({}, [])
+
+
+# After "#", each line names a key once for each name that key must catch
+# there; no other key may catch one.  Rules read it as restart, "layering"
+# (which allows restart) as lowrank.
+SYNTHETIC = """\
+import typing
+from typing import TYPE_CHECKING
+import numbers, numpy, numpy as np, numpy as xp   # numbers
+import numbers as nb                              # numbers
+from numbers import Integral, Real as R           # numbers numbers
+import os, os as o, os.path
+from os import environ                            # environ
+from os import getenv as ge, path                 # environ
+import scipy                                      # scipy
+import scipy.linalg as sla                        # scipy
+import scipy.sparse as sp                         # scipy sparse
+from scipy import linalg, sparse                  # scipy scipy sparse
+from scipy.sparse.linalg import svds              # scipy sparse
+from scipy.linalg import block_diag, lu_solve     # scipy scipy solvers
+from numpy import linalg as la
+from numpy import block, hstack                   # block
+import quatsvd as q
+import quatsvd.bidiag                             # layering
+import quatsvd.smalldense as qs                   # layering
+from . import quatlin, smalldense as sd           # layering
+from quatsvd import lowrank, smalldense           # layering
+from .bidiag import _fresh_direction              # layering private
+from .bidiag import lanczos_extend                # layering
+from .restart import TripletSet                   # layering
+from .smalldense import dense_svd                 # layering
+from .smalldense import qr_factor as qr           # layering smalldense
+from quatsvd.smalldense import solve_upper        # layering smalldense
+if TYPE_CHECKING:
+    from .bidiag import KrylovState
+    import quatsvd.smalldense as hidden
+elif typing.TYPE_CHECKING:
+    from .restart import ConvergenceTrace
+    from .smalldense import bidiag_solve          # smalldense
+else:
+    from .bidiag import lanczos_bidiag            # layering
+os.environ.get("A")                               # environ
+o.getenv("B")                                     # environ
+ge("C")                                           # environ
+os.path.join(a) + path.sep + os.getcwd()
+nb.Integral                                       # numbers
+scipy.sparse.csr_matrix(a)                        # scipy sparse
+scipy.linalg.norm(a) + sla.norm(a) + linalg.eig(a)  # scipy scipy scipy
+np.linalg.svd(a) + np.linalg.norm(a)              # solvers
+xp.linalg.solve(a, a)                             # solvers
+la.qr(a) + la.norm(a) + la.block(a)               # solvers
+scipy.linalg.solve_triangular(a, a)               # scipy solvers
+sla.inv(a)                                        # scipy solvers
+sd._private(1)                                    # layering private smalldense
+sd.public(2) + quatlin.vec_norm(a)                # layering smalldense
+smalldense.dense_svd(a) + lowrank.psnr(a)         # layering
+hidden.dense_svd(a)
+quatsvd.smalldense.tri_solve_upper(a)             # layering smalldense
+qs.NearSingularError                              # layering smalldense
+quatsvd.quatlin._counterpart(a)                   # private
+q.restart._extract_triplets(a)                    # layering
+numpy.block([[1.0]])                              # block
+block(a)                                          # block
+q.solve_partial_svd(a)                            # layering solve
+solver.solve_partial_svd(a) + solver.solve(a)     # solve
+restart.solve_partial_svd(self)                   # solve
+def lazy(a):
+    import scipy.sparse                           # scipy sparse
+    return np.block(a)                            # block
+class C:
+    def method(self, a):
+        from numpy import block as bl             # block
+        return bl(a) + np.hstack(a) + hstack(a)   # block
+    def solve(self):
+        return q.restart.solve_partial_svd(self)  # layering solve
+def solve_partial_svd(M):
+    return solve_partial_svd(M.scaled(-1))        # solve
+"""
+
+
+def _catches(key: str) -> None:
+    """Assert that rule ``key`` catches, on each line of SYNTHETIC, as many
+    names as the line's comment names ``key``, and that some line does."""
+    module = "lowrank" if key == "layering" else "restart"
+    names = _names(ast.parse(SYNTHETIC), module)
+    caught = Counter(line for line, _, allowance
+                     in _verdicts(key, module, names) if allowance is None)
+    tagged = Counter({line: text.partition("#")[2].split().count(key)
+                      for line, text in enumerate(SYNTHETIC.splitlines(), 1)})
+    assert +tagged and caught == +tagged
+
+
+def _test(check, *keys: str):
+    def test():
+        for key in keys:
+            check(key)
+    return test
+
+
+# Each row's package test and self-test, by the names they had when each
+# row had a resolver of its own.
+test_no_module_uses_a_private_name_of_another = _test(_holds, "private")
+test_checker_sees_both_forms = _test(_catches, "private")
+test_only_quatlin_and_io_touch_scipy_sparse = _test(_holds, "sparse")
+test_sparse_checker_sees_every_form = _test(_catches, "sparse")
+test_image_and_format_tools_take_nothing_from_the_solver = \
+    _test(_holds, "layering")
+test_restart_takes_nothing_from_scipy = _test(_holds, "scipy")
+test_layering_checker_sees_every_form = _test(_catches, "layering", "scipy")
+test_only_quatlin_names_numbers = _test(_holds, "numbers")
+test_numbers_checker_sees_every_form = _test(_catches, "numbers")
+test_the_solve_never_reenters_itself = _test(_holds, "solve")
+test_caller_checker_sees_every_form = _test(_catches, "solve")
+test_only_cli_reads_the_environment = _test(_holds, "environ")
+test_environment_checker_sees_every_form = _test(_catches, "environ")
+test_solver_takes_only_dense_svd_from_smalldense = _test(_holds, "smalldense")
+test_smalldense_checker_sees_every_form = _test(_catches, "smalldense")
+test_only_smalldense_calls_a_dense_solver = _test(_holds, "solvers")
+test_solver_checker_sees_every_form = _test(_catches, "solvers")
+test_only_the_counterpart_helper_calls_np_block = _test(_holds, "block")
+test_block_checker_sees_every_form = _test(_catches, "block")
 
 
 def test_only_quatlin_names_the_safe_range():
@@ -309,121 +297,6 @@ def test_only_quatlin_names_the_safe_range():
     assert offenders == []
 
 
-def _smalldense_names(tree: ast.Module) -> list:
-    """Names a module takes from ``smalldense``: by ``from .smalldense
-    import x`` (relative or absolute), or as ``sd.x`` on the module bound
-    by any import form and alias."""
-    found, modules = [], set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.rsplit(".", 1)[-1] == "smalldense":
-                found += [alias.name for alias in node.names]
-            elif module in ("", "quatsvd"):
-                modules |= {alias.asname or alias.name for alias in node.names
-                            if alias.name == "smalldense"}
-        elif isinstance(node, ast.Import):
-            modules |= {alias.asname or alias.name for alias in node.names
-                        if alias.name.endswith("smalldense")}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) \
-                and ast.unparse(node.value) in modules:
-            found.append(node.attr)
-    return found
-
-
-def test_solver_takes_only_dense_svd_from_smalldense():
-    # One dense SVD per restart cycle and no dense solve: the QR
-    # factorization and the triangular solves stay only for the benchmark.
-    offenders = {path.name: [name for name in
-                             _smalldense_names(ast.parse(path.read_text()))
-                             if name != "dense_svd"]
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "smalldense.py"}
-    assert {k: v for k, v in offenders.items() if v} == {}
-
-
-def test_smalldense_checker_sees_every_form():
-    tree = ast.parse("from .smalldense import dense_svd, qr_factor as qr\n"
-                     "from quatsvd.smalldense import solve_upper\n"
-                     "from . import smalldense as sd\n"
-                     "from quatsvd import lowrank, smalldense\n"
-                     "import quatsvd.smalldense\n"
-                     "import quatsvd.smalldense as qs\n"
-                     "x = sd.bidiag_solve(a) + smalldense.dense_svd(a)\n"
-                     "y = quatsvd.smalldense.tri_solve_upper(a)\n"
-                     "z = qs.NearSingularError + lowrank.psnr\n")
-    assert sorted(_smalldense_names(tree)) == [
-        "NearSingularError", "bidiag_solve", "dense_svd", "dense_svd",
-        "qr_factor", "solve_upper", "tri_solve_upper"]
-    assert _smalldense_names(ast.parse(
-        (PACKAGE / "restart.py").read_text())) == ["dense_svd"]
-
-
-# Dense factorizations and solvers that only smalldense may call, so that
-# its guards stay the only ones.
-NUMPY_SOLVERS = {"svd", "qr", "solve", "inv"}
-SCIPY_SOLVERS = NUMPY_SOLVERS | {"solve_triangular", "solve_banded",
-                                 "lu_factor", "lu_solve", "cho_factor",
-                                 "cho_solve", "lstsq", "pinv"}
-
-
-def _dense_solver_uses(tree: ast.Module) -> list:
-    """``numpy.linalg`` and ``scipy.linalg`` solvers a module names: as an
-    attribute of the linalg module under any import alias (``np.linalg.svd``,
-    ``sla.inv`` after ``import scipy.linalg as sla``) or by ``from ...
-    import``."""
-    banned = {"numpy.linalg": NUMPY_SOLVERS, "scipy.linalg": SCIPY_SOLVERS}
-    aliases, found = {}, []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:  # ``import scipy.linalg`` binds ``scipy``
-                    head = alias.name.split(".")[0]
-                    aliases[head] = head
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                full = f"{node.module}.{alias.name}"
-                aliases[alias.asname or alias.name] = full
-                if alias.name in banned.get(node.module, ()):
-                    found.append(full)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            head, dot, rest = ast.unparse(node.value).partition(".")
-            module = aliases.get(head, head) + dot + rest
-            if node.attr in banned.get(module, ()):
-                found.append(f"{module}.{node.attr}")
-    return found
-
-
-def test_only_smalldense_calls_a_dense_solver():
-    offenders = {path.name: _dense_solver_uses(ast.parse(path.read_text()))
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "smalldense.py"}
-    assert {k: v for k, v in offenders.items() if v} == {}
-
-
-def test_solver_checker_sees_every_form():
-    tree = ast.parse("import numpy as np, numpy as xp\n"
-                     "import scipy.linalg\n"
-                     "import scipy.linalg as sla\n"
-                     "from numpy import linalg as la\n"
-                     "from scipy.linalg import block_diag, lu_solve\n"
-                     "a = np.linalg.svd(x) + np.linalg.norm(x)\n"
-                     "b = scipy.linalg.solve_triangular(r, x)\n"
-                     "c = sla.inv(x) + la.qr(x) + block_diag(x)\n"
-                     "d = xp.linalg.solve(a, x)\n")
-    assert sorted(_dense_solver_uses(tree)) == [
-        "numpy.linalg.qr", "numpy.linalg.solve", "numpy.linalg.svd",
-        "scipy.linalg.inv", "scipy.linalg.lu_solve",
-        "scipy.linalg.solve_triangular"]
-    assert sorted(_dense_solver_uses(ast.parse(
-        (PACKAGE / "smalldense.py").read_text()))) == [
-        "numpy.linalg.qr", "numpy.linalg.svd", "scipy.linalg.solve_triangular"]
-
-
 def test_oracles_never_read_the_product_table():
     # The oracle module and the hand-written layouts the kernels are
     # checked against state the multiplication rule without the tables.
@@ -435,60 +308,6 @@ def test_oracles_never_read_the_product_table():
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
     assert not names & {"QUAT_TABLE", "QUAT_CONJ", "_CONJ_TABLE",
                         "_DIRECT_MIX", "_CONJ_MIX", "_QUAT_MIX"}
-
-
-def _block_uses(tree: ast.Module) -> list:
-    """(enclosing function, name used) of each ``numpy.block`` a module
-    names: as an attribute of numpy under any import alias, or bound by
-    ``from numpy import block`` under any name.  Code outside a function
-    is ``<module>``."""
-    numpy, blocks, found = set(), set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            numpy |= {a.asname or "numpy" for a in node.names
-                      if a.name == "numpy" or (a.name.startswith("numpy.")
-                                               and not a.asname)}
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            blocks |= {a.asname or a.name for a in node.names
-                       if a.name == "block"}
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "block"
-                    and isinstance(child.value, ast.Name)
-                    and child.value.id in numpy) or (
-                    isinstance(child, ast.Name) and child.id in blocks):
-                found.append((owner, ast.unparse(child)))
-            function = isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
-            visit(child, child.name if function else owner)
-
-    visit(tree, "<module>")
-    return found
-
-
-def test_only_the_counterpart_helper_calls_np_block():
-    # quatlin._counterpart holds the one copy of the real counterpart's
-    # block layout; a second np.block in the package would be a second copy.
-    offenders = {path.name: _block_uses(ast.parse(path.read_text()))
-                 for path in sorted(PACKAGE.glob("*.py"))}
-    assert {k: v for k, v in offenders.items() if v} == {
-        "quatlin.py": [("_counterpart", "np.block")]}
-
-
-def test_block_checker_sees_every_form():
-    tree = ast.parse("import numpy as np, numpy\n"
-                     "import numpy.linalg as la\n"
-                     "from numpy import block, block as bl, hstack\n"
-                     "def f(a):\n"
-                     "    return np.block(a) + numpy.block(a) + la.block(a)\n"
-                     "class C:\n"
-                     "    def g(self, a):\n"
-                     "        return block(a) + bl(a) + np.hstack(a) + hstack(a)\n"
-                     "x = numpy.block([[1.0]])\n")
-    assert _block_uses(tree) == [
-        ("f", "np.block"), ("f", "numpy.block"), ("g", "block"), ("g", "bl"),
-        ("<module>", "numpy.block")]
 
 
 def _public_definitions(tree: ast.Module) -> list:

@@ -683,6 +683,14 @@ class TestVecNorm:
                                             rel=1e-15)
 
 
+@pytest.mark.parametrize("n, rule", [
+    (True, "an integer"), (2.5, "an integer"), (0, "at least 1")])
+def test_random_unit_vector_refuses_a_bad_count(rng, n, rule):
+    # n=0 would return an empty (0, 4) array.
+    with pytest.raises(ValueError, match=f"^n={n!r} must be {rule}$"):
+        random_unit_vector(n, rng)
+
+
 class TestOrthogonalize:
     def test_already_orthogonal_unchanged(self, rng):
         basis = orthonormal_basis(rng, 12, 4)

@@ -511,10 +511,11 @@ class TestSolver:
     @pytest.mark.parametrize("field, value", [
         ("which", "middle"), ("k", 0), ("m_b", 0), ("maxit", -1),
         ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
-        ("delta", -1e-10), ("k", 2.5), ("k", True), ("k", "2"),
-        ("m_b", 4.5), ("m_b", False), ("maxit", 1.5), ("maxit", True),
+        ("delta", -1e-10), ("delta", True), ("k", 2.5), ("k", True),
+        ("k", "2"), ("m_b", 4.5), ("m_b", False), ("maxit", 1.5),
+        ("maxit", True),
         ("seed", None), ("seed", 1.5), ("seed", "3"), ("seed", True),
-        ("seed", -1)])
+        ("seed", -1), ("delta", "1e-10"), ("delta", None)])
     def test_invalid_options_rejected_on_construction(self, field, value):
         with pytest.raises(ValueError):
             SolverOptions(**{"k": 2, field: value})
